@@ -17,7 +17,7 @@ from .numeric import (Gradients, MlpModel, MlpSpec, accuracy, cross_entropy,
                       init_mlp, kl_divergence, mlp_backward, mlp_forward,
                       onehot_labels, sgd_step, sgd_train, softmax_temp,
                       tier_spec, training_step_count)
-from .simulation import (ClientState, EventLog, SimConfig, SimEvent, Topology,
+from .simulation import (ClientState, EventLog, SimConfig, Topology,
                          evaluate_all, handle_unlearn_request, init_network,
                          run_round)
 

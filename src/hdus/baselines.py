@@ -13,7 +13,8 @@ from .distill import ReferenceSet
 from .errors import ConfigError, NotFoundError, StateError
 from .numeric import (Gradients, MlpModel, MlpSpec, mlp_backward, mlp_forward,
                       onehot_labels, sgd_step, sgd_train, softmax_temp)
-from .simulation import ACTIVE, QUIT, ClientState, SimConfig, Topology, active_clients
+from .simulation import (ACTIVE, ClientState, SimConfig, Topology,
+                         active_clients, local_training_phase, retire_client)
 
 
 # ---------------------------------------------------------------------------
@@ -22,21 +23,13 @@ from .simulation import ACTIVE, QUIT, ClientState, SimConfig, Topology, active_c
 
 def isgd_round(clients: list[ClientState], cfg: SimConfig) -> list[ClientState]:
     """Local SGD only, no communication of any kind."""
-    for c in sorted(active_clients(clients), key=lambda c: c.id):
-        sgd_train(c.main, c.local_data.features, c.local_data.labels,
-                  c.local_data.class_count, cfg.local_epochs, cfg.lr,
-                  cfg.batch_size, c.train_rng)
+    local_training_phase(clients, cfg)
     return clients
 
 
 def isgd_unlearn(clients: list[ClientState], quitting_id: int) -> list[ClientState]:
     """Deleting the client is the whole unlearning procedure."""
-    quitter = next((c for c in clients if c.id == quitting_id), None)
-    if quitter is None or quitter.status != ACTIVE:
-        raise NotFoundError(f"client {quitting_id} is unknown or already quit")
-    quitter.status = QUIT
-    quitter.main = None
-    quitter.local_data = None
+    retire_client(clients, quitting_id)
     return clients
 
 
@@ -51,17 +44,13 @@ def _check_homogeneous(clients: list[ClientState]) -> None:
                           f"{len(specs)} distinct specs")
 
 
-def dsgd_round(clients: list[ClientState], topology: Topology, cfg: SimConfig,
-               local_steps: bool = True) -> list[ClientState]:
+def dsgd_round(clients: list[ClientState], topology: Topology,
+               cfg: SimConfig) -> list[ClientState]:
     """Local SGD epochs followed by synchronous gossip averaging: each client's
     parameters become the uniform average over itself and its active neighbors."""
     _check_homogeneous(clients)
+    local_training_phase(clients, cfg)
     active = sorted(active_clients(clients), key=lambda c: c.id)
-    if local_steps:
-        for c in active:
-            sgd_train(c.main, c.local_data.features, c.local_data.labels,
-                      c.local_data.class_count, cfg.local_epochs, cfg.lr,
-                      cfg.batch_size, c.train_rng)
     by_id = {c.id: c for c in clients}
     averaged = {}
     for c in active:
@@ -80,12 +69,7 @@ def dsgd_unlearn(clients: list[ClientState], quitting_id: int) -> list[int]:
     """Remove the quitter and reset every remaining client to its stored
     initial parameters; the caller then reruns dsgd rounds to retrain.
     Returns the remaining active client ids."""
-    quitter = next((c for c in clients if c.id == quitting_id), None)
-    if quitter is None or quitter.status != ACTIVE:
-        raise NotFoundError(f"client {quitting_id} is unknown or already quit")
-    quitter.status = QUIT
-    quitter.main = None
-    quitter.local_data = None
+    retire_client(clients, quitting_id)
     remaining = []
     for c in active_clients(clients):
         if c.initial_main is None:
@@ -171,17 +155,12 @@ def fedunl_unlearn(server: CentralServerState, clients: list[ClientState],
     global is kept as the distillation teacher for recovery rounds."""
     if not server.update_ledger:
         raise StateError("update ledger is empty")
-    quitter = next((c for c in clients if c.id == quitting_id), None)
-    if quitter is None or quitter.status != ACTIVE:
-        raise NotFoundError(f"client {quitting_id} is unknown or already quit")
+    retire_client(clients, quitting_id)
     server.pre_unlearn_global = server.global_model.copy()
     for deltas in server.update_ledger:
         if quitting_id in deltas:
             _apply_delta(server.global_model, deltas[quitting_id],
                          -1.0 / len(deltas))
-    quitter.status = QUIT
-    quitter.main = None
-    quitter.local_data = None
     for c in active_clients(clients):
         c.main = server.global_model.copy()
 
@@ -249,9 +228,5 @@ def sisa_unlearn_client(server: CentralServerState, clients: list[ClientState],
     """Drop the quitter's shard model from the ensemble; no retraining."""
     if quitting_id not in server.shard_models:
         raise NotFoundError(f"no shard model for client {quitting_id}")
+    retire_client(clients, quitting_id)
     del server.shard_models[quitting_id]
-    quitter = next((c for c in clients if c.id == quitting_id), None)
-    if quitter is not None and quitter.status == ACTIVE:
-        quitter.status = QUIT
-        quitter.main = None
-        quitter.local_data = None

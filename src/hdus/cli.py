@@ -1,7 +1,11 @@
 """Command-line entry point.
 
-Verbs: run, sweep, unlearn-demo, validate-config. Flags mirror config keys;
-a config file overrides built-in defaults and flags override the file.
+Verbs: run, sweep, unlearn-demo, validate-config. Every config-file key is
+also a flag, with `_` written as `-` (`n_clients` is `--n-clients`, `lambda`
+is `--lambda`), and a flag value is read the same way as a file value: a JSON
+literal, or a bare word as a string (for example `--tiers '["small","large"]'`
+or `--framework dsgd`). A config file overrides built-in defaults and flags
+override the file.
 Exit codes: 0 success, 2 config error, 3 runtime error.
 """
 
@@ -12,42 +16,20 @@ import sys
 from dataclasses import replace
 
 from .errors import ConfigError, HdusError
-from .harness import (ExperimentConfig, emit_metrics, load_config,
-                      run_experiment, sweep, unlearn_demo)
-
-_FLAG_FIELDS = [
-    ("--dataset", "dataset", str),
-    ("--framework", "framework", str),
-    ("--n-clients", "n_clients", int),
-    ("--setting", "setting", str),
-    ("--lambda", "ensemble_lambda", float),
-    ("--temperature", "temperature", float),
-    ("--local-epochs", "local_epochs", int),
-    ("--incubate-epochs", "incubate_epochs", int),
-    ("--lr", "lr", float),
-    ("--incubate-lr", "incubate_lr", float),
-    ("--batch-size", "batch_size", int),
-    ("--rounds", "rounds", int),
-    ("--unlearn-round", "unlearn_round", int),
-    ("--unlearn-client", "unlearn_client", int),
-    ("--repeats", "repeats", int),
-    ("--master-seed", "master_seed", int),
-    ("--output-path", "output_path", str),
-    ("--ref-size", "ref_size", int),
-    ("--data-dir", "data_dir", str),
-]
+from .harness import (CONFIG_KEYS, ExperimentConfig, emit_metrics, load_config,
+                      parse_config_value, run_experiment, sweep, unlearn_demo)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="path to a key = value config file")
-    for flag, dest, typ in _FLAG_FIELDS:
-        p.add_argument(flag, dest=dest, type=typ, default=None)
+    for key in CONFIG_KEYS:
+        p.add_argument("--" + key.replace("_", "-"), dest=key, metavar="VALUE")
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    overrides = {dest: getattr(args, dest) for _, dest, _ in _FLAG_FIELDS
-                 if getattr(args, dest) is not None}
+    overrides = dict(parse_config_value(key, getattr(args, key))
+                     for key in CONFIG_KEYS if getattr(args, key) is not None)
     if overrides:
         cfg = replace(cfg, **overrides)
     cfg.validate()

@@ -174,8 +174,6 @@ def _reference_indices(data: LabeledDataset, ref_size: int,
                        rng: np.random.Generator) -> np.ndarray:
     if ref_size >= len(data):
         raise CapacityError(f"ref_size {ref_size} >= dataset size {len(data)}")
-    if ref_size == 0:
-        return np.empty(0, dtype=np.int64)
     return np.sort(rng.choice(len(data), size=ref_size, replace=False))
 
 
@@ -184,8 +182,6 @@ def split_reference(data: LabeledDataset, ref_size: int,
     """Carve an unlabeled reference set out of the data. The labels of the
     carved rows are retained only in the reference's sealed store."""
     idx = _reference_indices(data, ref_size, rng)
-    if ref_size == 0:
-        return ReferenceSet(np.empty((0, data.features.shape[1]))), data
     mask = np.ones(len(data), dtype=bool)
     mask[idx] = False
     ref = ReferenceSet(data.features[idx], sealed_labels=data.labels[idx].copy())
@@ -275,13 +271,11 @@ def partition_noniid(data: LabeledDataset, n_clients: int, ref_size: int,
                             f"{int(need.sum())} samples")
 
     client_indices = [np.sort(np.asarray(rows, dtype=np.int64)) for rows in assigned]
-    sealed = data.labels[ref_idx].copy() if ref_idx.size else None
-    reference = ReferenceSet(data.features[ref_idx], sealed_labels=sealed) \
-        if ref_idx.size else ReferenceSet(np.empty((0, data.features.shape[1])))
     return PartitionedDataset(
         client_splits=[data.take(ci) for ci in client_indices],
         test=data.take(test_idx),
-        reference=reference,
+        reference=ReferenceSet(data.features[ref_idx],
+                               sealed_labels=data.labels[ref_idx].copy()),
         class_menu=menus,
         omitted_class=omitted,
         client_indices=client_indices,

@@ -3,13 +3,12 @@ timelines, and hyperparameter sweeps, all reproducible from (config, seed)."""
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field, fields, replace
+import typing
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -20,8 +19,8 @@ from .ensemble import EnsembleConfig
 from .errors import ConfigError, HdusError
 from .numeric import tier_spec
 from .simulation import (EventLog, SimConfig, Topology, active_clients,
-                         evaluate_all, handle_unlearn_request, init_network,
-                         run_round)
+                         csv_text, evaluate_all, handle_unlearn_request,
+                         init_network, run_round)
 
 FRAMEWORKS = ("hdus", "isgd", "dsgd", "fedunl", "sisa_a")
 SCHEMA_VERSION = 1
@@ -104,6 +103,20 @@ class ExperimentConfig:
             raise ConfigError("combine: must be proba or logits")
         if self.seed_tier not in ("small", "medium", "large"):
             raise ConfigError(f"seed_tier: unknown tier {self.seed_tier!r}")
+        if self.ref_size < 1:
+            raise ConfigError("ref_size: must be >= 1")
+        if not 0 < self.test_fraction < 1:
+            raise ConfigError("test_fraction: must be in (0, 1)")
+        if self.blob_samples_per_class < 1:
+            raise ConfigError("blob_samples_per_class: must be >= 1")
+        if self.blob_spread < 0:
+            raise ConfigError("blob_spread: must be >= 0")
+        if self.blob_components < 1:
+            raise ConfigError("blob_components: must be >= 1")
+        if self.incubate_every_rounds < 1:
+            raise ConfigError("incubate_every_rounds: must be >= 1")
+        if self.master_seed < 0:
+            raise ConfigError("master_seed: must be >= 0")
 
     def client_tiers(self) -> list[str]:
         """Per-client size tiers. Heterogeneous default spreads clients over
@@ -135,14 +148,53 @@ class ExperimentConfig:
         return "\n".join([f"# config_hash = {self.config_hash()}"] + lines) + "\n"
 
 
-# Config-file keys -> dataclass field names (everything else maps one-to-one).
+# Config keys (file keys and, with `_` as `-`, CLI flags) -> field names:
+# every field under its own name, plus these aliases.
 _KEY_ALIASES = {"lambda": "ensemble_lambda"}
-_FIELD_NAMES = {f.name for f in fields(ExperimentConfig)}
+CONFIG_KEYS = {**{f.name: f.name for f in fields(ExperimentConfig)}, **_KEY_ALIASES}
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
+
+
+def parse_config_value(key: str, text: str, where: str | None = None) -> tuple[str, object]:
+    """Read the text of a config value: a JSON literal, or a bare word as a
+    string. Returns (field name, value) once the value fits the field's type:
+    an int field takes no bool, a float field turns an int into a float, a
+    number field also reads a bare word by Python's int()/float(), and a
+    string field keeps the raw text of a literal that is not a string.
+    Raises ConfigError naming the key, after `where` (e.g. "file:line")."""
+    prefix = f"{where}: " if where else ""
+    name = CONFIG_KEYS.get(key)
+    if name is None:
+        raise ConfigError(f"{prefix}unknown key {key!r}")
+    hint = _FIELD_TYPES[name]
+    nullable = type(None) in typing.get_args(hint)
+    kind = typing.get_args(hint)[0] if nullable else hint
+    text = text.strip()
+    try:
+        value, bare = json.loads(text), False
+    except json.JSONDecodeError:
+        value, bare = text, True
+    if value is None and nullable:
+        return name, None
+    if kind is str:
+        return name, value if isinstance(value, str) else text
+    if bare and kind in (int, float):
+        try:
+            value = kind(text)
+        except ValueError:
+            pass
+    if kind is float and type(value) is int:
+        value = float(value)
+    if type(value) is kind or (kind == list[str] and isinstance(value, list)
+                               and all(isinstance(v, str) for v in value)):
+        return name, value
+    type_name = getattr(hint, "__name__", None) or str(hint)
+    raise ConfigError(f"{prefix}{key}: expected {type_name}, got {text!r}")
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse a `key = value` config file (values are JSON literals; bare words
-    are taken as strings). Unknown and duplicate keys are rejected."""
+    """Parse a `key = value` config file; each value is read by
+    `parse_config_value`. Unknown and duplicate keys are rejected."""
     values: dict[str, object] = {}
     with open(path) as f:
         for lineno, raw in enumerate(f, start=1):
@@ -151,18 +203,11 @@ def load_config(path) -> ExperimentConfig:
                 continue
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            field_name = _KEY_ALIASES.get(key, key)
-            if field_name not in _FIELD_NAMES:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            if field_name in values:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            val = val.strip()
-            try:
-                values[field_name] = json.loads(val)
-            except json.JSONDecodeError:
-                values[field_name] = val
+            key, _, text = line.partition("=")
+            name, value = parse_config_value(key.strip(), text, f"{path}:{lineno}")
+            if name in values:
+                raise ConfigError(f"{path}:{lineno}: duplicate key {key.strip()!r}")
+            values[name] = value
     cfg = ExperimentConfig(**values)
     cfg.validate()
     return cfg
@@ -339,14 +384,12 @@ class _FedunlEngine(_SmallTierEngine):
     def __init__(self, cfg, part, seed):
         super().__init__(cfg, part, seed)
         self.server = bl.fedunl_init(self.clients[0].main.spec, seed)
-        self.unlearned = False
 
     def round(self, r):
         bl.fedunl_round(self.server, self.clients, self.sim)
 
     def unlearn(self, quitting_id):
         bl.fedunl_unlearn(self.server, self.clients, quitting_id)
-        self.unlearned = True
 
     def recover_round(self, r):
         bl.fedunl_recover_round(self.server, self.clients, self.part.reference,
@@ -422,7 +465,7 @@ def sweep(cfg: ExperimentConfig, param: str, values) -> dict[object, RunReport |
     sweep continues."""
     if param not in ("lambda", "temperature"):
         raise ConfigError(f"sweep param must be 'lambda' or 'temperature', got {param!r}")
-    field_name = "ensemble_lambda" if param == "lambda" else "temperature"
+    field_name = CONFIG_KEYS[param]
     grid: dict[object, RunReport | HdusError] = {}
     for v in values:
         try:
@@ -452,27 +495,18 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def summary_csv_text(reports: list[RunReport]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["framework", "repeats", "final_accuracy_mean",
-                "final_accuracy_std", "config_hash"])
-    for rep in reports:
-        w.writerow([rep.config.framework, len(rep.repeats), repr(rep.mean()),
-                    repr(rep.std()), rep.config_hash])
-    return buf.getvalue()
+    return csv_text(["framework", "repeats", "final_accuracy_mean",
+                     "final_accuracy_std", "config_hash"],
+                    ([rep.config.framework, len(rep.repeats), repr(rep.mean()),
+                      repr(rep.std()), rep.config_hash] for rep in reports))
 
 
 def timeline_csv_text(reports: list[RunReport]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["repeat", "round", "t", "framework", "mean_accuracy",
-                "config_hash"])
-    for rep in reports:
-        for rr in rep.repeats:
-            for p in rr.timeline:
-                w.writerow([p.repeat, p.round, "" if p.t is None else p.t,
-                            p.framework, repr(p.mean_accuracy), rep.config_hash])
-    return buf.getvalue()
+    return csv_text(["repeat", "round", "t", "framework", "mean_accuracy",
+                     "config_hash"],
+                    ([p.repeat, p.round, "" if p.t is None else p.t, p.framework,
+                      repr(p.mean_accuracy), rep.config_hash]
+                     for rep in reports for rr in rep.repeats for p in rr.timeline))
 
 
 def emit_metrics(report: RunReport | list[RunReport], out_dir: str) -> dict[str, str]:
@@ -488,11 +522,10 @@ def emit_metrics(report: RunReport | list[RunReport], out_dir: str) -> dict[str,
     }
     _atomic_write(paths["summary"], summary_csv_text(reports))
     _atomic_write(paths["timeline"], timeline_csv_text(reports))
-    event_text = "round,client_id,framework,metric,value\n"
-    for rep in reports:
-        for rr in rep.repeats:
-            event_text += "".join(rr.event_log.to_csv_text().splitlines(True)[1:])
-    _atomic_write(paths["eventlog"], event_text)
+    events = EventLog()
+    events.records = [rec for rep in reports for rr in rep.repeats
+                      for rec in rr.event_log.records]
+    _atomic_write(paths["eventlog"], events.to_csv_text())
     _atomic_write(paths["config"], "".join(r.config.snapshot_text() for r in reports))
     return paths
 

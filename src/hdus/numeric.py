@@ -101,12 +101,7 @@ class Gradients:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
 
-    def flatten(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b.ravel())
-        return np.concatenate(parts)
+    flatten = MlpModel.flatten
 
 
 def init_mlp(spec: MlpSpec, rng: np.random.Generator) -> MlpModel:
@@ -134,16 +129,7 @@ def _check_batch(model: MlpModel, batch: np.ndarray) -> np.ndarray:
 
 def mlp_forward(model: MlpModel, batch: np.ndarray) -> np.ndarray:
     """Forward pass returning raw (pre-softmax) logits, shape B x C."""
-    x = _check_batch(model, batch)
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        if x.shape[1] != w.shape[0]:
-            raise DimensionError(
-                f"layer {i}: input width {x.shape[1]} != weight rows {w.shape[0]}")
-        x = x @ w + b
-        if i < last:
-            x = np.maximum(x, 0.0)
-    return x
+    return _forward_cached(model, batch)[-1]
 
 
 def softmax_temp(logits: np.ndarray, temperature: float) -> np.ndarray:
@@ -164,9 +150,7 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
         raise DimensionError(f"length mismatch: {p.shape} vs {q.shape}")
     if abs(p.sum() - 1.0) > 1e-9 or abs(q.sum() - 1.0) > 1e-9:
         raise DomainError("inputs must each sum to 1 within 1e-9")
-    q = np.maximum(q, 1e-12)
-    terms = np.where(p > 0, p * (np.log(np.maximum(p, 1e-300)) - np.log(q)), 0.0)
-    return float(terms.sum())
+    return _mean_kl_rows(p.reshape(1, -1), q.reshape(1, -1))
 
 
 def _mean_kl_rows(p_rows: np.ndarray, q_rows: np.ndarray) -> float:
@@ -252,7 +236,6 @@ def mlp_backward(model: MlpModel, batch: np.ndarray, *,
     logits = inputs[-1]
     n = logits.shape[0]
     if onehot is not None:
-        onehot = _check_onehot(onehot, logits.shape[1])
         loss = cross_entropy(logits, onehot)
         dlogits = (softmax_temp(logits, 1.0) - onehot) / n
     else:

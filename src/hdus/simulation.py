@@ -21,20 +21,6 @@ from .numeric import MlpModel, MlpSpec, accuracy, init_mlp, sgd_train
 ACTIVE = "active"
 QUIT = "quit"
 
-_EVENT_KIND_ORDER = {"train_round": 0, "exchange": 1, "unlearn_request": 2,
-                     "evaluate": 3}
-
-
-@dataclass(frozen=True)
-class SimEvent:
-    time: int                       # round index
-    kind: str
-    client_id: int | None = None
-
-    def sort_key(self):
-        return (self.time, _EVENT_KIND_ORDER[self.kind],
-                -1 if self.client_id is None else self.client_id)
-
 
 @dataclass
 class Topology:
@@ -62,6 +48,15 @@ class Topology:
         return Topology(adj)
 
 
+def csv_text(header: list[str], rows) -> str:
+    """CSV text: the header, then one line per row, with LF line endings."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 class EventLog:
     """Append-only (round, client, framework, metric, value) records."""
 
@@ -74,16 +69,8 @@ class EventLog:
                              metric, float(value)))
 
     def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["round", "client_id", "framework", "metric", "value"])
-        for rec in self.records:
-            writer.writerow([rec[0], rec[1], rec[2], rec[3], repr(rec[4])])
-        return buf.getvalue()
-
-    def write(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            f.write(self.to_csv_text())
+        return csv_text(["round", "client_id", "framework", "metric", "value"],
+                        ([*rec[:4], repr(rec[4])] for rec in self.records))
 
 
 @dataclass
@@ -199,9 +186,9 @@ def run_round(clients: list[ClientState], topology: Topology, cfg: SimConfig,
     return clients
 
 
-def handle_unlearn_request(clients: list[ClientState], quitting_id: int) -> list[ClientState]:
-    """Mark the quitter as gone, drop its data/models, and remove its seed from
-    every other client's repository. No retraining, no parameter mutation."""
+def retire_client(clients: list[ClientState], quitting_id: int) -> None:
+    """Mark an active client as quit and drop its data, models and repository.
+    Raises NotFoundError, before changing anything, if it is unknown or gone."""
     quitter = next((c for c in clients if c.id == quitting_id), None)
     if quitter is None or quitter.status != ACTIVE:
         raise NotFoundError(f"client {quitting_id} is unknown or already quit")
@@ -210,6 +197,12 @@ def handle_unlearn_request(clients: list[ClientState], quitting_id: int) -> list
     quitter.own_seed = None
     quitter.local_data = None
     quitter.repo = SeedRepository(owner_id=quitting_id)
+
+
+def handle_unlearn_request(clients: list[ClientState], quitting_id: int) -> list[ClientState]:
+    """Retire the quitter and remove its seed from every other client's
+    repository. No retraining, no parameter mutation."""
+    retire_client(clients, quitting_id)
     for c in clients:
         if c.id != quitting_id and quitting_id in c.repo:
             unlearn_neighbor(c.repo, quitting_id)

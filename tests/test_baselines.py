@@ -8,7 +8,7 @@ from hdus.baselines import (dsgd_round, dsgd_unlearn, fedunl_init,
 from hdus.data import gen_blobs, partition_noniid
 from hdus.distill import DistillConfig
 from hdus.ensemble import EnsembleConfig
-from hdus.errors import ConfigError, NotFoundError, StateError
+from hdus.errors import ConfigError, DivergenceError, NotFoundError, StateError
 from hdus.numeric import (MlpSpec, accuracy, mlp_forward, softmax_temp,
                           training_step_count)
 from hdus.simulation import (SimConfig, Topology, init_network,
@@ -70,6 +70,18 @@ def test_isgd_unlearn_is_pure_deletion(partition):
             assert np.array_equal(flat(c), others[c.id])
     with pytest.raises(NotFoundError):
         isgd_unlearn(clients, 1)
+
+
+@pytest.mark.parametrize("framework", ["isgd", "dsgd"])
+def test_local_training_names_the_diverging_client(partition, framework):
+    cfg = make_cfg()
+    clients, topo = make_clients(partition, cfg)
+    clients[2].main.weights[0][...] = np.nan
+    with pytest.raises(DivergenceError, match="^client 2: "):
+        if framework == "isgd":
+            isgd_round(clients, cfg)
+        else:
+            dsgd_round(clients, topo, cfg)
 
 
 # --- DSGD -------------------------------------------------------------------

@@ -1,12 +1,13 @@
 import csv
 import io
+import json
 
 import pytest
 
 from hdus.cli import main as cli_main
 from hdus.errors import ConfigError
-from hdus.harness import (FRAMEWORKS, ExperimentConfig, build_partition,
-                          emit_metrics, load_config, run_experiment, sweep,
+from hdus.harness import (CONFIG_KEYS, FRAMEWORKS, ExperimentConfig,
+                          build_partition, emit_metrics, load_config, run_experiment, sweep,
                           summary_csv_text, timeline_csv_text, unlearn_demo)
 
 
@@ -30,7 +31,12 @@ def test_validate_catches_bad_fields():
                 dict(unlearn_round=1, unlearn_client=9),
                 dict(setting="mixed"), dict(dataset="mnist"),
                 dict(tiers=["small"], n_clients=2),
-                dict(tiers=["small", "huge"], n_clients=2)):
+                dict(tiers=["small", "huge"], n_clients=2),
+                dict(ref_size=0), dict(ref_size=-1), dict(test_fraction=-0.5),
+                dict(test_fraction=1.0), dict(blob_samples_per_class=-3),
+                dict(blob_spread=-1.0), dict(blob_components=-1),
+                dict(blob_components=0), dict(incubate_every_rounds=0),
+                dict(incubate_every_rounds=-1), dict(master_seed=-1)):
         with pytest.raises(ConfigError):
             tiny(**bad).validate()
     tiny().validate()
@@ -58,11 +64,15 @@ def test_config_hash_stable_and_sensitive():
 def test_load_config_file(tmp_path):
     p = tmp_path / "exp.conf"
     p.write_text("# comment\nframework = dsgd\nlambda = 0.25\nrounds = 3\n"
-                 "dataset = blobs\n")
+                 "dataset = blobs\nlr = 1\n")
     cfg = load_config(p)
     assert cfg.framework == "dsgd"
     assert cfg.ensemble_lambda == 0.25
     assert cfg.rounds == 3
+    # an int written for a float field is read as that float
+    assert type(cfg.lr) is float
+    assert cfg.config_hash() == ExperimentConfig(
+        framework="dsgd", ensemble_lambda=0.25, rounds=3, lr=1.0).config_hash()
 
 
 def test_load_config_rejects_junk(tmp_path):
@@ -70,6 +80,16 @@ def test_load_config_rejects_junk(tmp_path):
         p = tmp_path / "bad.conf"
         p.write_text(text)
         with pytest.raises(ConfigError):
+            load_config(p)
+
+
+def test_load_config_rejects_wrong_types(tmp_path):
+    p = tmp_path / "bad.conf"
+    for line in ("n_clients = five", 'rounds = "3"', "lr = true",
+                 "tiers = small", 'tiers = ["small", 3]'):
+        p.write_text(f"# comment\n{line}\n")
+        key = line.split()[0]
+        with pytest.raises(ConfigError, match=f"bad.conf:2: {key}: expected"):
             load_config(p)
 
 
@@ -186,6 +206,27 @@ def test_cli_validate_config(capsys):
     assert "config_hash" in capsys.readouterr().out
     assert run_cli("validate-config", "--lambda", "2.0") == 2
     assert "config error" in capsys.readouterr().err
+    assert run_cli("validate-config", "--n-clients", "five") == 2
+    assert "config error: n_clients: expected int" in capsys.readouterr().err
+    assert run_cli("validate-config", "--combine", "logits", "--n-clients", "2",
+                   "--tiers", '["small","large"]') == 0
+    assert "config_hash" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("key", sorted(CONFIG_KEYS))
+def test_cli_flag_for_every_config_key(key, capsys):
+    default = ExperimentConfig()
+    value = json.dumps(getattr(default, CONFIG_KEYS[key]))
+    assert run_cli("validate-config", "--" + key.replace("_", "-"), value) == 0
+    assert f"config_hash={default.config_hash()})" in capsys.readouterr().out
+
+
+def test_cli_flags_keep_their_hash(capsys):
+    assert run_cli("validate-config", "--lr", "1", "--lambda", "0.3",
+                   "--rounds", "7", "--output-path", "123") == 0
+    want = ExperimentConfig(lr=1.0, ensemble_lambda=0.3, rounds=7,
+                            output_path="123").config_hash()
+    assert f"config_hash={want})" in capsys.readouterr().out
 
 
 def test_cli_run_writes_metrics(tmp_path, capsys):
