@@ -4,7 +4,8 @@ and erasable neighbor ensembles."""
 from .data import (LabeledDataset, PartitionedDataset, export_manifest,
                    gen_blobs, load_idx_files, parse_idx, partition_noniid,
                    split_reference)
-from .distill import DistillConfig, ReferenceSet, distill_fidelity, incubate_seed
+from .distill import (DistillConfig, ReferenceSet, distill_fidelity,
+                      incubate_seed, incubate_seeds)
 from .ensemble import (EnsembleConfig, SeedRepository, add_neighbor_seed,
                        deserialize_seed, ensemble_predict, serialize_seed,
                        unlearn_neighbor)

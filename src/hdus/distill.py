@@ -12,8 +12,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, DomainError
-from .numeric import (MlpModel, MlpSpec, _mean_kl_rows, init_mlp, mlp_backward,
-                      mlp_forward, sgd_step, softmax_temp)
+from .numeric import (MlpModel, MlpSpec, _backprop, _forward_cached,
+                      _mean_kl_rows, _stack_models, _stack_prefix,
+                      _unstack_models, init_mlp, mlp_forward, sgd_step,
+                      softmax_temp)
 
 
 @dataclass
@@ -59,39 +61,104 @@ class ReferenceSet:
 def incubate_seed(main: MlpModel, seed_spec: MlpSpec, ref: ReferenceSet,
                   cfg: DistillConfig, rng: np.random.Generator,
                   init: MlpModel | None = None) -> MlpModel:
-    """Train a seed model by minibatch SGD on the distillation loss.
+    """Train a seed model by minibatch SGD on the distillation loss: the stack
+    of one of `incubate_seeds`.
 
     Teacher targets are the main model's temperature-softened outputs on the
     reference features, computed once (the teacher is never modified). Pass
     `init` to continue training an existing seed instead of starting fresh.
     """
-    if (seed_spec.in_dim, seed_spec.out_dim) != (main.spec.in_dim, main.spec.out_dim):
-        raise ConfigError(
-            f"seed dims ({seed_spec.in_dim}, {seed_spec.out_dim}) do not match "
-            f"main ({main.spec.in_dim}, {main.spec.out_dim})")
-    # <= (not <): clients whose main already sits at the smallest tier use a
-    # seed of the same size.
-    if seed_spec.param_count() > main.param_count():
-        raise ConfigError("seed model must not be larger than the main model")
-    if ref.features.shape[1] != main.spec.in_dim:
-        raise ConfigError(
-            f"reference feature dim {ref.features.shape[1]} != {main.spec.in_dim}")
+    return incubate_seeds([main], seed_spec, ref, cfg, [rng], [init])[0]
 
-    seed = init.copy() if init is not None else init_mlp(seed_spec, rng)
-    targets = softmax_temp(mlp_forward(main, ref.features), cfg.temperature)
+
+def incubate_seeds(mains: list[MlpModel], seed_spec: MlpSpec, ref: ReferenceSet,
+                   cfg: DistillConfig, rngs: list[np.random.Generator],
+                   inits: list[MlpModel | None]) -> list[MlpModel]:
+    """Incubate one seed per main model, all in one stacked SGD loop.
+
+    Seed k is bitwise the seed `mains[k]` gets when incubated alone with
+    `rngs[k]` and `inits[k]`: it draws its init and its per-epoch
+    permutations from its own generator in the same order, and every stacked
+    operation treats its slice as the 2-D operation would. The loss value is
+    not computed, as nothing reads it: the softened teacher outputs are
+    checked to be finite once, the softened student outputs at every step,
+    and `sgd_step` checks the gradients.
+
+    All or nothing: if any seed diverges, a DivergenceError is raised whose
+    `index` is the lowest diverging position, and no seed is returned. A
+    diverging seed stops the ones after it; those before it keep training,
+    as they would alone, in case one of them diverges later.
+    """
+    for main in mains:
+        if (seed_spec.in_dim, seed_spec.out_dim) != (main.spec.in_dim, main.spec.out_dim):
+            raise ConfigError(
+                f"seed dims ({seed_spec.in_dim}, {seed_spec.out_dim}) do not match "
+                f"main ({main.spec.in_dim}, {main.spec.out_dim})")
+        # <= (not <): clients whose main already sits at the smallest tier use
+        # a seed of the same size.
+        if seed_spec.param_count() > main.param_count():
+            raise ConfigError("seed model must not be larger than the main model")
+        if ref.features.shape[1] != main.spec.in_dim:
+            raise ConfigError(
+                f"reference feature dim {ref.features.shape[1]} != {main.spec.in_dim}")
+    for init in inits:
+        if init is not None and init.spec != seed_spec:
+            raise ConfigError(f"init spec {init.spec.layer_dims} != seed spec "
+                              f"{seed_spec.layer_dims}")
+
+    if not mains:
+        return []
+    seeds = _stack_models([init if init is not None else init_mlp(seed_spec, rng)
+                           for init, rng in zip(inits, rngs)])
+    targets = np.empty((len(mains), len(ref), seed_spec.out_dim))
+    for k, main in enumerate(mains):   # one at a time: no second copy of the stack
+        targets[k] = softmax_temp(mlp_forward(main, ref.features), cfg.temperature)
+    live = len(mains)            # seeds [0, live) are still training
+    failure = None
+    if not np.isfinite(targets).all():
+        live = _first_nonfinite(targets)
+        failure = DivergenceError("non-finite teacher output", index=live)
+        seeds, targets = _stack_prefix(seeds, live), targets[:live]
     n = len(ref)
     for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            loss, grads = mlp_backward(seed, ref.features[idx],
-                                       teacher_soft=targets[idx],
-                                       temperature=cfg.temperature)
-            if not np.isfinite(loss):
-                raise DivergenceError(f"non-finite distillation loss at epoch {epoch}")
-            if cfg.lr > 0:
-                sgd_step(seed, grads, cfg.lr)
-    return seed
+        if live == 0:
+            break
+        orders = np.stack([rng.permutation(n) for rng in rngs[:live]])
+        rows = np.arange(live)[:, np.newaxis]
+        start = 0
+        while start < n:
+            idx = orders[:, start:start + cfg.batch_size]
+            inputs = _forward_cached(seeds, ref.features[idx])
+            student = softmax_temp(inputs[-1], cfg.temperature)
+            checked = [student]
+            try:
+                if not np.isfinite(student).all():
+                    raise DivergenceError("non-finite student output")
+                if cfg.lr > 0:
+                    dlogits = cfg.temperature * (student - targets[rows, idx]) / idx.shape[1]
+                    grads = _backprop(seeds, inputs, dlogits)
+                    checked += grads.weights + grads.biases
+                    sgd_step(seeds, grads, cfg.lr)
+            except DivergenceError as e:
+                live = _first_nonfinite(*checked)
+                failure = DivergenceError(f"{e} at epoch {epoch}", index=live)
+                if live == 0:
+                    break
+                # Redo this step without the diverged seed and those after it.
+                seeds = _stack_prefix(seeds, live)
+                targets, orders, rows = targets[:live], orders[:live], rows[:live]
+                continue
+            start += cfg.batch_size
+    if failure is not None:
+        raise failure
+    return _unstack_models(seeds)
+
+
+def _first_nonfinite(*stacks: np.ndarray) -> int:
+    """Lowest stack position with a non-finite entry in any of the arrays."""
+    finite = np.logical_and.reduce(
+        [np.isfinite(a).reshape(a.shape[0], -1).all(axis=1) for a in stacks])
+    return int(np.argmin(finite))
 
 
 def distill_fidelity(seed: MlpModel, main: MlpModel, ref: ReferenceSet,

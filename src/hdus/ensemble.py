@@ -85,22 +85,33 @@ def ensemble_predict(main: MlpModel, repo: SeedRepository, cfg: EnsembleConfig,
     empty repository degenerates to the main model alone.
     """
     batch = np.asarray(batch, dtype=np.float64)
+    return _combine(_model_output(main, batch, cfg.combine, "main model"), repo, cfg.lam,
+                    lambda nid, seed: _model_output(seed, batch, cfg.combine,
+                                                    f"seed of neighbor {nid}"))
 
-    def out(model: MlpModel, who: str) -> np.ndarray:
-        try:
-            logits = mlp_forward(model, batch)
-        except DimensionError as e:
-            raise DimensionError(f"{who}: {e}") from e
-        return logits if cfg.combine == "logits" else softmax_temp(logits, 1.0)
 
-    main_out = out(main, "main model")
-    if len(repo) == 0 or cfg.lam == 0.0:
+def _model_output(model: MlpModel, batch: np.ndarray, combine: str,
+                  who: str) -> np.ndarray:
+    """The model's logits, or their softmax when combining probabilities."""
+    try:
+        logits = mlp_forward(model, batch)
+    except DimensionError as e:
+        raise DimensionError(f"{who}: {e}") from e
+    return logits if combine == "logits" else softmax_temp(logits, 1.0)
+
+
+def _combine(main_out: np.ndarray, repo: SeedRepository, lam: float,
+             seed_output) -> np.ndarray:
+    """The ensemble of `main_out` and `seed_output(nid, seed)` of every
+    repository entry, summed in repository order. Seeds are not forwarded
+    when the repository is empty or lambda is 0."""
+    if len(repo) == 0 or lam == 0.0:
         return main_out
     seed_sum = np.zeros_like(main_out)
     for nid, seed in repo.entries:
-        seed_sum += out(seed, f"seed of neighbor {nid}")
+        seed_sum += seed_output(nid, seed)
     k = len(repo)
-    return (1.0 - cfg.lam) * main_out + (cfg.lam / k) * seed_sum
+    return (1.0 - lam) * main_out + (lam / k) * seed_sum
 
 
 # ---------------------------------------------------------------------------
@@ -119,28 +130,39 @@ def serialize_seed(model: MlpModel) -> bytes:
 
 
 def deserialize_seed(blob: bytes) -> MlpModel:
+    """Decode a seed. Every malformed blob raises ParseError, and nothing
+    else: the magic and the trailing CRC are checked before any other field
+    is read, then the version, the layer dims, the length and that every
+    parameter is finite."""
     if len(blob) < 12:
         raise ParseError("blob too short for header", offset=len(blob))
     if blob[:4] != SEED_MAGIC:
         raise ParseError(f"bad magic {blob[:4]!r}", offset=0)
+    crc_at = len(blob) - 4
+    (crc,) = struct.unpack_from("<I", blob, crc_at)
+    if crc != zlib.crc32(blob[:crc_at]):
+        raise ParseError("CRC mismatch", offset=crc_at)
     version, n_layers = struct.unpack_from("<HH", blob, 4)
     if version != SEED_FORMAT_VERSION:
         raise ParseError(f"unsupported format version {version}", offset=4)
     dims_end = 8 + 4 * n_layers
-    if len(blob) < dims_end + 4:
+    if crc_at < dims_end:
         raise ParseError("truncated layer dims", offset=len(blob))
     dims = struct.unpack_from(f"<{n_layers}I", blob, 8)
+    if n_layers < 2 or min(dims) < 1:
+        raise ParseError(f"invalid layer dims {dims}", offset=8)
     spec = MlpSpec(dims)
     n_params = spec.param_count()
     body_end = dims_end + 8 * n_params
-    if len(blob) != body_end + 4:
+    if crc_at != body_end:
         raise ParseError(
             f"expected {body_end + 4} bytes for {n_params} parameters, got "
             f"{len(blob)}", offset=min(len(blob), body_end))
-    (crc,) = struct.unpack_from("<I", blob, body_end)
-    if crc != zlib.crc32(blob[:body_end]):
-        raise ParseError("CRC mismatch", offset=body_end)
     flat = np.frombuffer(blob, dtype="<f8", count=n_params, offset=dims_end)
+    finite = np.isfinite(flat)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        raise ParseError(f"non-finite parameter {first}", offset=dims_end + 8 * first)
     model = init_skeleton(spec)
     model.load_flat(flat.astype(np.float64))
     return model

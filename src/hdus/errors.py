@@ -18,7 +18,12 @@ class ValidationError(HdusError):
 
 
 class DivergenceError(HdusError):
-    """Training produced a non-finite loss or gradient."""
+    """Training produced a non-finite output, loss or gradient; `index` is the
+    position of the diverging model in a stack, when one was trained."""
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class ConfigError(HdusError):

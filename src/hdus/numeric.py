@@ -116,13 +116,42 @@ def init_mlp(spec: MlpSpec, rng: np.random.Generator) -> MlpModel:
     return MlpModel(spec, weights, biases)
 
 
+def _stack_models(models: list[MlpModel]) -> MlpModel:
+    """One model whose parameters carry a leading axis, one slice per model
+    (all of the same spec). The forward pass, backprop and SGD step treat
+    slice k exactly as they treat model k alone, bit for bit: each slice of
+    a stacked matmul is the 2-D matmul of that slice."""
+    return MlpModel(models[0].spec,
+                    [np.stack(ws) for ws in zip(*(m.weights for m in models))],
+                    [np.stack(bs) for bs in zip(*(m.biases for m in models))])
+
+
+def _unstack_models(stack: MlpModel) -> list[MlpModel]:
+    return [MlpModel(stack.spec, [w[k].copy() for w in stack.weights],
+                     [b[k].copy() for b in stack.biases])
+            for k in range(_stack_size(stack))]
+
+
+def _stack_prefix(stack: MlpModel, count: int) -> MlpModel:
+    """The first `count` slices of a stack (views)."""
+    return MlpModel(stack.spec, [w[:count] for w in stack.weights],
+                    [b[:count] for b in stack.biases])
+
+
+def _stack_size(model: MlpModel) -> int:
+    """Number of models a (possibly stacked) model holds."""
+    w = model.weights[0]
+    return w.shape[0] if w.ndim == 3 else 1
+
+
 def _check_batch(model: MlpModel, batch: np.ndarray) -> np.ndarray:
     batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2:
-        raise DimensionError(f"batch must be 2-D, got shape {batch.shape}")
-    if batch.shape[1] != model.spec.in_dim:
+    ndim = model.weights[0].ndim
+    if batch.ndim != ndim:
+        raise DimensionError(f"batch must be {ndim}-D, got shape {batch.shape}")
+    if batch.shape[-1] != model.spec.in_dim:
         raise DimensionError(
-            f"batch has {batch.shape[1]} features but layer 0 expects "
+            f"batch has {batch.shape[-1]} features but layer 0 expects "
             f"{model.spec.in_dim}")
     return batch
 
@@ -184,15 +213,16 @@ def cross_entropy(logits: np.ndarray, onehot: np.ndarray) -> float:
 
 
 def _forward_cached(model: MlpModel, batch: np.ndarray):
-    """Forward pass keeping per-layer inputs for backprop."""
+    """Forward pass keeping per-layer inputs for backprop. A stacked model
+    takes a stacked batch, one B x F slice per model."""
     x = _check_batch(model, batch)
     inputs = [x]
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        if x.shape[1] != w.shape[0]:
+        if x.shape[-1] != w.shape[-2]:
             raise DimensionError(
-                f"layer {i}: input width {x.shape[1]} != weight rows {w.shape[0]}")
-        x = x @ w + b
+                f"layer {i}: input width {x.shape[-1]} != weight rows {w.shape[-2]}")
+        x = x @ w + b[..., np.newaxis, :]
         if i < last:
             x = np.maximum(x, 0.0)
         inputs.append(x)
@@ -201,16 +231,17 @@ def _forward_cached(model: MlpModel, batch: np.ndarray):
 
 def _backprop(model: MlpModel, inputs: list[np.ndarray],
               dlogits: np.ndarray) -> Gradients:
-    """Propagate a gradient w.r.t. the output logits back to all parameters."""
+    """Propagate a gradient w.r.t. the output logits back to all parameters
+    (of every slice, for a stacked model)."""
     gw = [None] * len(model.weights)
     gb = [None] * len(model.biases)
     delta = dlogits
     for i in range(len(model.weights) - 1, -1, -1):
         layer_in = inputs[i]
-        gw[i] = layer_in.T @ delta
-        gb[i] = delta.sum(axis=0)
+        gw[i] = layer_in.swapaxes(-1, -2) @ delta
+        gb[i] = delta.sum(axis=-2)
         if i > 0:
-            delta = delta @ model.weights[i].T
+            delta = delta @ model.weights[i].swapaxes(-1, -2)
             delta = delta * (inputs[i] > 0)  # ReLU mask of the hidden activation
     return Gradients(gw, gb)
 
@@ -252,7 +283,9 @@ def mlp_backward(model: MlpModel, batch: np.ndarray, *,
 
 
 def sgd_step(model: MlpModel, grads: Gradients, lr: float) -> MlpModel:
-    """In-place parameter update p <- p - lr * g. Counts as one training step."""
+    """In-place parameter update p <- p - lr * g. Counts as one training step
+    per model (N for a stack of N). Every gradient array is checked before
+    any parameter changes."""
     global _TRAINING_STEPS
     if lr < 0:
         raise DomainError(f"learning rate must be >= 0, got {lr}")
@@ -267,7 +300,7 @@ def sgd_step(model: MlpModel, grads: Gradients, lr: float) -> MlpModel:
         w -= lr * gw
     for b, gb in zip(model.biases, grads.biases):
         b -= lr * gb
-    _TRAINING_STEPS += 1
+    _TRAINING_STEPS += _stack_size(model)
     return model
 
 

@@ -11,9 +11,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import LabeledDataset, PartitionedDataset
-from .distill import DistillConfig, ReferenceSet, incubate_seed
-from .ensemble import (EnsembleConfig, SeedRepository, add_neighbor_seed,
-                       deserialize_seed, ensemble_predict, serialize_seed,
+from .distill import DistillConfig, ReferenceSet, incubate_seeds
+from .ensemble import (EnsembleConfig, SeedRepository, _combine, _model_output,
+                       add_neighbor_seed, deserialize_seed, serialize_seed,
                        unlearn_neighbor)
 from .errors import ConfigError, DivergenceError, NotFoundError, StateError
 from .numeric import MlpModel, MlpSpec, accuracy, init_mlp, sgd_train
@@ -152,37 +152,51 @@ def run_round(clients: list[ClientState], topology: Topology, cfg: SimConfig,
               round_index: int = 0, wire_log: list[bytes] | None = None) -> list[ClientState]:
     """Synchronous round: (a) local main-model training, (b) seed incubation
     per cadence, (c) barrier exchange of serialized seeds to all active
-    neighbors (remove-then-add replacement keeps repository order stable)."""
-    active = active_clients(clients)
+    neighbors (remove-then-add replacement keeps repository order stable).
+
+    The due clients' seeds are incubated as one stack (`incubate_seeds`),
+    each bitwise what it would be alone. If one diverges, DivergenceError
+    names the lowest diverging client and no client's seed is replaced. Each
+    sent blob is decoded once, and every active receiver stores that same
+    seed object: seeds are never mutated after exchange.
+    """
+    active = sorted(active_clients(clients), key=lambda c: c.id)
     if not active:
         raise StateError("no active clients")
     if cfg.seed_spec is None:
         raise ConfigError("cfg.seed_spec is required for seed exchange rounds")
+    due = [c for c in active
+           if round_index % cfg.incubate_every_rounds == 0 or c.own_seed is None]
+    ref = active[0].ref
+    if any(c.ref is not ref for c in due):
+        raise ConfigError("clients must share one reference set")
 
     local_training_phase(clients, cfg)
-    for c in sorted(active, key=lambda c: c.id):
-        if round_index % cfg.incubate_every_rounds == 0 or c.own_seed is None:
-            try:
-                # Warm-started: each incubation pass refines the previous seed
-                # against the current main model's targets.
-                c.own_seed = incubate_seed(c.main, cfg.seed_spec, c.ref,
-                                           cfg.distill, c.distill_rng,
-                                           init=c.own_seed)
-            except DivergenceError as e:
-                raise DivergenceError(f"client {c.id}: {e}") from e
+    try:
+        # Warm-started: each incubation pass refines the previous seed
+        # against the current main model's targets.
+        seeds = incubate_seeds([c.main for c in due], cfg.seed_spec, ref,
+                               cfg.distill, [c.distill_rng for c in due],
+                               [c.own_seed for c in due])
+    except DivergenceError as e:
+        raise DivergenceError(f"client {due[e.index].id}: {e}") from e
+    for c, seed in zip(due, seeds):
+        c.own_seed = seed
 
     by_id = {c.id: c for c in clients}
-    for c in sorted(active, key=lambda c: c.id):
+    for c in active:
         blob = serialize_seed(c.own_seed)
         if wire_log is not None:
             wire_log.append(blob)
-        for nid in sorted(topology.neighbors(c.id)):
-            nbr = by_id.get(nid)
-            if nbr is None or nbr.status != ACTIVE:
-                continue
+        receivers = [by_id[nid] for nid in sorted(topology.neighbors(c.id))
+                     if nid in by_id and by_id[nid].status == ACTIVE]
+        if not receivers:
+            continue
+        seed = deserialize_seed(blob)
+        for nbr in receivers:
             if c.id in nbr.repo:
                 unlearn_neighbor(nbr.repo, c.id)
-            add_neighbor_seed(nbr.repo, c.id, deserialize_seed(blob))
+            add_neighbor_seed(nbr.repo, c.id, seed)
     return clients
 
 
@@ -213,12 +227,30 @@ def evaluate_all(clients: list[ClientState], test: LabeledDataset,
                  cfg: SimConfig, framework: str = "hdus",
                  log: EventLog | None = None,
                  round_index: int = 0) -> tuple[dict[int, float], float]:
-    """Per-active-client ensemble accuracy on the shared test set + the mean."""
+    """Per-active-client ensemble accuracy on the shared test set + the mean.
+
+    Bitwise what `ensemble_predict` gives each client, but each distinct seed
+    object is forwarded once per call, not once per repository holding it:
+    receivers share the seed decoded from one blob, and seeds are never
+    mutated after exchange. Each repository combines the outputs in its own
+    order.
+    """
     if len(test) == 0:
         raise ConfigError("empty test set")
+    combine = cfg.ensemble.combine
+    seed_outputs: dict[int, np.ndarray] = {}   # id(seed) -> its test-set output
+
+    def seed_output(nid: int, seed: MlpModel) -> np.ndarray:
+        out = seed_outputs.get(id(seed))
+        if out is None:
+            out = seed_outputs[id(seed)] = _model_output(
+                seed, test.features, combine, f"seed of neighbor {nid}")
+        return out
+
     per_client: dict[int, float] = {}
     for c in sorted(active_clients(clients), key=lambda c: c.id):
-        out = ensemble_predict(c.main, c.repo, cfg.ensemble, test.features)
+        main_out = _model_output(c.main, test.features, combine, "main model")
+        out = _combine(main_out, c.repo, cfg.ensemble.lam, seed_output)
         per_client[c.id] = accuracy(out, test.labels)
     mean = float(np.mean(list(per_client.values())))
     if log is not None:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdus.ensemble import (EnsembleConfig, SeedRepository, add_neighbor_seed,
                            deserialize_seed, ensemble_predict, serialize_seed,
@@ -188,3 +190,50 @@ def test_unsupported_version_rejected():
     with pytest.raises(ParseError) as e:
         deserialize_seed(patched)
     assert "version" in str(e.value)
+
+
+def test_zeroed_dim_rejected_as_parse_error():
+    """A blob whose layer dim is 0 but whose CRC is valid is a ParseError,
+    not a ValidationError from the spec."""
+    import zlib
+    blob = bytearray(serialize_seed(make_model(5)))
+    blob[12:16] = (0).to_bytes(4, "little")
+    body = bytes(blob[:-4])
+    with pytest.raises(ParseError, match="layer dims"):
+        deserialize_seed(body + zlib.crc32(body).to_bytes(4, "little"))
+
+
+# --- wire format fuzzing: one documented error ------------------------------
+
+_FUZZ_BLOB = serialize_seed(make_model(5, dims=(4, 3, 2)))
+_FUZZ_MODEL = make_model(6, dims=(4, 3, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, len(_FUZZ_BLOB) - 1), st.integers(1, 255))
+def test_fuzz_single_byte_change_raises_parse_error(pos, flip):
+    blob = bytearray(_FUZZ_BLOB)
+    blob[pos] ^= flip
+    with pytest.raises(ParseError):
+        deserialize_seed(bytes(blob))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, len(_FUZZ_BLOB) - 1))
+def test_fuzz_truncation_raises_parse_error(length):
+    with pytest.raises(ParseError):
+        deserialize_seed(_FUZZ_BLOB[:length])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, _FUZZ_MODEL.param_count() - 1),
+       st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_fuzz_non_finite_parameter_raises_parse_error(index, value):
+    flat = _FUZZ_MODEL.flatten()
+    flat[index] = value
+    model = _FUZZ_MODEL.copy()
+    model.load_flat(flat)
+    blob = serialize_seed(model)   # a well-formed blob with a valid CRC
+    with pytest.raises(ParseError, match="non-finite") as e:
+        deserialize_seed(blob)
+    assert e.value.offset == 8 + 4 * 3 + 8 * index

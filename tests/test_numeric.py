@@ -3,9 +3,11 @@ import pytest
 
 from hdus.errors import (DimensionError, DivergenceError, DomainError,
                          ValidationError)
-from hdus.numeric import (Gradients, MlpModel, MlpSpec, accuracy,
-                          cross_entropy, init_mlp, kl_divergence, mlp_backward,
-                          mlp_forward, onehot_labels, sgd_step, softmax_temp)
+from hdus.numeric import (Gradients, MlpModel, MlpSpec, _backprop,
+                          _forward_cached, _stack_models, _unstack_models,
+                          accuracy, cross_entropy, init_mlp, kl_divergence,
+                          mlp_backward, mlp_forward, onehot_labels, sgd_step,
+                          softmax_temp, training_step_count)
 
 
 def finite_diff_grad(model, loss_fn, step=1e-5):
@@ -300,3 +302,36 @@ def test_spec_validation():
     with pytest.raises(ValidationError):
         MlpSpec((5, 3), activation="tanh")
     assert MlpSpec((784, 16, 10)).param_count() == 784 * 16 + 16 + 16 * 10 + 10
+
+
+class TestStack:
+    def test_stacked_pass_equals_each_model_alone(self):
+        """Forward, backprop and SGD step on a stack of three models treat
+        each slice bit for bit as the 2-D functions treat that model, and the
+        step counts three training steps."""
+        rng = np.random.default_rng(7)
+        models = [init_mlp(MlpSpec((4, 6, 5, 3)), rng) for _ in range(3)]
+        batch = rng.normal(size=(3, 9, 4))
+        dlogits = rng.normal(size=(3, 9, 3))
+        stack = _stack_models(models)
+        inputs = _forward_cached(stack, batch)
+        grads = _backprop(stack, inputs, dlogits)
+        before = training_step_count()
+        sgd_step(stack, grads, 0.1)
+        assert training_step_count() - before == 3
+        for k, model in enumerate(models):
+            alone = _forward_cached(model, batch[k])
+            assert all(np.array_equal(s[k], a) for s, a in zip(inputs, alone))
+            g = _backprop(model, alone, dlogits[k])
+            assert all(np.array_equal(s[k], a) for s, a in
+                       zip(grads.weights + grads.biases, g.weights + g.biases))
+            sgd_step(model, g, 0.1)
+        assert [m.flatten().tobytes() for m in _unstack_models(stack)] == \
+            [m.flatten().tobytes() for m in models]
+
+    def test_stack_needs_a_stacked_batch(self):
+        a = init_mlp(MlpSpec((4, 6, 3)), np.random.default_rng(1))
+        with pytest.raises(DimensionError, match="3-D"):
+            _forward_cached(_stack_models([a, a]), np.zeros((5, 4)))
+        with pytest.raises(DimensionError, match="2-D"):
+            mlp_forward(a, np.zeros((2, 5, 4)))

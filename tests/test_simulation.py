@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+import hdus.simulation as simulation
 from hdus.data import gen_blobs, partition_noniid
 from hdus.distill import DistillConfig
-from hdus.ensemble import EnsembleConfig
-from hdus.errors import ConfigError, NotFoundError, StateError
-from hdus.numeric import MlpSpec, training_step_count
+from hdus.ensemble import (EnsembleConfig, add_neighbor_seed, ensemble_predict,
+                           unlearn_neighbor)
+from hdus.errors import ConfigError, DivergenceError, NotFoundError, StateError
+from hdus.numeric import MlpSpec, accuracy, init_mlp, training_step_count
 from hdus.simulation import (EventLog, SimConfig, Topology, client_rng_streams,
                              evaluate_all, handle_unlearn_request, init_network,
                              run_round)
@@ -187,3 +189,84 @@ def test_incubation_cadence(partition):
     run_round(clients, topo, cfg, 2)
     assert any(not np.array_equal(c.own_seed.flatten(), seeds[c.id])
                for c in clients)
+
+
+def _bits(model):
+    return model.flatten().tobytes()
+
+
+def _poison(model):
+    model.weights[0][0, 0] = np.inf
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_incubation_divergence_is_all_or_nothing(partition):
+    """A diverging seed stops the round before any seed is replaced, and the
+    error names the lowest diverging client, even when a higher one is
+    found first (client 3's teacher fails before any step, client 1's warm
+    start at the first step)."""
+    cfg = small_cfg()
+    clients, topo = fresh_network(partition, cfg)
+    run_round(clients, topo, cfg, 0)
+    cfg.local_epochs = 0       # no main training, so only incubation diverges
+    _poison(clients[3].main)
+    with pytest.raises(DivergenceError, match="^client 3: non-finite teacher"):
+        run_round(clients, topo, cfg, 1)
+    _poison(clients[1].own_seed)
+    seeds = [c.own_seed for c in clients]
+    bits = [_bits(s) for s in seeds]
+    with pytest.raises(DivergenceError, match="^client 1: non-finite student"):
+        run_round(clients, topo, cfg, 2)
+    assert all(c.own_seed is s for c, s in zip(clients, seeds))
+    assert [_bits(c.own_seed) for c in clients] == bits
+
+
+def test_receivers_share_one_decoded_seed(partition):
+    cfg = small_cfg()
+    clients, topo = fresh_network(partition, cfg)
+    run_round(clients, topo, cfg, 0)
+    run_round(clients, topo, cfg, 1)
+    for sender in clients:
+        held = [dict(c.repo.entries)[sender.id] for c in clients if c is not sender]
+        assert all(seed is held[0] for seed in held)
+        assert held[0] is not sender.own_seed
+        assert _bits(held[0]) == _bits(sender.own_seed)
+    # dropping it from one repository leaves the other receivers' entries
+    held = {c.id: dict(c.repo.entries)[1] for c in clients if c.id != 1}
+    bits = _bits(held[0])
+    unlearn_neighbor(clients[0].repo, 1)
+    assert 1 not in clients[0].repo
+    for cid in (2, 3):
+        assert dict(clients[cid].repo.entries)[1] is held[cid]
+        assert _bits(held[cid]) == bits
+
+
+@pytest.mark.parametrize("combine", ["proba", "logits"])
+@pytest.mark.parametrize("lam", [0.0, 0.6])
+def test_evaluate_all_equals_ensemble_predict(partition, monkeypatch, combine, lam):
+    """Each distinct seed is forwarded once, yet every client's ensemble
+    output is bitwise what ensemble_predict gives it, also for a repository
+    holding equal but distinct seed copies and one mixing seed shapes."""
+    cfg = small_cfg(lam)
+    cfg.ensemble = EnsembleConfig(lam=lam, combine=combine)
+    clients, topo = fresh_network(partition, cfg)
+    run_round(clients, topo, cfg, 0)
+    # client 0 holds client 1's seed twice: once shared, once a copy
+    unlearn_neighbor(clients[0].repo, 3)
+    add_neighbor_seed(clients[0].repo, 3, dict(clients[0].repo.entries)[1].copy())
+    # client 2 mixes seed shapes
+    unlearn_neighbor(clients[2].repo, 0)
+    add_neighbor_seed(clients[2].repo, 0, init_mlp(MlpSpec((F, 20, 7, C)),
+                                                   np.random.default_rng(3)))
+    seen = []
+
+    def spy(out, labels):
+        seen.append(out.tobytes())
+        return accuracy(out, labels)
+    monkeypatch.setattr(simulation, "accuracy", spy)
+    per_client, mean = evaluate_all(clients, partition.test, cfg)
+    for k, c in enumerate(clients):
+        want = ensemble_predict(c.main, c.repo, cfg.ensemble, partition.test.features)
+        assert seen[k] == want.tobytes()
+        assert per_client[c.id] == accuracy(want, partition.test.labels)
+    assert mean == float(np.mean(list(per_client.values())))
