@@ -67,7 +67,8 @@ def main(argv=None) -> int:
                   f"{report.mean():.4f} +- {report.std():.4f} "
                   f"({len(report.repeats)} repeats)")
         elif args.verb == "sweep":
-            values = [float(v) for v in args.values.split(",")]
+            values = [parse_config_value(args.param, v, "--values")[1]
+                      for v in args.values.split(",")]
             grid = sweep(cfg, args.param, values)
             reports = [r for r in grid.values() if not isinstance(r, Exception)]
             paths = emit_metrics(reports, out)

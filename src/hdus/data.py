@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import gzip
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,9 +63,12 @@ class PartitionedDataset:
 # IDX ingestion
 # ---------------------------------------------------------------------------
 
-def _maybe_gunzip(buf: bytes) -> bytes:
+def _maybe_gunzip(buf: bytes, what: str) -> bytes:
     if buf[:2] == b"\x1f\x8b":
-        return gzip.decompress(buf)
+        try:
+            return gzip.decompress(buf)
+        except (OSError, EOFError, zlib.error) as e:
+            raise ParseError(f"{what}: bad gzip stream: {e}") from None
     return buf
 
 
@@ -74,21 +78,30 @@ def _read_u32(buf: bytes, offset: int, what: str) -> int:
     return struct.unpack_from(">I", buf, offset)[0]
 
 
+def _read_count(buf: bytes, offset: int, what: str) -> int:
+    count = _read_u32(buf, offset, what)
+    if count == 0:
+        raise ParseError(f"{what} is 0", offset=offset)
+    return count
+
+
 def parse_idx(image_bytes: bytes, label_bytes: bytes,
               class_count: int = 10) -> LabeledDataset:
     """Decode big-endian IDX3 images + IDX1 labels into a [0,1]-scaled dataset.
 
-    Gzip-compressed inputs are accepted transparently.
+    Gzip-compressed inputs are accepted transparently. Any input that does
+    not decode to at least one image of at least one pixel, with one
+    in-range label per image, raises ParseError and nothing else.
     """
-    image_bytes = _maybe_gunzip(image_bytes)
-    label_bytes = _maybe_gunzip(label_bytes)
+    image_bytes = _maybe_gunzip(image_bytes, "images")
+    label_bytes = _maybe_gunzip(label_bytes, "labels")
 
     magic = _read_u32(image_bytes, 0, "image magic")
     if magic != IDX_IMAGE_MAGIC:
         raise ParseError(f"bad image magic 0x{magic:08x}", offset=0)
-    n = _read_u32(image_bytes, 4, "image count")
-    rows = _read_u32(image_bytes, 8, "row count")
-    cols = _read_u32(image_bytes, 12, "column count")
+    n = _read_count(image_bytes, 4, "image count")
+    rows = _read_count(image_bytes, 8, "row count")
+    cols = _read_count(image_bytes, 12, "column count")
     expected = 16 + n * rows * cols
     if len(image_bytes) != expected:
         raise ParseError(f"image payload is {len(image_bytes)} bytes, header "

@@ -12,10 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, DomainError
-from .numeric import (MlpModel, MlpSpec, _backprop, _forward_cached,
-                      _mean_kl_rows, _stack_models, _stack_prefix,
-                      _unstack_models, init_mlp, mlp_forward, sgd_step,
-                      softmax_temp)
+from .numeric import (MlpModel, MlpSpec, _first_nonfinite, _mean_kl_rows,
+                      _stack_models, _stack_prefix, _train_stack,
+                      _unstack_models, init_mlp, mlp_forward, softmax_temp)
 
 
 @dataclass
@@ -74,20 +73,12 @@ def incubate_seed(main: MlpModel, seed_spec: MlpSpec, ref: ReferenceSet,
 def incubate_seeds(mains: list[MlpModel], seed_spec: MlpSpec, ref: ReferenceSet,
                    cfg: DistillConfig, rngs: list[np.random.Generator],
                    inits: list[MlpModel | None]) -> list[MlpModel]:
-    """Incubate one seed per main model, all in one stacked SGD loop.
+    """Incubate one seed per main model in one `numeric._train_stack` loop.
 
-    Seed k is bitwise the seed `mains[k]` gets when incubated alone with
-    `rngs[k]` and `inits[k]`: it draws its init and its per-epoch
-    permutations from its own generator in the same order, and every stacked
-    operation treats its slice as the 2-D operation would. The loss value is
-    not computed, as nothing reads it: the softened teacher outputs are
-    checked to be finite once, the softened student outputs at every step,
-    and `sgd_step` checks the gradients.
-
-    All or nothing: if any seed diverges, a DivergenceError is raised whose
-    `index` is the lowest diverging position, and no seed is returned. A
-    diverging seed stops the ones after it; those before it keep training,
-    as they would alone, in case one of them diverges later.
+    Seed k is bitwise the seed `mains[k]` gets alone with `rngs[k]` and
+    `inits[k]`: it draws its init, then its permutations, from its own
+    generator. A non-finite teacher output at position p is raised only after
+    the seeds before p have trained, so a lower seed that diverges is named first.
     """
     for main in mains:
         if (seed_spec.in_dim, seed_spec.out_dim) != (main.spec.in_dim, main.spec.out_dim):
@@ -113,52 +104,12 @@ def incubate_seeds(mains: list[MlpModel], seed_spec: MlpSpec, ref: ReferenceSet,
     targets = np.empty((len(mains), len(ref), seed_spec.out_dim))
     for k, main in enumerate(mains):   # one at a time: no second copy of the stack
         targets[k] = softmax_temp(mlp_forward(main, ref.features), cfg.temperature)
-    live = len(mains)            # seeds [0, live) are still training
-    failure = None
-    if not np.isfinite(targets).all():
-        live = _first_nonfinite(targets)
-        failure = DivergenceError("non-finite teacher output", index=live)
-        seeds, targets = _stack_prefix(seeds, live), targets[:live]
-    n = len(ref)
-    for epoch in range(cfg.epochs):
-        if live == 0:
-            break
-        orders = np.stack([rng.permutation(n) for rng in rngs[:live]])
-        rows = np.arange(live)[:, np.newaxis]
-        start = 0
-        while start < n:
-            idx = orders[:, start:start + cfg.batch_size]
-            inputs = _forward_cached(seeds, ref.features[idx])
-            student = softmax_temp(inputs[-1], cfg.temperature)
-            checked = [student]
-            try:
-                if not np.isfinite(student).all():
-                    raise DivergenceError("non-finite student output")
-                if cfg.lr > 0:
-                    dlogits = cfg.temperature * (student - targets[rows, idx]) / idx.shape[1]
-                    grads = _backprop(seeds, inputs, dlogits)
-                    checked += grads.weights + grads.biases
-                    sgd_step(seeds, grads, cfg.lr)
-            except DivergenceError as e:
-                live = _first_nonfinite(*checked)
-                failure = DivergenceError(f"{e} at epoch {epoch}", index=live)
-                if live == 0:
-                    break
-                # Redo this step without the diverged seed and those after it.
-                seeds = _stack_prefix(seeds, live)
-                targets, orders, rows = targets[:live], orders[:live], rows[:live]
-                continue
-            start += cfg.batch_size
-    if failure is not None:
-        raise failure
+    live = _first_nonfinite(targets)   # position of a non-finite teacher
+    _train_stack(_stack_prefix(seeds, live), ref.features, targets[:live],
+                 cfg.temperature, cfg.epochs, cfg.lr, cfg.batch_size, rngs)
+    if live < len(mains):
+        raise DivergenceError("non-finite teacher output", index=live)
     return _unstack_models(seeds)
-
-
-def _first_nonfinite(*stacks: np.ndarray) -> int:
-    """Lowest stack position with a non-finite entry in any of the arrays."""
-    finite = np.logical_and.reduce(
-        [np.isfinite(a).reshape(a.shape[0], -1).all(axis=1) for a in stacks])
-    return int(np.argmin(finite))
 
 
 def distill_fidelity(seed: MlpModel, main: MlpModel, ref: ReferenceSet,

@@ -74,6 +74,11 @@ class ExperimentConfig:
             raise ConfigError(f"temperature: must be > 0, got {self.temperature}")
         if self.n_clients < 1:
             raise ConfigError("n_clients: must be >= 1")
+        # Each client never sees one distinct class, so classes bound clients.
+        class_count = self.blob_classes if self.dataset == "blobs" else 10
+        if self.n_clients > class_count:
+            raise ConfigError(f"n_clients: {self.n_clients} exceeds the "
+                              f"{class_count} classes of {self.dataset}")
         if self.rounds < 1:
             raise ConfigError("rounds: must be >= 1")
         if self.repeats < 1:
@@ -82,6 +87,8 @@ class ExperimentConfig:
             raise ConfigError("batch_size: must be >= 1")
         if self.local_epochs < 0:
             raise ConfigError("local_epochs: must be >= 0")
+        if self.incubate_epochs < 1:
+            raise ConfigError("incubate_epochs: must be >= 1")
         if self.lr < 0 or self.incubate_lr < 0:
             raise ConfigError("lr/incubate_lr: must be >= 0")
         if self.tiers is not None:
@@ -196,18 +203,22 @@ def load_config(path) -> ExperimentConfig:
     """Parse a `key = value` config file; each value is read by
     `parse_config_value`. Unknown and duplicate keys are rejected."""
     values: dict[str, object] = {}
-    with open(path) as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, text = line.partition("=")
-            name, value = parse_config_value(key.strip(), text, f"{path}:{lineno}")
-            if name in values:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key.strip()!r}")
-            values[name] = value
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().split("\n")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text (byte offset {e.start})") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, text = line.partition("=")
+        name, value = parse_config_value(key.strip(), text, f"{path}:{lineno}")
+        if name in values:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key.strip()!r}")
+        values[name] = value
     cfg = ExperimentConfig(**values)
     cfg.validate()
     return cfg
@@ -344,7 +355,6 @@ class _HdusEngine(_Engine):
 
     def unlearn(self, quitting_id):
         handle_unlearn_request(self.clients, quitting_id)
-        self.topology = self.topology.without(quitting_id)
 
 
 class _IsgdEngine(_Engine):
@@ -375,7 +385,6 @@ class _DsgdEngine(_SmallTierEngine):
 
     def unlearn(self, quitting_id):
         bl.dsgd_unlearn(self.clients, quitting_id)
-        self.topology = self.topology.without(quitting_id)
 
 
 class _FedunlEngine(_SmallTierEngine):

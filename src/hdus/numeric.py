@@ -311,26 +311,75 @@ def onehot_labels(labels: np.ndarray, class_count: int) -> np.ndarray:
     return out
 
 
+def _first_nonfinite(*stacks: np.ndarray) -> int:
+    """Lowest stack position with a non-finite entry in any of the arrays,
+    or the stack size if every entry is finite."""
+    finite = np.logical_and.reduce(
+        [np.isfinite(a).reshape(a.shape[0], -1).all(axis=1) for a in stacks])
+    bad = np.flatnonzero(~finite)
+    return int(bad[0]) if bad.size else finite.size
+
+
+def _train_stack(stack: MlpModel, features: np.ndarray, targets: np.ndarray,
+                 temperature: float, epochs: int, lr: float, batch_size: int,
+                 rngs: list[np.random.Generator]) -> None:
+    """Minibatch SGD, in place, of each slice k of a stack toward the
+    probability rows `targets[k]`, with logit gradient
+    T * (softmax(logits / T) - targets) / B: distillation, or at T = 1 with
+    one-hot targets cross-entropy, bit for bit. Slice k draws each epoch's
+    permutation from `rngs[k]`, so it ends bitwise as it would alone. No
+    loss is computed: the softened outputs are checked to be finite at every
+    step, and `sgd_step` checks the gradients.
+
+    All or nothing: if any slice diverges, DivergenceError's `index` is the
+    lowest diverging position. A diverging slice stops those after it; those
+    before it keep training, in case one of them diverges later.
+    """
+    live = _stack_size(stack)        # slices [0, live) are still training
+    n = features.shape[0]
+    rows = np.arange(live)[:, np.newaxis]
+    failure = None
+    for epoch in range(epochs):
+        if live == 0:
+            break
+        orders = np.stack([rng.permutation(n) for rng in rngs[:live]])
+        start = 0
+        while start < n:
+            idx = orders[:, start:start + batch_size]
+            inputs = _forward_cached(stack, features[idx])
+            student = softmax_temp(inputs[-1], temperature)
+            checked = [student]
+            try:
+                if not np.isfinite(student).all():
+                    raise DivergenceError("non-finite student output")
+                if lr > 0:
+                    dlogits = temperature * (student - targets[rows, idx]) / idx.shape[1]
+                    grads = _backprop(stack, inputs, dlogits)
+                    checked += grads.weights + grads.biases
+                    sgd_step(stack, grads, lr)
+            except DivergenceError as e:
+                live = _first_nonfinite(*checked)
+                failure = DivergenceError(f"{e} at epoch {epoch}", index=live)
+                if live == 0:
+                    break
+                # Redo this step without the diverged slice and those after it.
+                stack = _stack_prefix(stack, live)
+                targets, orders, rows = targets[:live], orders[:live], rows[:live]
+                continue
+            start += batch_size
+    if failure is not None:
+        raise failure
+
+
 def sgd_train(model: MlpModel, features: np.ndarray, labels: np.ndarray,
               class_count: int, epochs: int, lr: float, batch_size: int,
-              rng: np.random.Generator) -> float:
-    """Minibatch cross-entropy training; returns the last epoch's mean loss."""
-    n = features.shape[0]
-    targets = onehot_labels(labels, class_count)
-    mean_loss = 0.0
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        losses = []
-        for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
-            loss, grads = mlp_backward(model, features[idx], onehot=targets[idx])
-            if not np.isfinite(loss):
-                raise DivergenceError("non-finite training loss")
-            if lr > 0:
-                sgd_step(model, grads, lr)
-            losses.append(loss)
-        mean_loss = float(np.mean(losses))
-    return mean_loss
+              rng: np.random.Generator) -> None:
+    """Minibatch cross-entropy training, in place; returns nothing. It is the
+    stack of one of `_train_stack` (a view: updates land in the model)."""
+    stack = MlpModel(model.spec, [w[np.newaxis] for w in model.weights],
+                     [b[np.newaxis] for b in model.biases])
+    _train_stack(stack, features, onehot_labels(labels, class_count)[np.newaxis],
+                 1.0, epochs, lr, batch_size, [rng])
 
 
 def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:

@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdus.data import (LabeledDataset, export_manifest, gen_blobs,
                        load_idx_files, parse_idx, partition_noniid,
@@ -68,6 +70,67 @@ def test_parse_idx_rejects_out_of_range_label(tiny_idx):
         parse_idx(img, lab, class_count=2)
     # first offending label (value 2) is at row 2 => byte offset 8 + 2
     assert e.value.offset == 10
+
+
+def test_parse_idx_rejects_bad_gzip(tiny_idx):
+    (img, lab), _, _ = tiny_idx
+    gz = gzip.compress(img)
+    corrupt = gz[:12] + bytes([gz[12] ^ 0xFF]) + gz[13:]
+    for bad in (corrupt, gz[:-6], b"\x1f\x8b junk"):
+        with pytest.raises(ParseError, match="images: bad gzip stream"):
+            parse_idx(bad, lab, class_count=3)
+    with pytest.raises(ParseError, match="labels: bad gzip stream"):
+        parse_idx(img, gzip.compress(lab)[:-1], class_count=3)
+
+
+def test_parse_idx_rejects_zero_counts():
+    for shape, what, offset in (((0, 3, 3), "image count", 4),
+                                ((2, 0, 3), "row count", 8),
+                                ((2, 3, 0), "column count", 12)):
+        img, lab = make_idx(np.zeros(shape), np.arange(shape[0]))
+        with pytest.raises(ParseError, match=f"{what} is 0") as e:
+            parse_idx(img, lab, class_count=3)
+        assert e.value.offset == offset
+
+
+# --- IDX fuzzing: one documented error ---------------------------------------
+
+_FUZZ_RNG = np.random.default_rng(3)
+_FUZZ_PAIR = make_idx(_FUZZ_RNG.integers(0, 256, size=(4, 2, 3)),
+                      np.array([0, 2, 1, 2]))
+
+
+def _fuzz_pair(which, gz):
+    pair = [gzip.compress(b, mtime=0) if gz else b for b in _FUZZ_PAIR]
+    return pair, pair[which]
+
+
+def _parses_or_parse_error(pair):
+    try:
+        ds = parse_idx(*pair, class_count=3)
+    except ParseError:
+        return
+    assert ds.features.shape[0] >= 1 and ds.features.shape[1] >= 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(which=st.sampled_from([0, 1]), gz=st.booleans(), data=st.data())
+def test_fuzz_idx_single_byte_change(which, gz, data):
+    pair, buf = _fuzz_pair(which, gz)
+    pos = data.draw(st.integers(0, len(buf) - 1), label="pos")
+    flip = data.draw(st.integers(1, 255), label="flip")
+    changed = bytearray(buf)
+    changed[pos] ^= flip
+    pair[which] = bytes(changed)
+    _parses_or_parse_error(pair)
+
+
+@settings(max_examples=60, deadline=None)
+@given(which=st.sampled_from([0, 1]), gz=st.booleans(), data=st.data())
+def test_fuzz_idx_truncation(which, gz, data):
+    pair, buf = _fuzz_pair(which, gz)
+    pair[which] = buf[:data.draw(st.integers(0, len(buf) - 1), label="length")]
+    _parses_or_parse_error(pair)
 
 
 def test_load_idx_files(tmp_path, tiny_idx):

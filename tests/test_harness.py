@@ -36,7 +36,9 @@ def test_validate_catches_bad_fields():
                 dict(test_fraction=1.0), dict(blob_samples_per_class=-3),
                 dict(blob_spread=-1.0), dict(blob_components=-1),
                 dict(blob_components=0), dict(incubate_every_rounds=0),
-                dict(incubate_every_rounds=-1), dict(master_seed=-1)):
+                dict(incubate_every_rounds=-1), dict(master_seed=-1),
+                dict(incubate_epochs=0), dict(n_clients=6),
+                dict(dataset="mnist", data_dir="idx", n_clients=11)):
         with pytest.raises(ConfigError):
             tiny(**bad).validate()
     tiny().validate()
@@ -81,6 +83,14 @@ def test_load_config_rejects_junk(tmp_path):
         p.write_text(text)
         with pytest.raises(ConfigError):
             load_config(p)
+
+
+def test_load_config_rejects_non_utf8(tmp_path):
+    p = tmp_path / "latin1.conf"
+    p.write_bytes(b"rounds = 3\nframework = \xe9sgd\n")
+    with pytest.raises(ConfigError,
+                       match=r"latin1.conf: not UTF-8 text \(byte offset 23\)"):
+        load_config(p)
 
 
 def test_load_config_rejects_wrong_types(tmp_path):
@@ -208,6 +218,9 @@ def test_cli_validate_config(capsys):
     assert "config error" in capsys.readouterr().err
     assert run_cli("validate-config", "--n-clients", "five") == 2
     assert "config error: n_clients: expected int" in capsys.readouterr().err
+    for flag, value in (("--incubate-epochs", "0"), ("--n-clients", "11")):
+        assert run_cli("validate-config", flag, value) == 2
+        assert f"config error: {flag[2:].replace('-', '_')}: " in capsys.readouterr().err
     assert run_cli("validate-config", "--combine", "logits", "--n-clients", "2",
                    "--tiers", '["small","large"]') == 0
     assert "config_hash" in capsys.readouterr().out
@@ -260,8 +273,21 @@ def test_cli_sweep(tmp_path, capsys):
     assert "lambda=0.0:" in out and "lambda=0.4:" in out
 
 
+def test_cli_sweep_rejects_bad_values(capsys):
+    assert run_cli("sweep", "--param", "lambda", "--values", "0.2,abc") == 2
+    assert "config error: --values: lambda: expected float, got 'abc'" \
+        in capsys.readouterr().err
+
+
 def test_cli_missing_config_file_is_config_error(capsys):
     assert run_cli("run", "--config", "/nonexistent/path.conf") == 2
+
+
+def test_cli_non_utf8_config_file_is_config_error(tmp_path, capsys):
+    conf = tmp_path / "bad.conf"
+    conf.write_bytes(b"rounds = \xff\n")
+    assert run_cli("run", "--config", str(conf)) == 2
+    assert "bad.conf: not UTF-8 text" in capsys.readouterr().err
 
 
 def test_cli_runtime_error_exit_code(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdus.errors import (DimensionError, DivergenceError, DomainError,
                          ValidationError)
@@ -7,7 +9,8 @@ from hdus.numeric import (Gradients, MlpModel, MlpSpec, _backprop,
                           _forward_cached, _stack_models, _unstack_models,
                           accuracy, cross_entropy, init_mlp, kl_divergence,
                           mlp_backward, mlp_forward, onehot_labels, sgd_step,
-                          softmax_temp, training_step_count)
+                          sgd_train, softmax_temp, tier_spec,
+                          training_step_count)
 
 
 def finite_diff_grad(model, loss_fn, step=1e-5):
@@ -335,3 +338,50 @@ class TestStack:
             _forward_cached(_stack_models([a, a]), np.zeros((5, 4)))
         with pytest.raises(DimensionError, match="2-D"):
             mlp_forward(a, np.zeros((2, 5, 4)))
+
+
+# --- one minibatch loop: sgd_train is the stack of one ----------------------
+
+def _sgd_train_2d(model, features, labels, class_count, epochs, lr, batch_size, rng):
+    """Oracle: minibatch cross-entropy SGD as a loop over the 2-D public
+    functions, the way `sgd_train` ran before it became a stack of one."""
+    onehot = onehot_labels(labels, class_count)
+    n = features.shape[0]
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            idx = order[start:start + batch_size]
+            _, grads = mlp_backward(model, features[idx], onehot=onehot[idx])
+            if lr > 0:
+                sgd_step(model, grads, lr)
+
+
+@settings(max_examples=20, deadline=None)
+@given(tier=st.sampled_from(["small", "medium", "large"]),
+       dims=st.tuples(st.integers(2, 7), st.integers(2, 5)),
+       batch_size=st.integers(2, 9), full_batches=st.integers(0, 4),
+       epochs=st.integers(0, 3), lr=st.sampled_from([0.0, 0.05, 0.5]),
+       data=st.data())
+def test_sgd_train_equals_2d_oracle(tier, dims, batch_size, full_batches,
+                                    epochs, lr, data):
+    """`sgd_train` leaves the model's own arrays bitwise where the 2-D loop
+    leaves a copy, from the same rng, with a partial last minibatch, and
+    counts the same steps (none at lr = 0)."""
+    F, C = dims
+    n = full_batches * batch_size + data.draw(st.integers(1, batch_size - 1),
+                                              label="remainder")
+    rng = np.random.default_rng(n)
+    features, labels = rng.normal(size=(n, F)), rng.integers(0, C, size=n)
+    model = init_mlp(tier_spec(tier, F, C), rng)
+    oracle, arrays = model.copy(), model.weights + model.biases
+    before = training_step_count()
+    assert sgd_train(model, features, labels, C, epochs, lr, batch_size,
+                     np.random.default_rng(7)) is None
+    steps = training_step_count() - before
+    before = training_step_count()
+    _sgd_train_2d(oracle, features, labels, C, epochs, lr, batch_size,
+                  np.random.default_rng(7))
+    assert steps == training_step_count() - before \
+        == (epochs * (full_batches + 1) if lr > 0 else 0)
+    assert model.flatten().tobytes() == oracle.flatten().tobytes()
+    assert all(a is b for a, b in zip(model.weights + model.biases, arrays))
