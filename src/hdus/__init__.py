@@ -14,10 +14,10 @@ from .errors import (CapacityError, ConfigError, ConflictError, DimensionError,
                      ParseError, StateError, ValidationError)
 from .harness import (ExperimentConfig, RunReport, emit_metrics, load_config,
                       run_experiment, sweep, unlearn_demo)
-from .numeric import (Gradients, MlpModel, MlpSpec, accuracy, cross_entropy,
-                      init_mlp, kl_divergence, mlp_backward, mlp_forward,
-                      onehot_labels, sgd_step, sgd_train, softmax_temp,
-                      tier_spec, training_step_count)
+from .numeric import (MlpModel, MlpSpec, accuracy, cross_entropy, init_mlp,
+                      kl_divergence, mlp_backward, mlp_forward, onehot_labels,
+                      sgd_step, sgd_train, softmax_temp, tier_spec,
+                      training_step_count)
 from .simulation import (ClientState, EventLog, SimConfig, Topology,
                          evaluate_all, handle_unlearn_request, init_network,
                          run_round)

@@ -11,7 +11,7 @@ import numpy as np
 
 from .distill import ReferenceSet
 from .errors import ConfigError, NotFoundError, StateError
-from .numeric import (Gradients, MlpModel, MlpSpec, mlp_backward, mlp_forward,
+from .numeric import (MlpModel, MlpSpec, mlp_backward, mlp_forward,
                       onehot_labels, sgd_step, sgd_train, softmax_temp)
 from .simulation import (ACTIVE, ClientState, SimConfig, Topology,
                          active_clients, local_training_phase, retire_client)
@@ -54,14 +54,14 @@ def dsgd_round(clients: list[ClientState], topology: Topology,
     by_id = {c.id: c for c in clients}
     averaged = {}
     for c in active:
-        group = [c.main.flatten()]
+        group = [c.main.params]
         for nid in sorted(topology.neighbors(c.id)):
             nbr = by_id.get(nid)
             if nbr is not None and nbr.status == ACTIVE:
-                group.append(nbr.main.flatten())
+                group.append(nbr.main.params)
         averaged[c.id] = np.mean(group, axis=0)
     for c in active:
-        c.main.load_flat(averaged[c.id])
+        c.main.params[...] = averaged[c.id]
     return clients
 
 
@@ -89,23 +89,10 @@ class CentralServerState:
     and SISA-A (shard model ensemble)."""
 
     global_model: MlpModel | None = None
-    update_ledger: list[dict[int, Gradients]] = field(default_factory=list)
+    update_ledger: list[dict[int, np.ndarray]] = field(default_factory=list)
     shard_models: dict[int, MlpModel] = field(default_factory=dict)
     pre_unlearn_global: MlpModel | None = None
     rng: np.random.Generator | None = None
-
-
-def _param_delta(after: MlpModel, before: MlpModel) -> Gradients:
-    return Gradients(
-        [a - b for a, b in zip(after.weights, before.weights)],
-        [a - b for a, b in zip(after.biases, before.biases)])
-
-
-def _apply_delta(model: MlpModel, delta: Gradients, factor: float) -> None:
-    for w, d in zip(model.weights, delta.weights):
-        w += factor * d
-    for b, d in zip(model.biases, delta.biases):
-        b += factor * d
 
 
 def fedunl_init(spec: MlpSpec, master_seed: int) -> CentralServerState:
@@ -122,18 +109,18 @@ def fedunl_round(server: CentralServerState, clients: list[ClientState],
     and redistributes the new global to all clients."""
     _check_homogeneous(clients)
     active = sorted(active_clients(clients), key=lambda c: c.id)
-    deltas: dict[int, Gradients] = {}
+    deltas: dict[int, np.ndarray] = {}
     for c in active:
         local = server.global_model.copy()
         if cfg.local_epochs > 0:
             sgd_train(local, c.local_data.features, c.local_data.labels,
                       c.local_data.class_count, cfg.local_epochs, cfg.lr,
                       cfg.batch_size, c.train_rng)
-        deltas[c.id] = _param_delta(local, server.global_model)
+        deltas[c.id] = local.params - server.global_model.params
     server.update_ledger.append(deltas)
     n = len(deltas)
     for d in deltas.values():
-        _apply_delta(server.global_model, d, 1.0 / n)
+        server.global_model.params += 1.0 / n * d
     for c in active:
         c.main = server.global_model.copy()
 
@@ -144,7 +131,7 @@ def fedunl_replay(server: CentralServerState, initial: MlpModel) -> MlpModel:
     for deltas in server.update_ledger:
         n = len(deltas)
         for d in deltas.values():
-            _apply_delta(model, d, 1.0 / n)
+            model.params += 1.0 / n * d
     return model
 
 
@@ -159,8 +146,7 @@ def fedunl_unlearn(server: CentralServerState, clients: list[ClientState],
     server.pre_unlearn_global = server.global_model.copy()
     for deltas in server.update_ledger:
         if quitting_id in deltas:
-            _apply_delta(server.global_model, deltas[quitting_id],
-                         -1.0 / len(deltas))
+            server.global_model.params += -1.0 / len(deltas) * deltas[quitting_id]
     for c in active_clients(clients):
         c.main = server.global_model.copy()
 
@@ -188,10 +174,7 @@ def fedunl_recover_round(server: CentralServerState, clients: list[ClientState],
             _, g_kd = mlp_backward(model, ref.features[idx],
                                    teacher_soft=teacher[idx], temperature=temp)
             _, g_ce = mlp_backward(model, ref.features[idx], onehot=targets[idx])
-            mixed = Gradients(
-                [alpha * a + (1 - alpha) * b for a, b in zip(g_kd.weights, g_ce.weights)],
-                [alpha * a + (1 - alpha) * b for a, b in zip(g_kd.biases, g_ce.biases)])
-            sgd_step(model, mixed, cfg.lr)
+            sgd_step(model, alpha * g_kd + (1 - alpha) * g_ce, cfg.lr)
     for c in active_clients(clients):
         c.main = server.global_model.copy()
 

@@ -13,8 +13,7 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError, DomainError
 from .numeric import (MlpModel, MlpSpec, _first_nonfinite, _mean_kl_rows,
-                      _stack_models, _stack_prefix, _train_stack,
-                      _unstack_models, init_mlp, mlp_forward, softmax_temp)
+                      _train_stack, init_mlp, mlp_forward, softmax_temp)
 
 
 @dataclass
@@ -99,17 +98,17 @@ def incubate_seeds(mains: list[MlpModel], seed_spec: MlpSpec, ref: ReferenceSet,
 
     if not mains:
         return []
-    seeds = _stack_models([init if init is not None else init_mlp(seed_spec, rng)
-                           for init, rng in zip(inits, rngs)])
+    stack = np.stack([(init if init is not None else init_mlp(seed_spec, rng)).params
+                      for init, rng in zip(inits, rngs)])
     targets = np.empty((len(mains), len(ref), seed_spec.out_dim))
     for k, main in enumerate(mains):   # one at a time: no second copy of the stack
         targets[k] = softmax_temp(mlp_forward(main, ref.features), cfg.temperature)
     live = _first_nonfinite(targets)   # position of a non-finite teacher
-    _train_stack(_stack_prefix(seeds, live), ref.features, targets[:live],
+    _train_stack(MlpModel(seed_spec, stack[:live]), ref.features, targets[:live],
                  cfg.temperature, cfg.epochs, cfg.lr, cfg.batch_size, rngs)
     if live < len(mains):
         raise DivergenceError("non-finite teacher output", index=live)
-    return _unstack_models(seeds)
+    return [MlpModel(seed_spec, row.copy()) for row in stack]
 
 
 def distill_fidelity(seed: MlpModel, main: MlpModel, ref: ReferenceSet,

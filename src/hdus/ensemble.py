@@ -116,15 +116,16 @@ def _combine(main_out: np.ndarray, repo: SeedRepository, lam: float,
 
 # ---------------------------------------------------------------------------
 # Wire format: magic "HDUS" | u16 version | u16 layer count | u32 layer dims |
-# f64 parameters (per layer: weights row-major, then biases) | u32 CRC32 of
-# everything preceding. All integers and floats little-endian.
+# f64 parameters (the model's `params`: per layer, weights row-major, then
+# biases) | u32 CRC32 of everything preceding. All integers and floats
+# little-endian.
 # ---------------------------------------------------------------------------
 
 def serialize_seed(model: MlpModel) -> bytes:
     head = SEED_MAGIC + struct.pack("<HH", SEED_FORMAT_VERSION,
                                     len(model.spec.layer_dims))
     head += struct.pack(f"<{len(model.spec.layer_dims)}I", *model.spec.layer_dims)
-    body = model.flatten().astype("<f8").tobytes()
+    body = model.params.astype("<f8").tobytes()
     payload = head + body
     return payload + struct.pack("<I", zlib.crc32(payload))
 
@@ -133,7 +134,10 @@ def deserialize_seed(blob: bytes) -> MlpModel:
     """Decode a seed. Every malformed blob raises ParseError, and nothing
     else: the magic and the trailing CRC are checked before any other field
     is read, then the version, the layer dims, the length and that every
-    parameter is finite."""
+    parameter is finite.
+
+    The seed's `params` are read-only: receivers share one decoded seed (and
+    evaluation forwards it once), so it must never change after exchange."""
     if len(blob) < 12:
         raise ParseError("blob too short for header", offset=len(blob))
     if blob[:4] != SEED_MAGIC:
@@ -163,14 +167,6 @@ def deserialize_seed(blob: bytes) -> MlpModel:
     if not finite.all():
         first = int(np.argmin(finite))
         raise ParseError(f"non-finite parameter {first}", offset=dims_end + 8 * first)
-    model = init_skeleton(spec)
-    model.load_flat(flat.astype(np.float64))
-    return model
-
-
-def init_skeleton(spec: MlpSpec) -> MlpModel:
-    """Zero-parameter model of the given shape (deserialization target)."""
-    dims = spec.layer_dims
-    weights = [np.zeros((dims[i], dims[i + 1])) for i in range(len(dims) - 1)]
-    biases = [np.zeros(dims[i + 1]) for i in range(len(dims) - 1)]
-    return MlpModel(spec, weights, biases)
+    params = flat.astype(np.float64)
+    params.flags.writeable = False   # before the views are built, so they are too
+    return MlpModel(spec, params)

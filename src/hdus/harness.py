@@ -120,6 +120,23 @@ class ExperimentConfig:
             raise ConfigError("blob_spread: must be >= 0")
         if self.blob_components < 1:
             raise ConfigError("blob_components: must be >= 1")
+        if self.dataset == "blobs":
+            # Bounds of gen_blobs and of the reference carve-out; IDX pool
+            # sizes are known only once the files load.
+            if self.blob_classes < 2:
+                raise ConfigError("blob_classes: must be >= 2")
+            if self.blob_features < 2:
+                raise ConfigError("blob_features: must be >= 2")
+            clusters = self.blob_components * self.blob_classes
+            grid = self.blob_features * (self.blob_features - 1)
+            if clusters > grid:
+                raise ConfigError(
+                    f"blob_features: a grid of {self.blob_features} features holds "
+                    f"{grid} clusters, but blob_components x blob_classes = {clusters}")
+            pool = self.blob_classes * self.blob_samples_per_class
+            if self.ref_size >= pool:
+                raise ConfigError(f"ref_size: {self.ref_size} must be < the {pool} "
+                                  f"blob samples")
         if self.incubate_every_rounds < 1:
             raise ConfigError("incubate_every_rounds: must be >= 1")
         if self.master_seed < 0:

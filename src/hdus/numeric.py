@@ -8,7 +8,7 @@ involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,86 +67,59 @@ def tier_spec(tier: str, feature_dim: int, class_count: int) -> MlpSpec:
 
 @dataclass
 class MlpModel:
+    """A ReLU MLP whose parameters are one float64 vector, `params`, in wire
+    order: for each layer, the weights row-major, then the biases.
+
+    `weights[i]` (fan_in x fan_out) and `biases[i]` are views into `params`,
+    built once at construction, so writing `params` moves the layers and
+    writing a layer moves `params`; assign with `[...] =`, never rebind.
+    A stack of S models of one spec is the same class with S x P `params`,
+    one row per model: then `weights[i]` is S x fan_in x fan_out, row k is
+    model k, and `params[:s]` is the stack of the first s. Read-only `params`
+    give read-only layers. `__reduce__` rebuilds the views from a copied
+    `params`, so `copy.deepcopy` and pickle keep them aliasing it.
+    """
+
     spec: MlpSpec
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    params: np.ndarray
+    weights: list[np.ndarray] = field(init=False, repr=False)
+    biases: list[np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        p = self.params
+        if p.shape[-1:] != (self.spec.param_count(),):
+            raise DimensionError(f"params shape {p.shape} does not end in "
+                                 f"{self.spec.param_count()}")
+        self.weights, self.biases = [], []
+        off = 0
+        for fan_in, fan_out in zip(self.spec.layer_dims, self.spec.layer_dims[1:]):
+            end = off + fan_in * fan_out
+            self.weights.append(p[..., off:end].reshape(*p.shape[:-1], fan_in, fan_out))
+            self.biases.append(p[..., end:end + fan_out])
+            off = end + fan_out
+
+    def __reduce__(self):
+        return MlpModel, (self.spec, self.params)
 
     def copy(self) -> "MlpModel":
-        return MlpModel(self.spec, [w.copy() for w in self.weights],
-                        [b.copy() for b in self.biases])
+        return MlpModel(self.spec, self.params.copy())
 
     def param_count(self) -> int:
         return self.spec.param_count()
 
-    def flatten(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b.ravel())
-        return np.concatenate(parts)
-
-    def load_flat(self, flat: np.ndarray) -> None:
-        off = 0
-        for w, b in zip(self.weights, self.biases):
-            w[...] = flat[off:off + w.size].reshape(w.shape)
-            off += w.size
-            b[...] = flat[off:off + b.size]
-            off += b.size
-
-
-@dataclass
-class Gradients:
-    """Same shape structure as the model parameters."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-    flatten = MlpModel.flatten
-
 
 def init_mlp(spec: MlpSpec, rng: np.random.Generator) -> MlpModel:
     """He-uniform weights (bound sqrt(6/fan_in)), zero biases."""
-    weights, biases = [], []
-    dims = spec.layer_dims
-    for i in range(len(dims) - 1):
-        fan_in, fan_out = dims[i], dims[i + 1]
-        bound = np.sqrt(6.0 / fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return MlpModel(spec, weights, biases)
-
-
-def _stack_models(models: list[MlpModel]) -> MlpModel:
-    """One model whose parameters carry a leading axis, one slice per model
-    (all of the same spec). The forward pass, backprop and SGD step treat
-    slice k exactly as they treat model k alone, bit for bit: each slice of
-    a stacked matmul is the 2-D matmul of that slice."""
-    return MlpModel(models[0].spec,
-                    [np.stack(ws) for ws in zip(*(m.weights for m in models))],
-                    [np.stack(bs) for bs in zip(*(m.biases for m in models))])
-
-
-def _unstack_models(stack: MlpModel) -> list[MlpModel]:
-    return [MlpModel(stack.spec, [w[k].copy() for w in stack.weights],
-                     [b[k].copy() for b in stack.biases])
-            for k in range(_stack_size(stack))]
-
-
-def _stack_prefix(stack: MlpModel, count: int) -> MlpModel:
-    """The first `count` slices of a stack (views)."""
-    return MlpModel(stack.spec, [w[:count] for w in stack.weights],
-                    [b[:count] for b in stack.biases])
-
-
-def _stack_size(model: MlpModel) -> int:
-    """Number of models a (possibly stacked) model holds."""
-    w = model.weights[0]
-    return w.shape[0] if w.ndim == 3 else 1
+    model = MlpModel(spec, np.zeros(spec.param_count()))
+    for w in model.weights:
+        bound = np.sqrt(6.0 / w.shape[0])
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return model
 
 
 def _check_batch(model: MlpModel, batch: np.ndarray) -> np.ndarray:
     batch = np.asarray(batch, dtype=np.float64)
-    ndim = model.weights[0].ndim
+    ndim = model.params.ndim + 1
     if batch.ndim != ndim:
         raise DimensionError(f"batch must be {ndim}-D, got shape {batch.shape}")
     if batch.shape[-1] != model.spec.in_dim:
@@ -230,26 +203,25 @@ def _forward_cached(model: MlpModel, batch: np.ndarray):
 
 
 def _backprop(model: MlpModel, inputs: list[np.ndarray],
-              dlogits: np.ndarray) -> Gradients:
+              dlogits: np.ndarray) -> np.ndarray:
     """Propagate a gradient w.r.t. the output logits back to all parameters
-    (of every slice, for a stacked model)."""
-    gw = [None] * len(model.weights)
-    gb = [None] * len(model.biases)
+    (of every row, for a stacked model); returns it shaped like `params`."""
+    grad = np.empty(model.params.shape)
+    views = MlpModel(model.spec, grad)
     delta = dlogits
     for i in range(len(model.weights) - 1, -1, -1):
-        layer_in = inputs[i]
-        gw[i] = layer_in.swapaxes(-1, -2) @ delta
-        gb[i] = delta.sum(axis=-2)
+        np.matmul(inputs[i].swapaxes(-1, -2), delta, out=views.weights[i])
+        np.sum(delta, axis=-2, out=views.biases[i])
         if i > 0:
             delta = delta @ model.weights[i].swapaxes(-1, -2)
             delta = delta * (inputs[i] > 0)  # ReLU mask of the hidden activation
-    return Gradients(gw, gb)
+    return grad
 
 
 def mlp_backward(model: MlpModel, batch: np.ndarray, *,
                  onehot: np.ndarray | None = None,
                  teacher_soft: np.ndarray | None = None,
-                 temperature: float | None = None) -> tuple[float, Gradients]:
+                 temperature: float | None = None) -> tuple[float, np.ndarray]:
     """Loss and exact analytic gradients for one of two loss branches.
 
     Cross-entropy branch (pass `onehot`): batch-mean softmax cross-entropy
@@ -258,8 +230,10 @@ def mlp_backward(model: MlpModel, batch: np.ndarray, *,
     Distillation branch (pass `teacher_soft` and `temperature`): the student
     logits are softened with the same temperature as the teacher targets and
     the loss is T^2 * mean KL(teacher || student_soft), so the usual 1/T
-    gradient attenuation is compensated and the returned gradients are the
-    exact gradients of the returned loss.
+    gradient attenuation is compensated and the returned gradient is the
+    exact gradient of the returned loss.
+
+    The gradient is one array shaped like `model.params`, in the same order.
     """
     if (onehot is None) == (teacher_soft is None):
         raise ValidationError("pass exactly one of onehot / teacher_soft")
@@ -282,25 +256,19 @@ def mlp_backward(model: MlpModel, batch: np.ndarray, *,
     return loss, _backprop(model, inputs, dlogits)
 
 
-def sgd_step(model: MlpModel, grads: Gradients, lr: float) -> MlpModel:
-    """In-place parameter update p <- p - lr * g. Counts as one training step
-    per model (N for a stack of N). Every gradient array is checked before
-    any parameter changes."""
+def sgd_step(model: MlpModel, grad: np.ndarray, lr: float) -> MlpModel:
+    """In-place parameter update p <- p - lr * g, with `grad` shaped like
+    `model.params`. Counts as one training step per model (N for a stack of
+    N). The gradient is checked before any parameter changes."""
     global _TRAINING_STEPS
     if lr < 0:
         raise DomainError(f"learning rate must be >= 0, got {lr}")
-    if len(grads.weights) != len(model.weights):
-        raise DimensionError("gradient/model layer count mismatch")
-    for g in grads.weights + grads.biases:
-        if not np.isfinite(g).all():
-            raise DivergenceError("non-finite gradient entry")
-    for w, gw in zip(model.weights, grads.weights):
-        if w.shape != gw.shape:
-            raise DimensionError(f"gradient shape {gw.shape} != weight {w.shape}")
-        w -= lr * gw
-    for b, gb in zip(model.biases, grads.biases):
-        b -= lr * gb
-    _TRAINING_STEPS += _stack_size(model)
+    if grad.shape != model.params.shape:
+        raise DimensionError(f"gradient shape {grad.shape} != params {model.params.shape}")
+    if not np.isfinite(grad).all():
+        raise DivergenceError("non-finite gradient entry")
+    model.params -= lr * grad
+    _TRAINING_STEPS += len(model.params) if model.params.ndim == 2 else 1
     return model
 
 
@@ -335,7 +303,7 @@ def _train_stack(stack: MlpModel, features: np.ndarray, targets: np.ndarray,
     lowest diverging position. A diverging slice stops those after it; those
     before it keep training, in case one of them diverges later.
     """
-    live = _stack_size(stack)        # slices [0, live) are still training
+    live = len(stack.params)         # slices [0, live) are still training
     n = features.shape[0]
     rows = np.arange(live)[:, np.newaxis]
     failure = None
@@ -354,16 +322,16 @@ def _train_stack(stack: MlpModel, features: np.ndarray, targets: np.ndarray,
                     raise DivergenceError("non-finite student output")
                 if lr > 0:
                     dlogits = temperature * (student - targets[rows, idx]) / idx.shape[1]
-                    grads = _backprop(stack, inputs, dlogits)
-                    checked += grads.weights + grads.biases
-                    sgd_step(stack, grads, lr)
+                    grad = _backprop(stack, inputs, dlogits)
+                    checked.append(grad)
+                    sgd_step(stack, grad, lr)
             except DivergenceError as e:
                 live = _first_nonfinite(*checked)
                 failure = DivergenceError(f"{e} at epoch {epoch}", index=live)
                 if live == 0:
                     break
                 # Redo this step without the diverged slice and those after it.
-                stack = _stack_prefix(stack, live)
+                stack = MlpModel(stack.spec, stack.params[:live])
                 targets, orders, rows = targets[:live], orders[:live], rows[:live]
                 continue
             start += batch_size
@@ -376,10 +344,9 @@ def sgd_train(model: MlpModel, features: np.ndarray, labels: np.ndarray,
               rng: np.random.Generator) -> None:
     """Minibatch cross-entropy training, in place; returns nothing. It is the
     stack of one of `_train_stack` (a view: updates land in the model)."""
-    stack = MlpModel(model.spec, [w[np.newaxis] for w in model.weights],
-                     [b[np.newaxis] for b in model.biases])
-    _train_stack(stack, features, onehot_labels(labels, class_count)[np.newaxis],
-                 1.0, epochs, lr, batch_size, [rng])
+    _train_stack(MlpModel(model.spec, model.params[np.newaxis]), features,
+                 onehot_labels(labels, class_count)[np.newaxis], 1.0, epochs, lr,
+                 batch_size, [rng])
 
 
 def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:

@@ -158,7 +158,7 @@ def run_round(clients: list[ClientState], topology: Topology, cfg: SimConfig,
     each bitwise what it would be alone. If one diverges, DivergenceError
     names the lowest diverging client and no client's seed is replaced. Each
     sent blob is decoded once, and every active receiver stores that same
-    seed object: seeds are never mutated after exchange.
+    read-only seed object.
     """
     active = sorted(active_clients(clients), key=lambda c: c.id)
     if not active:
@@ -231,8 +231,8 @@ def evaluate_all(clients: list[ClientState], test: LabeledDataset,
 
     Bitwise what `ensemble_predict` gives each client, but each distinct seed
     object is forwarded once per call, not once per repository holding it:
-    receivers share the seed decoded from one blob, and seeds are never
-    mutated after exchange. Each repository combines the outputs in its own
+    receivers share the seed decoded from one blob, and decoded seeds are
+    read-only. Each repository combines the outputs in its own
     order.
     """
     if len(test) == 0:

@@ -37,7 +37,7 @@ def make_clients(partition, cfg, master_seed=0, spec=None):
 
 
 def flat(c):
-    return c.main.flatten()
+    return c.main.params.copy()
 
 
 # --- ISGD -------------------------------------------------------------------
@@ -132,7 +132,7 @@ def test_dsgd_unlearn_resets_and_retrains(partition):
         if c.id == 3:
             assert c.main is None
         else:
-            assert np.array_equal(flat(c), c.initial_main.flatten())
+            assert np.array_equal(flat(c), c.initial_main.params)
     # retraining changes parameters again
     topo = topo.without(3)
     steps = training_step_count()
@@ -150,7 +150,7 @@ def test_fedunl_ledger_replays_global_exactly(partition):
     for _ in range(3):
         fedunl_round(server, clients, cfg)
     replayed = fedunl_replay(server, initial)
-    diff = np.abs(replayed.flatten() - server.global_model.flatten()).max()
+    diff = np.abs(replayed.params - server.global_model.params).max()
     assert diff <= 1e-10
     assert len(server.update_ledger) == 3
     for deltas in server.update_ledger:
@@ -163,7 +163,7 @@ def test_fedunl_round_redistributes_global(partition):
     server = fedunl_init(MlpSpec((F, 16, C)), 0)
     fedunl_round(server, clients, cfg)
     for c in clients:
-        assert np.array_equal(flat(c), server.global_model.flatten())
+        assert np.array_equal(flat(c), server.global_model.params)
 
 
 def test_fedunl_unlearn_subtracts_ledger_share(partition):
@@ -173,16 +173,16 @@ def test_fedunl_unlearn_subtracts_ledger_share(partition):
     server = fedunl_init(MlpSpec((F, 16, C)), 3)
     for _ in range(3):
         fedunl_round(server, clients, cfg)
-    before = server.global_model.flatten().copy()
+    before = server.global_model.params.copy()
     contrib = np.zeros_like(before)
     for deltas in server.update_ledger:
-        contrib += deltas[2].flatten() / len(deltas)
+        contrib += deltas[2] / len(deltas)
     steps = training_step_count()
     fedunl_unlearn(server, clients, 2)
     assert training_step_count() == steps          # subtraction only
-    assert np.allclose(server.global_model.flatten(), before - contrib,
+    assert np.allclose(server.global_model.params, before - contrib,
                        atol=1e-12)
-    assert np.array_equal(server.pre_unlearn_global.flatten(), before)
+    assert np.array_equal(server.pre_unlearn_global.params, before)
     assert clients[2].status == "quit"
 
 
@@ -201,8 +201,8 @@ def test_fedunl_unlearn_is_inexact(partition):
     control[2].status = "quit"
     for _ in range(3):
         fedunl_round(control_server, control, cfg)
-    assert not np.allclose(server.global_model.flatten(),
-                           control_server.global_model.flatten(), atol=1e-6)
+    assert not np.allclose(server.global_model.params,
+                           control_server.global_model.params, atol=1e-6)
 
 
 def test_fedunl_recover_round_improves_reference_fit(partition):
@@ -222,7 +222,7 @@ def test_fedunl_recover_round_improves_reference_fit(partition):
     assert ref_acc() >= before
     for c in clients:
         if c.status == "active":
-            assert np.array_equal(flat(c), server.global_model.flatten())
+            assert np.array_equal(flat(c), server.global_model.params)
 
 
 def test_fedunl_recover_requires_unlearn_first(partition):

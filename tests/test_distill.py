@@ -44,15 +44,15 @@ def test_lr_zero_returns_the_initialization():
     init = init_mlp(MlpSpec((4, 8, 3)), np.random.default_rng(2))
     seed = incubate_seed(main, init.spec, ref, cfg, np.random.default_rng(3),
                          init=init)
-    assert np.array_equal(seed.flatten(), init.flatten())
+    assert np.array_equal(seed.params, init.params)
 
 
 def test_teacher_parameters_bitwise_unchanged(blob_task):
     main, ref = blob_task
-    before = main.flatten().copy()
+    before = main.params.copy()
     incubate_seed(main, MlpSpec((6, 8, 4)), ref, DistillConfig(epochs=2),
                   np.random.default_rng(5))
-    assert np.array_equal(main.flatten(), before)
+    assert np.array_equal(main.params, before)
 
 
 def test_incubation_reads_only_reference_features(blob_task):
@@ -63,7 +63,7 @@ def test_incubation_reads_only_reference_features(blob_task):
     a = incubate_seed(main, MlpSpec((6, 8, 4)), ref, cfg, np.random.default_rng(6))
     # "permute the labels": labels simply do not flow into incubation
     b = incubate_seed(main, MlpSpec((6, 8, 4)), ref, cfg, np.random.default_rng(6))
-    assert np.array_equal(a.flatten(), b.flatten())
+    assert np.array_equal(a.params, b.params)
 
 
 def test_deterministic_given_seed(blob_task):
@@ -72,8 +72,8 @@ def test_deterministic_given_seed(blob_task):
     a = incubate_seed(main, MlpSpec((6, 8, 4)), ref, cfg, np.random.default_rng(9))
     b = incubate_seed(main, MlpSpec((6, 8, 4)), ref, cfg, np.random.default_rng(9))
     c = incubate_seed(main, MlpSpec((6, 8, 4)), ref, cfg, np.random.default_rng(10))
-    assert np.array_equal(a.flatten(), b.flatten())
-    assert not np.array_equal(a.flatten(), c.flatten())
+    assert np.array_equal(a.params, b.params)
+    assert not np.array_equal(a.params, c.params)
 
 
 def test_dimension_mismatch_rejected(blob_task):
@@ -164,7 +164,7 @@ def _incubate_2d(main, seed_spec, ref, cfg, rng, init=None):
 
 
 def _bits(model):
-    return model.flatten().tobytes()
+    return model.params.tobytes()
 
 
 _MAIN_DIMS = [(5, 12, 3), (5, 8, 6, 3), (5, 16, 3)]   # heterogeneous mains

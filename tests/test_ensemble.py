@@ -146,7 +146,18 @@ def test_serialize_roundtrip_bitwise():
     blob = serialize_seed(model)
     back = deserialize_seed(blob)
     assert back.spec == model.spec
-    assert np.array_equal(back.flatten(), model.flatten())
+    assert np.array_equal(back.params, model.params)
+
+
+def test_decoded_seed_is_read_only():
+    """Receivers share one decoded seed, so writing it is an error."""
+    back = deserialize_seed(serialize_seed(make_model(5)))
+    for a in (back.params, back.weights[0], back.biases[-1]):
+        with pytest.raises(ValueError):
+            a[...] = 0.0
+    copied = back.copy()
+    copied.weights[0][...] = 0.0
+    assert not np.array_equal(copied.params, back.params)
 
 
 def test_wire_header_layout():
@@ -229,10 +240,8 @@ def test_fuzz_truncation_raises_parse_error(length):
 @given(st.integers(0, _FUZZ_MODEL.param_count() - 1),
        st.sampled_from([np.nan, np.inf, -np.inf]))
 def test_fuzz_non_finite_parameter_raises_parse_error(index, value):
-    flat = _FUZZ_MODEL.flatten()
-    flat[index] = value
     model = _FUZZ_MODEL.copy()
-    model.load_flat(flat)
+    model.params[index] = value
     blob = serialize_seed(model)   # a well-formed blob with a valid CRC
     with pytest.raises(ParseError, match="non-finite") as e:
         deserialize_seed(blob)

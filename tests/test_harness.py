@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -38,10 +39,16 @@ def test_validate_catches_bad_fields():
                 dict(blob_components=0), dict(incubate_every_rounds=0),
                 dict(incubate_every_rounds=-1), dict(master_seed=-1),
                 dict(incubate_epochs=0), dict(n_clients=6),
-                dict(dataset="mnist", data_dir="idx", n_clients=11)):
+                dict(dataset="mnist", data_dir="idx", n_clients=11),
+                dict(blob_classes=1, n_clients=1), dict(blob_features=1),
+                dict(blob_features=3), dict(ref_size=300),
+                dict(ref_size=100000)):
         with pytest.raises(ConfigError):
             tiny(**bad).validate()
     tiny().validate()
+    tiny(blob_classes=6, blob_features=4, ref_size=359).validate()   # at both bounds
+    # IDX pool sizes are checked at run time, once the files load.
+    tiny(dataset="mnist", data_dir="idx", ref_size=100000).validate()
 
 
 def test_client_tiers_spread():
@@ -163,9 +170,9 @@ def test_emit_metrics_files_and_idempotence(tmp_path):
     rep = run_experiment(tiny(framework="isgd"))
     out = tmp_path / "m"
     paths = emit_metrics(rep, str(out))
-    first = {k: open(p, "rb").read() for k, p in paths.items()}
+    first = {k: Path(p).read_bytes() for k, p in paths.items()}
     paths2 = emit_metrics(rep, str(out))
-    second = {k: open(p, "rb").read() for k, p in paths2.items()}
+    second = {k: Path(p).read_bytes() for k, p in paths2.items()}
     assert first == second   # byte-identical re-emission
 
     rows = list(csv.DictReader(io.StringIO(first["summary"].decode())))
@@ -218,7 +225,8 @@ def test_cli_validate_config(capsys):
     assert "config error" in capsys.readouterr().err
     assert run_cli("validate-config", "--n-clients", "five") == 2
     assert "config error: n_clients: expected int" in capsys.readouterr().err
-    for flag, value in (("--incubate-epochs", "0"), ("--n-clients", "11")):
+    for flag, value in (("--incubate-epochs", "0"), ("--n-clients", "11"),
+                        ("--ref-size", "100000"), ("--blob-features", "3")):
         assert run_cli("validate-config", flag, value) == 2
         assert f"config error: {flag[2:].replace('-', '_')}: " in capsys.readouterr().err
     assert run_cli("validate-config", "--combine", "logits", "--n-clients", "2",

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +8,7 @@ from hypothesis import strategies as st
 
 from hdus.errors import (DimensionError, DivergenceError, DomainError,
                          ValidationError)
-from hdus.numeric import (Gradients, MlpModel, MlpSpec, _backprop,
-                          _forward_cached, _stack_models, _unstack_models,
+from hdus.numeric import (MlpModel, MlpSpec, _backprop, _forward_cached,
                           accuracy, cross_entropy, init_mlp, kl_divergence,
                           mlp_backward, mlp_forward, onehot_labels, sgd_step,
                           sgd_train, softmax_temp, tier_spec,
@@ -15,28 +17,25 @@ from hdus.numeric import (Gradients, MlpModel, MlpSpec, _backprop,
 
 def finite_diff_grad(model, loss_fn, step=1e-5):
     """Central finite differences over the flattened parameter vector."""
-    flat = model.flatten()
+    flat = model.params.copy()
     grad = np.zeros_like(flat)
     for i in range(flat.size):
         for sign in (+1, -1):
             bumped = flat.copy()
             bumped[i] += sign * step
-            model.load_flat(bumped)
+            model.params[...] = bumped
             if sign > 0:
                 plus = loss_fn(model)
             else:
                 minus = loss_fn(model)
         grad[i] = (plus - minus) / (2 * step)
-    model.load_flat(flat)
+    model.params[...] = flat
     return grad
 
 
 def zero_model(dims):
     spec = MlpSpec(dims)
-    d = spec.layer_dims
-    return MlpModel(spec,
-                    [np.zeros((d[i], d[i + 1])) for i in range(len(d) - 1)],
-                    [np.zeros(d[i + 1]) for i in range(len(d) - 1)])
+    return MlpModel(spec, np.zeros(spec.param_count()))
 
 
 class TestForward:
@@ -169,7 +168,7 @@ class TestBackward:
         onehot = onehot_labels(rng.integers(0, 3, size=6), 3)
         loss, grads = mlp_backward(m, x, onehot=onehot)
         fd = finite_diff_grad(m, lambda mm: mlp_backward(mm, x, onehot=onehot)[0])
-        g = grads.flatten()
+        g = grads
         rel = np.abs(g - fd) / np.maximum(1e-8, np.abs(g) + np.abs(fd))
         assert rel.max() <= 1e-4
         assert abs(loss - cross_entropy(mlp_forward(m, x), onehot)) < 1e-12
@@ -183,7 +182,7 @@ class TestBackward:
         fd = finite_diff_grad(
             m, lambda mm: mlp_backward(mm, x, teacher_soft=teacher,
                                        temperature=2.5)[0])
-        g = grads.flatten()
+        g = grads
         rel = np.abs(g - fd) / np.maximum(1e-8, np.abs(g) + np.abs(fd))
         assert rel.max() <= 1e-4
 
@@ -194,7 +193,7 @@ class TestBackward:
         teacher = softmax_temp(mlp_forward(m, x), 3.0)
         loss, grads = mlp_backward(m, x, teacher_soft=teacher, temperature=3.0)
         assert abs(loss) <= 1e-10
-        assert np.abs(grads.flatten()).max() <= 1e-10
+        assert np.abs(grads).max() <= 1e-10
 
     def test_ce_gradient_closed_form_on_identity_net(self):
         # single linear layer, 1 sample: dW = x^T (softmax(logits) - onehot)
@@ -204,7 +203,7 @@ class TestBackward:
         onehot = onehot_labels(np.array([2]), 3)
         _, grads = mlp_backward(m, x, onehot=onehot)
         expected = x.T @ (softmax_temp(mlp_forward(m, x), 1.0) - onehot)
-        assert np.allclose(grads.weights[0], expected, atol=1e-14)
+        assert np.allclose(MlpModel(m.spec, grads).weights[0], expected, atol=1e-14)
 
     def test_requires_exactly_one_branch(self):
         m = zero_model((2, 2))
@@ -216,16 +215,14 @@ class TestSgdStep:
     def test_lr_zero_leaves_model_unchanged(self):
         rng = np.random.default_rng(3)
         m = init_mlp(MlpSpec((3, 4, 2)), rng)
-        before = m.flatten()
-        g = Gradients([np.ones_like(w) for w in m.weights],
-                      [np.ones_like(b) for b in m.biases])
-        sgd_step(m, g, 0.0)
-        assert np.array_equal(m.flatten(), before)
+        before = m.params.copy()
+        sgd_step(m, np.ones_like(m.params), 0.0)
+        assert np.array_equal(m.params, before)
 
     def test_scalar_arithmetic(self):
         m = zero_model((1, 1))
         m.weights[0][...] = [[1.0]]
-        g = Gradients([np.array([[2.0]])], [np.array([0.0])])
+        g = np.array([2.0, 0.0])
         sgd_step(m, g, 0.1)
         assert np.allclose(m.weights[0], [[0.8]])
 
@@ -233,22 +230,25 @@ class TestSgdStep:
         rng = np.random.default_rng(4)
         m1 = init_mlp(MlpSpec((3, 2)), rng)
         m2 = m1.copy()
-        g1 = Gradients([rng.normal(size=w.shape) for w in m1.weights],
-                       [rng.normal(size=b.shape) for b in m1.biases])
-        g2 = Gradients([rng.normal(size=w.shape) for w in m1.weights],
-                       [rng.normal(size=b.shape) for b in m1.biases])
+        g1 = rng.normal(size=m1.params.shape)
+        g2 = rng.normal(size=m1.params.shape)
         sgd_step(m1, g1, 0.3)
         sgd_step(m1, g2, 0.3)
-        gsum = Gradients([a + b for a, b in zip(g1.weights, g2.weights)],
-                         [a + b for a, b in zip(g1.biases, g2.biases)])
-        sgd_step(m2, gsum, 0.3)
-        assert np.allclose(m1.flatten(), m2.flatten(), atol=1e-15)
+        sgd_step(m2, g1 + g2, 0.3)
+        assert np.allclose(m1.params, m2.params, atol=1e-15)
 
     def test_non_finite_gradient_rejected(self):
         m = zero_model((2, 2))
-        g = Gradients([np.full((2, 2), np.nan)], [np.zeros(2)])
+        g = np.concatenate([np.full(4, np.nan), np.zeros(2)])
         with pytest.raises(DivergenceError):
             sgd_step(m, g, 0.1)
+
+    def test_gradient_shape_must_match_params(self):
+        m = zero_model((2, 2))
+        for g in (np.zeros(5), np.zeros((1, 6))):
+            with pytest.raises(DimensionError):
+                sgd_step(m, g, 0.1)
+        assert np.array_equal(m.params, np.zeros(6))
 
 
 class TestInit:
@@ -256,13 +256,13 @@ class TestInit:
         spec = MlpSpec((5, 7, 3))
         a = init_mlp(spec, np.random.default_rng(42))
         b = init_mlp(spec, np.random.default_rng(42))
-        assert np.array_equal(a.flatten(), b.flatten())
+        assert np.array_equal(a.params, b.params)
 
     def test_different_seeds_differ(self):
         spec = MlpSpec((5, 7, 3))
         a = init_mlp(spec, np.random.default_rng(1))
         b = init_mlp(spec, np.random.default_rng(2))
-        assert not np.array_equal(a.flatten(), b.flatten())
+        assert not np.array_equal(a.params, b.params)
 
     def test_he_uniform_bounds_and_zero_biases(self):
         spec = MlpSpec((9, 4, 6, 2))
@@ -316,7 +316,7 @@ class TestStack:
         models = [init_mlp(MlpSpec((4, 6, 5, 3)), rng) for _ in range(3)]
         batch = rng.normal(size=(3, 9, 4))
         dlogits = rng.normal(size=(3, 9, 3))
-        stack = _stack_models(models)
+        stack = MlpModel(models[0].spec, np.stack([m.params for m in models]))
         inputs = _forward_cached(stack, batch)
         grads = _backprop(stack, inputs, dlogits)
         before = training_step_count()
@@ -326,18 +326,46 @@ class TestStack:
             alone = _forward_cached(model, batch[k])
             assert all(np.array_equal(s[k], a) for s, a in zip(inputs, alone))
             g = _backprop(model, alone, dlogits[k])
-            assert all(np.array_equal(s[k], a) for s, a in
-                       zip(grads.weights + grads.biases, g.weights + g.biases))
+            assert np.array_equal(grads[k], g)
             sgd_step(model, g, 0.1)
-        assert [m.flatten().tobytes() for m in _unstack_models(stack)] == \
-            [m.flatten().tobytes() for m in models]
+        assert [row.tobytes() for row in stack.params] == \
+            [m.params.tobytes() for m in models]
 
     def test_stack_needs_a_stacked_batch(self):
         a = init_mlp(MlpSpec((4, 6, 3)), np.random.default_rng(1))
         with pytest.raises(DimensionError, match="3-D"):
-            _forward_cached(_stack_models([a, a]), np.zeros((5, 4)))
+            _forward_cached(MlpModel(a.spec, np.stack([a.params, a.params])),
+                            np.zeros((5, 4)))
         with pytest.raises(DimensionError, match="2-D"):
             mlp_forward(a, np.zeros((2, 5, 4)))
+
+
+class TestFlatParams:
+    def test_layers_are_views_in_wire_order(self):
+        m = init_mlp(MlpSpec((3, 4, 2)), np.random.default_rng(0))
+        assert np.array_equal(m.params, np.concatenate(
+            [a.ravel() for w, b in zip(m.weights, m.biases) for a in (w, b)]))
+        assert all(np.shares_memory(a, m.params) for a in m.weights + m.biases)
+        with pytest.raises(DimensionError):
+            MlpModel(m.spec, np.zeros(m.param_count() + 1))
+
+    @pytest.mark.parametrize("clone", [
+        copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
+        ids=["deepcopy", "pickle"])
+    def test_copies_keep_views_aliasing_params(self, clone):
+        """A deep copy or a pickle round trip rebuilds the layer views over
+        the copied vector, so a step on the copy moves its layers and leaves
+        the original alone."""
+        m = init_mlp(MlpSpec((3, 4, 2)), np.random.default_rng(0))
+        before = m.params.copy()
+        c = clone(m)
+        assert not np.shares_memory(c.params, m.params)
+        assert all(np.shares_memory(a, c.params) for a in c.weights + c.biases)
+        w0 = c.weights[0].copy()
+        sgd_step(c, np.ones_like(c.params), 0.5)
+        assert np.array_equal(c.weights[0], w0 - 0.5)
+        assert np.array_equal(c.biases[-1], np.full(2, -0.5))
+        assert np.array_equal(m.params, before)
 
 
 # --- one minibatch loop: sgd_train is the stack of one ----------------------
@@ -383,5 +411,5 @@ def test_sgd_train_equals_2d_oracle(tier, dims, batch_size, full_batches,
                   np.random.default_rng(7))
     assert steps == training_step_count() - before \
         == (epochs * (full_batches + 1) if lr > 0 else 0)
-    assert model.flatten().tobytes() == oracle.flatten().tobytes()
+    assert model.params.tobytes() == oracle.params.tobytes()
     assert all(a is b for a, b in zip(model.weights + model.biases, arrays))

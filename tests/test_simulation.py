@@ -63,7 +63,26 @@ def test_exchange_transmits_exact_parameters(partition):
     run_round(clients, topo, cfg, 0)
     sender = clients[1]
     stored = dict(clients[0].repo.entries)[1]
-    assert np.array_equal(stored.flatten(), sender.own_seed.flatten())
+    assert np.array_equal(stored.params, sender.own_seed.params)
+
+
+def test_own_seed_warm_starts_while_received_seeds_are_read_only(partition):
+    """A client's own seed is its incubation output, not a decoded seed: it
+    stays writable and warm-starts the next incubation, which leaves it as
+    it was; the copy its neighbors received cannot be written."""
+    cfg = small_cfg()
+    clients, topo = fresh_network(partition, cfg)
+    run_round(clients, topo, cfg, 0)
+    own = clients[1].own_seed
+    stored = dict(clients[0].repo.entries)[1]
+    assert own.params.flags.writeable
+    with pytest.raises(ValueError):
+        stored.weights[0][0, 0] = 0.0
+    before = own.params.copy()
+    run_round(clients, topo, cfg, 1)
+    assert clients[1].own_seed is not own
+    assert np.array_equal(own.params, before)
+    assert not np.array_equal(clients[1].own_seed.params, before)
 
 
 def test_rounds_deterministic(partition):
@@ -74,8 +93,8 @@ def test_rounds_deterministic(partition):
         run_round(a, topo, cfg, r)
         run_round(b, topo, cfg, r)
     for ca, cb in zip(a, b):
-        assert np.array_equal(ca.main.flatten(), cb.main.flatten())
-        assert np.array_equal(ca.own_seed.flatten(), cb.own_seed.flatten())
+        assert np.array_equal(ca.main.params, cb.main.params)
+        assert np.array_equal(ca.own_seed.params, cb.own_seed.params)
 
 
 def test_rng_streams_independent():
@@ -94,7 +113,7 @@ def test_unlearn_purges_quitter_everywhere(partition):
     cfg = small_cfg()
     clients, topo = fresh_network(partition, cfg)
     run_round(clients, topo, cfg, 0)
-    before = {c.id: c.main.flatten().copy() for c in clients if c.id != 2}
+    before = {c.id: c.main.params.copy() for c in clients if c.id != 2}
     steps = training_step_count()
     handle_unlearn_request(clients, 2)
     assert training_step_count() == steps          # zero retraining
@@ -106,7 +125,7 @@ def test_unlearn_purges_quitter_everywhere(partition):
         if c.id == 2:
             continue
         assert 2 not in c.repo
-        assert np.array_equal(c.main.flatten(), before[c.id])   # untouched
+        assert np.array_equal(c.main.params, before[c.id])   # untouched
 
 
 def test_unlearn_unknown_or_repeated_rejected(partition):
@@ -182,17 +201,17 @@ def test_incubation_cadence(partition):
     cfg.incubate_every_rounds = 2
     clients, topo = fresh_network(partition, cfg)
     run_round(clients, topo, cfg, 0)
-    seeds = {c.id: c.own_seed.flatten().copy() for c in clients}
+    seeds = {c.id: c.own_seed.params.copy() for c in clients}
     run_round(clients, topo, cfg, 1)     # off-cadence: seeds untouched
     for c in clients:
-        assert np.array_equal(c.own_seed.flatten(), seeds[c.id])
+        assert np.array_equal(c.own_seed.params, seeds[c.id])
     run_round(clients, topo, cfg, 2)
-    assert any(not np.array_equal(c.own_seed.flatten(), seeds[c.id])
+    assert any(not np.array_equal(c.own_seed.params, seeds[c.id])
                for c in clients)
 
 
 def _bits(model):
-    return model.flatten().tobytes()
+    return model.params.tobytes()
 
 
 def _poison(model):
