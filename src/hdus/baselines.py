@@ -11,10 +11,10 @@ import numpy as np
 
 from .distill import ReferenceSet
 from .errors import ConfigError, NotFoundError, StateError
-from .numeric import (MlpModel, MlpSpec, mlp_backward, mlp_forward,
-                      onehot_labels, sgd_step, sgd_train, softmax_temp)
-from .simulation import (ACTIVE, ClientState, SimConfig, Topology,
-                         active_clients, local_training_phase, retire_client)
+from .numeric import (MlpModel, MlpSpec, init_mlp, mlp_backward, mlp_forward,
+                      onehot_labels, sgd_step, softmax_temp)
+from .simulation import (ClientState, SimConfig, Topology, active_clients,
+                         active_neighbors, local_training_phase, retire_client)
 
 
 # ---------------------------------------------------------------------------
@@ -50,15 +50,11 @@ def dsgd_round(clients: list[ClientState], topology: Topology,
     parameters become the uniform average over itself and its active neighbors."""
     _check_homogeneous(clients)
     local_training_phase(clients, cfg)
-    active = sorted(active_clients(clients), key=lambda c: c.id)
-    by_id = {c.id: c for c in clients}
+    active = active_clients(clients)
     averaged = {}
     for c in active:
-        group = [c.main.params]
-        for nid in sorted(topology.neighbors(c.id)):
-            nbr = by_id.get(nid)
-            if nbr is not None and nbr.status == ACTIVE:
-                group.append(nbr.main.params)
+        group = [c.main.params] + [nbr.main.params for nbr in
+                                   active_neighbors(clients, topology, c.id)]
         averaged[c.id] = np.mean(group, axis=0)
     for c in active:
         c.main.params[...] = averaged[c.id]
@@ -98,40 +94,42 @@ class CentralServerState:
 def fedunl_init(spec: MlpSpec, master_seed: int) -> CentralServerState:
     rng = np.random.default_rng(np.random.SeedSequence(master_seed,
                                                        spawn_key=(2, 0)))
-    from .numeric import init_mlp
     return CentralServerState(global_model=init_mlp(spec, rng), rng=rng)
+
+
+def _broadcast(server: CentralServerState, clients: list[ClientState]) -> None:
+    """Give every active client its own copy of the global model."""
+    for c in active_clients(clients):
+        c.main = server.global_model.copy()
+
+
+def _apply_ledger_step(model: MlpModel, deltas: dict[int, np.ndarray]) -> None:
+    """Move `model` by one round's mean delta: each delta at weight 1/N."""
+    n = len(deltas)
+    for d in deltas.values():
+        model.params += 1.0 / n * d
 
 
 def fedunl_round(server: CentralServerState, clients: list[ClientState],
                  cfg: SimConfig) -> None:
-    """Each client trains a copy of the global model; the server records every
-    client's parameter delta in the ledger, moves the global by the mean delta,
-    and redistributes the new global to all clients."""
+    """Broadcast the global, train each copy in `local_training_phase`, record
+    every client's delta in the ledger, move the global by the mean delta and
+    broadcast it. If a client diverges, the global and the ledger stay put."""
     _check_homogeneous(clients)
-    active = sorted(active_clients(clients), key=lambda c: c.id)
-    deltas: dict[int, np.ndarray] = {}
-    for c in active:
-        local = server.global_model.copy()
-        if cfg.local_epochs > 0:
-            sgd_train(local, c.local_data.features, c.local_data.labels,
-                      c.local_data.class_count, cfg.local_epochs, cfg.lr,
-                      cfg.batch_size, c.train_rng)
-        deltas[c.id] = local.params - server.global_model.params
+    _broadcast(server, clients)
+    local_training_phase(clients, cfg)
+    deltas = {c.id: c.main.params - server.global_model.params
+              for c in active_clients(clients)}
     server.update_ledger.append(deltas)
-    n = len(deltas)
-    for d in deltas.values():
-        server.global_model.params += 1.0 / n * d
-    for c in active:
-        c.main = server.global_model.copy()
+    _apply_ledger_step(server.global_model, deltas)
+    _broadcast(server, clients)
 
 
 def fedunl_replay(server: CentralServerState, initial: MlpModel) -> MlpModel:
     """Reconstruct the global model from the initial state plus the ledger."""
     model = initial.copy()
     for deltas in server.update_ledger:
-        n = len(deltas)
-        for d in deltas.values():
-            model.params += 1.0 / n * d
+        _apply_ledger_step(model, deltas)
     return model
 
 
@@ -147,16 +145,15 @@ def fedunl_unlearn(server: CentralServerState, clients: list[ClientState],
     for deltas in server.update_ledger:
         if quitting_id in deltas:
             server.global_model.params += -1.0 / len(deltas) * deltas[quitting_id]
-    for c in active_clients(clients):
-        c.main = server.global_model.copy()
+    _broadcast(server, clients)
 
 
 def fedunl_recover_round(server: CentralServerState, clients: list[ClientState],
                          ref: ReferenceSet, cfg: SimConfig,
-                         epochs: int = 1, alpha: float = 0.5) -> None:
+                         epochs: int = 1) -> None:
     """Post-unlearning remedy: the new global distills from the pre-subtraction
     global on the reference set, mixed with cross-entropy on the reference
-    labels (which only FedUnl may unseal)."""
+    labels (which only FedUnl may unseal), at equal weights."""
     if server.pre_unlearn_global is None:
         raise StateError("no pre-unlearn global stored; call fedunl_unlearn first")
     if ref.sealed_labels is None:
@@ -174,9 +171,8 @@ def fedunl_recover_round(server: CentralServerState, clients: list[ClientState],
             _, g_kd = mlp_backward(model, ref.features[idx],
                                    teacher_soft=teacher[idx], temperature=temp)
             _, g_ce = mlp_backward(model, ref.features[idx], onehot=targets[idx])
-            sgd_step(model, alpha * g_kd + (1 - alpha) * g_ce, cfg.lr)
-    for c in active_clients(clients):
-        c.main = server.global_model.copy()
+            sgd_step(model, 0.5 * g_kd + 0.5 * g_ce, cfg.lr)
+    _broadcast(server, clients)
 
 
 # ---------------------------------------------------------------------------
@@ -185,14 +181,11 @@ def fedunl_recover_round(server: CentralServerState, clients: list[ClientState],
 
 def sisa_round(server: CentralServerState, clients: list[ClientState],
                cfg: SimConfig) -> None:
-    """Train each shard model on its client's local data; shard models live on
-    the server and are never aggregated in parameter space."""
-    for c in sorted(active_clients(clients), key=lambda c: c.id):
-        if c.id not in server.shard_models:
-            server.shard_models[c.id] = c.main
-        sgd_train(server.shard_models[c.id], c.local_data.features,
-                  c.local_data.labels, c.local_data.class_count,
-                  cfg.local_epochs, cfg.lr, cfg.batch_size, c.train_rng)
+    """Register each active client's main model as its shard, then train the
+    shards in `local_training_phase`; they are never aggregated."""
+    for c in active_clients(clients):
+        server.shard_models.setdefault(c.id, c.main)
+    local_training_phase(clients, cfg)
 
 
 def sisa_predict(server: CentralServerState, batch: np.ndarray) -> np.ndarray:

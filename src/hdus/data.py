@@ -252,19 +252,15 @@ def partition_noniid(data: LabeledDataset, n_clients: int, ref_size: int,
             need[best] -= 1
         else:
             leftover.append(int(row))
-    # Repair pass: a client can end up short when the only unassigned rows are
-    # of its omitted class. Route such a row through a donor client that is
-    # allowed to take it, in exchange for one of the donor's rows.
+    # Repair pass. A row is left over only once every client allowed its class
+    # is full, and each class is omitted by at most one client; so at most one
+    # client ends short, and every leftover row is of that client's omitted
+    # class. Route each such row through a donor client that is allowed to
+    # take it, in exchange for one of the donor's rows.
     for i in range(n_clients):
         if need[i] == 0:
             continue
-        takeable = [r for r in leftover if labels[r] != omitted[i]]
-        for row in takeable[: need[i]]:
-            assigned[i].append(row)
-            leftover.remove(row)
-            need[i] -= 1
-        forbidden = list(leftover)
-        for row in forbidden:
+        for row in list(leftover):
             if need[i] == 0:
                 break
             lab = labels[row]

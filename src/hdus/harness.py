@@ -17,7 +17,7 @@ from .data import LabeledDataset, PartitionedDataset, gen_blobs, load_idx_files,
 from .distill import DistillConfig
 from .ensemble import EnsembleConfig
 from .errors import ConfigError, HdusError
-from .numeric import tier_spec
+from .numeric import accuracy, tier_spec
 from .simulation import (EventLog, SimConfig, Topology, active_clients,
                          csv_text, evaluate_all, handle_unlearn_request,
                          init_network, run_round)
@@ -438,9 +438,8 @@ class _SisaEngine(_SmallTierEngine):
     def evaluate(self, log, r):
         # One shared server ensemble; logged per client for schema uniformity.
         out = bl.sisa_predict(self.server, self.part.test.features)
-        from .numeric import accuracy
         acc = accuracy(out, self.part.test.labels)
-        for c in sorted(active_clients(self.clients), key=lambda c: c.id):
+        for c in active_clients(self.clients):
             log.log(r, c.id, self.name, "accuracy", acc)
         log.log(r, "mean", self.name, "mean_accuracy", acc)
         return acc
@@ -454,11 +453,8 @@ def make_engine(cfg: ExperimentConfig, part: PartitionedDataset, seed: int) -> _
     return _ENGINES[cfg.framework](cfg, part, seed)
 
 
-def _single_run(cfg: ExperimentConfig, repeat: int, seed: int,
-                part: PartitionedDataset | None = None) -> RepeatResult:
-    if part is None:
-        part = build_partition(cfg, seed)
-    engine = make_engine(cfg, part, seed)
+def _single_run(cfg: ExperimentConfig, repeat: int, seed: int) -> RepeatResult:
+    engine = make_engine(cfg, build_partition(cfg, seed), seed)
     log = EventLog()
     timeline: list[TimelinePoint] = []
     u = cfg.unlearn_round

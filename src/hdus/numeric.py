@@ -28,7 +28,6 @@ class MlpSpec:
     """Layer widths of a fully-connected ReLU network (input, hidden..., output)."""
 
     layer_dims: tuple[int, ...]
-    activation: str = "relu"
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.layer_dims)
@@ -37,8 +36,6 @@ class MlpSpec:
             raise ValidationError("spec needs at least input and output dims")
         if any(d < 1 for d in dims):
             raise ValidationError(f"all layer dims must be >= 1, got {dims}")
-        if self.activation != "relu":
-            raise ValidationError(f"unsupported activation {self.activation!r}")
 
     @property
     def in_dim(self) -> int:
@@ -202,20 +199,19 @@ def _forward_cached(model: MlpModel, batch: np.ndarray):
     return inputs
 
 
-def _backprop(model: MlpModel, inputs: list[np.ndarray],
-              dlogits: np.ndarray) -> np.ndarray:
+def _backprop(model: MlpModel, inputs: list[np.ndarray], dlogits: np.ndarray,
+              grad: MlpModel) -> np.ndarray:
     """Propagate a gradient w.r.t. the output logits back to all parameters
-    (of every row, for a stacked model); returns it shaped like `params`."""
-    grad = np.empty(model.params.shape)
-    views = MlpModel(model.spec, grad)
+    (of every row, for a stacked model), into the layer views of `grad`, a
+    model shaped like `model`; returns `grad.params`."""
     delta = dlogits
     for i in range(len(model.weights) - 1, -1, -1):
-        np.matmul(inputs[i].swapaxes(-1, -2), delta, out=views.weights[i])
-        np.sum(delta, axis=-2, out=views.biases[i])
+        np.matmul(inputs[i].swapaxes(-1, -2), delta, out=grad.weights[i])
+        np.sum(delta, axis=-2, out=grad.biases[i])
         if i > 0:
             delta = delta @ model.weights[i].swapaxes(-1, -2)
             delta = delta * (inputs[i] > 0)  # ReLU mask of the hidden activation
-    return grad
+    return grad.params
 
 
 def mlp_backward(model: MlpModel, batch: np.ndarray, *,
@@ -253,7 +249,8 @@ def mlp_backward(model: MlpModel, batch: np.ndarray, *,
         student_soft = softmax_temp(logits, temperature)
         loss = temperature ** 2 * _mean_kl_rows(teacher_soft, student_soft)
         dlogits = temperature * (student_soft - teacher_soft) / n
-    return loss, _backprop(model, inputs, dlogits)
+    return loss, _backprop(model, inputs, dlogits,
+                           MlpModel(model.spec, np.empty(model.params.shape)))
 
 
 def sgd_step(model: MlpModel, grad: np.ndarray, lr: float) -> MlpModel:
@@ -304,6 +301,7 @@ def _train_stack(stack: MlpModel, features: np.ndarray, targets: np.ndarray,
     before it keep training, in case one of them diverges later.
     """
     live = len(stack.params)         # slices [0, live) are still training
+    grad = MlpModel(stack.spec, np.empty(stack.params.shape))   # reused every step
     n = features.shape[0]
     rows = np.arange(live)[:, np.newaxis]
     failure = None
@@ -322,9 +320,8 @@ def _train_stack(stack: MlpModel, features: np.ndarray, targets: np.ndarray,
                     raise DivergenceError("non-finite student output")
                 if lr > 0:
                     dlogits = temperature * (student - targets[rows, idx]) / idx.shape[1]
-                    grad = _backprop(stack, inputs, dlogits)
-                    checked.append(grad)
-                    sgd_step(stack, grad, lr)
+                    checked.append(_backprop(stack, inputs, dlogits, grad))
+                    sgd_step(stack, grad.params, lr)
             except DivergenceError as e:
                 live = _first_nonfinite(*checked)
                 failure = DivergenceError(f"{e} at epoch {epoch}", index=live)
@@ -332,6 +329,7 @@ def _train_stack(stack: MlpModel, features: np.ndarray, targets: np.ndarray,
                     break
                 # Redo this step without the diverged slice and those after it.
                 stack = MlpModel(stack.spec, stack.params[:live])
+                grad = MlpModel(stack.spec, grad.params[:live])
                 targets, orders, rows = targets[:live], orders[:live], rows[:live]
                 continue
             start += batch_size

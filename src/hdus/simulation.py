@@ -134,12 +134,21 @@ def init_network(partition: PartitionedDataset, specs: list[MlpSpec],
 
 
 def active_clients(clients: list[ClientState]) -> list[ClientState]:
-    return [c for c in clients if c.status == ACTIVE]
+    """The active clients in id order: the order every framework acts in."""
+    return sorted((c for c in clients if c.status == ACTIVE), key=lambda c: c.id)
+
+
+def active_neighbors(clients: list[ClientState], topology: Topology,
+                     client_id: int) -> list[ClientState]:
+    """The active clients adjacent to `client_id`, in id order."""
+    nbrs = topology.neighbors(client_id)
+    return [c for c in active_clients(clients) if c.id in nbrs]
 
 
 def local_training_phase(clients: list[ClientState], cfg: SimConfig) -> None:
-    """One round of main-model SGD on each active client's local data."""
-    for c in sorted(active_clients(clients), key=lambda c: c.id):
+    """Every framework's local training: one round of main-model SGD per active
+    client, in id order. A divergence is re-raised as `client N: ...`."""
+    for c in active_clients(clients):
         try:
             sgd_train(c.main, c.local_data.features, c.local_data.labels,
                       c.local_data.class_count, cfg.local_epochs, cfg.lr,
@@ -149,7 +158,7 @@ def local_training_phase(clients: list[ClientState], cfg: SimConfig) -> None:
 
 
 def run_round(clients: list[ClientState], topology: Topology, cfg: SimConfig,
-              round_index: int = 0, wire_log: list[bytes] | None = None) -> list[ClientState]:
+              round_index: int = 0) -> list[ClientState]:
     """Synchronous round: (a) local main-model training, (b) seed incubation
     per cadence, (c) barrier exchange of serialized seeds to all active
     neighbors (remove-then-add replacement keeps repository order stable).
@@ -160,7 +169,7 @@ def run_round(clients: list[ClientState], topology: Topology, cfg: SimConfig,
     sent blob is decoded once, and every active receiver stores that same
     read-only seed object.
     """
-    active = sorted(active_clients(clients), key=lambda c: c.id)
+    active = active_clients(clients)
     if not active:
         raise StateError("no active clients")
     if cfg.seed_spec is None:
@@ -183,13 +192,9 @@ def run_round(clients: list[ClientState], topology: Topology, cfg: SimConfig,
     for c, seed in zip(due, seeds):
         c.own_seed = seed
 
-    by_id = {c.id: c for c in clients}
     for c in active:
         blob = serialize_seed(c.own_seed)
-        if wire_log is not None:
-            wire_log.append(blob)
-        receivers = [by_id[nid] for nid in sorted(topology.neighbors(c.id))
-                     if nid in by_id and by_id[nid].status == ACTIVE]
+        receivers = active_neighbors(clients, topology, c.id)
         if not receivers:
             continue
         seed = deserialize_seed(blob)
@@ -248,7 +253,7 @@ def evaluate_all(clients: list[ClientState], test: LabeledDataset,
         return out
 
     per_client: dict[int, float] = {}
-    for c in sorted(active_clients(clients), key=lambda c: c.id):
+    for c in active_clients(clients):
         main_out = _model_output(c.main, test.features, combine, "main model")
         out = _combine(main_out, c.repo, cfg.ensemble.lam, seed_output)
         per_client[c.id] = accuracy(out, test.labels)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -72,17 +74,34 @@ def test_isgd_unlearn_is_pure_deletion(partition):
         isgd_unlearn(clients, 1)
 
 
-@pytest.mark.parametrize("framework", ["isgd", "dsgd"])
+@pytest.mark.parametrize("framework", ["isgd", "dsgd", "fedunl", "sisa_a"])
 def test_local_training_names_the_diverging_client(partition, framework):
     cfg = make_cfg()
     clients, topo = make_clients(partition, cfg)
-    clients[2].main.weights[0][...] = np.nan
+    server = fedunl_init(MlpSpec((F, 16, C)), 0)
+    if framework == "fedunl":
+        fedunl_round(server, clients, cfg)    # a clean round fills the ledger
+        # Every client trains a copy of the global, so poison client 2's data
+        # instead (a copy: the partition fixture is shared).
+        split = clients[2].local_data
+        clients[2].local_data = replace(split, features=np.full_like(split.features, np.nan))
+    else:
+        clients[2].main.weights[0][...] = np.nan
+    global_before = server.global_model.params.copy()
     with pytest.raises(DivergenceError,
                        match="^client 2: non-finite student output at epoch 0"):
         if framework == "isgd":
             isgd_round(clients, cfg)
-        else:
+        elif framework == "dsgd":
             dsgd_round(clients, topo, cfg)
+        elif framework == "fedunl":
+            fedunl_round(server, clients, cfg)
+        else:
+            sisa_round(server, clients, cfg)
+    if framework == "fedunl":
+        # The server aggregates only after every client trained.
+        assert np.array_equal(server.global_model.params, global_before)
+        assert len(server.update_ledger) == 1
 
 
 # --- DSGD -------------------------------------------------------------------

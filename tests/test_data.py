@@ -266,6 +266,23 @@ def test_partition_n_equals_c_boundary():
     assert max(sizes) - min(sizes) <= 1
 
 
+@pytest.mark.parametrize("classes,clients,rows,seed", [
+    (3, 2, 23, 0), (3, 3, 20, 2), (4, 4, 40, 2), (10, 9, 23, 0),
+    (3, 2, 57, 2), (4, 2, 40, 4)])
+def test_partition_repair_keeps_invariants(classes, clients, rows, seed):
+    """Inputs whose dealing leaves one client short (by two rows, for the last
+    two): the repair pass swaps rows of its omitted class through donors."""
+    ds = LabeledDataset(np.zeros((rows, 1)), np.arange(rows) % classes, classes)
+    part = partition_noniid(ds, clients, rows // 10, 0.2, np.random.default_rng(seed))
+    groups = [set(map(int, ci)) for ci in part.client_indices]
+    groups += [set(map(int, part.test_indices)), set(map(int, part.reference_indices))]
+    assert sum(len(g) for g in groups) == len(set().union(*groups)) == rows
+    sizes = [len(s) for s in part.client_splits]
+    assert max(sizes) - min(sizes) <= 1
+    for split, omitted in zip(part.client_splits, part.omitted_class):
+        assert omitted not in split.labels
+
+
 def test_export_manifest_roundtrip(tmp_path, partition):
     _, part = partition
     path = tmp_path / "manifest.tsv"

@@ -8,9 +8,9 @@ from hdus.ensemble import (EnsembleConfig, add_neighbor_seed, ensemble_predict,
                            unlearn_neighbor)
 from hdus.errors import ConfigError, DivergenceError, NotFoundError, StateError
 from hdus.numeric import MlpSpec, accuracy, init_mlp, training_step_count
-from hdus.simulation import (EventLog, SimConfig, Topology, client_rng_streams,
-                             evaluate_all, handle_unlearn_request, init_network,
-                             run_round)
+from hdus.simulation import (EventLog, SimConfig, Topology, active_clients,
+                             active_neighbors, client_rng_streams, evaluate_all,
+                             handle_unlearn_request, init_network, run_round)
 
 F, C = 6, 5
 
@@ -162,7 +162,19 @@ def test_all_quit_raises(partition):
         run_round(clients, topo, cfg, 0)
 
 
-def test_heterogeneous_mains_homogeneous_wire(partition):
+def test_active_clients_in_id_order(partition):
+    """Every framework acts on the active clients in id order, whatever the
+    order of the client list."""
+    clients, _ = fresh_network(partition, small_cfg())
+    shuffled = [clients[i] for i in (2, 0, 3, 1)]
+    shuffled[0].status = "quit"
+    assert [c.id for c in active_clients(shuffled)] == [0, 1, 3]
+    ring = Topology({i: frozenset({(i - 1) % 4, (i + 1) % 4}) for i in range(4)})
+    assert [c.id for c in active_neighbors(shuffled, ring, 1)] == [0]
+    assert [c.id for c in active_neighbors(shuffled, ring, 0)] == [1, 3]
+
+
+def test_heterogeneous_mains_homogeneous_wire(partition, monkeypatch):
     """Clients may run different main architectures; seeds on the wire share
     one spec."""
     cfg = small_cfg()
@@ -170,7 +182,13 @@ def test_heterogeneous_mains_homogeneous_wire(partition):
              MlpSpec((F, 128, 64, C)), MlpSpec((F, 16, C))]
     clients, topo = fresh_network(partition, cfg, specs=specs)
     wire = []
-    run_round(clients, topo, cfg, 0, wire_log=wire)
+    serialize = simulation.serialize_seed
+
+    def spy(seed):
+        wire.append(serialize(seed))
+        return wire[-1]
+    monkeypatch.setattr(simulation, "serialize_seed", spy)
+    run_round(clients, topo, cfg, 0)
     assert len(wire) == 4
     from hdus.ensemble import deserialize_seed
     for blob in wire:
