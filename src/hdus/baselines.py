@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distill import ReferenceSet
-from .errors import ConfigError, NotFoundError, StateError
+from .errors import ConfigError, StateError
 from .numeric import (MlpModel, MlpSpec, init_mlp, mlp_backward, mlp_forward,
                       onehot_labels, sgd_step, softmax_temp)
 from .simulation import (ClientState, SimConfig, Topology, active_clients,
@@ -81,14 +81,13 @@ def dsgd_unlearn(clients: list[ClientState], quitting_id: int) -> list[int]:
 
 @dataclass
 class CentralServerState:
-    """Server-side state for FedUnl (global model + per-round delta ledger)
-    and SISA-A (shard model ensemble)."""
+    """FedUnl's server: the global model, the per-round delta ledger, the
+    pre-subtraction teacher and the recovery-round rng."""
 
-    global_model: MlpModel | None = None
+    global_model: MlpModel
+    rng: np.random.Generator
     update_ledger: list[dict[int, np.ndarray]] = field(default_factory=list)
-    shard_models: dict[int, MlpModel] = field(default_factory=dict)
     pre_unlearn_global: MlpModel | None = None
-    rng: np.random.Generator | None = None
 
 
 def fedunl_init(spec: MlpSpec, master_seed: int) -> CentralServerState:
@@ -137,9 +136,8 @@ def fedunl_unlearn(server: CentralServerState, clients: list[ClientState],
                    quitting_id: int) -> None:
     """Subtract the quitter's ledger contribution (each round's delta at that
     round's 1/N averaging weight) from the global model. The pre-subtraction
-    global is kept as the distillation teacher for recovery rounds."""
-    if not server.update_ledger:
-        raise StateError("update ledger is empty")
+    global is kept as the distillation teacher for recovery rounds. A quit
+    before any round finds an empty ledger and leaves the global as it is."""
     retire_client(clients, quitting_id)
     server.pre_unlearn_global = server.global_model.copy()
     for deltas in server.update_ledger:
@@ -178,31 +176,26 @@ def fedunl_recover_round(server: CentralServerState, clients: list[ClientState],
 # ---------------------------------------------------------------------------
 # SISA-A (client-wise shard ensemble)
 # ---------------------------------------------------------------------------
+# Client i's shard is its own main model, so the ensemble is the active
+# clients' mains in id order, and retiring a client drops its shard.
 
-def sisa_round(server: CentralServerState, clients: list[ClientState],
-               cfg: SimConfig) -> None:
-    """Register each active client's main model as its shard, then train the
-    shards in `local_training_phase`; they are never aggregated."""
-    for c in active_clients(clients):
-        server.shard_models.setdefault(c.id, c.main)
+def sisa_round(clients: list[ClientState], cfg: SimConfig) -> None:
+    """Train each active client's shard; shards are never aggregated."""
     local_training_phase(clients, cfg)
 
 
-def sisa_predict(server: CentralServerState, batch: np.ndarray) -> np.ndarray:
-    """Uniform mean of the shard models' softmax probabilities."""
-    if not server.shard_models:
-        raise StateError("no shard models trained")
+def sisa_predict(clients: list[ClientState], batch: np.ndarray) -> np.ndarray:
+    """Uniform mean of the active clients' softmax probabilities."""
+    shards = active_clients(clients)
+    if not shards:
+        raise StateError("no active clients")
     probs = None
-    for cid in sorted(server.shard_models):
-        p = softmax_temp(mlp_forward(server.shard_models[cid], batch), 1.0)
+    for c in shards:
+        p = softmax_temp(mlp_forward(c.main, batch), 1.0)
         probs = p if probs is None else probs + p
-    return probs / len(server.shard_models)
+    return probs / len(shards)
 
 
-def sisa_unlearn_client(server: CentralServerState, clients: list[ClientState],
-                        quitting_id: int) -> None:
-    """Drop the quitter's shard model from the ensemble; no retraining."""
-    if quitting_id not in server.shard_models:
-        raise NotFoundError(f"no shard model for client {quitting_id}")
+def sisa_unlearn_client(clients: list[ClientState], quitting_id: int) -> None:
+    """Retire the quitter, which drops its shard; no retraining."""
     retire_client(clients, quitting_id)
-    del server.shard_models[quitting_id]

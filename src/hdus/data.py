@@ -212,8 +212,8 @@ def partition_noniid(data: LabeledDataset, n_clients: int, ref_size: int,
     C = data.class_count
     if n_clients > C:
         raise ConfigError(f"n_clients {n_clients} > class count {C}")
-    if n_clients < 1:
-        raise ConfigError("need at least one client")
+    if n_clients < 2:
+        raise ConfigError(f"n_clients {n_clients} < 2: a lone client has no donor")
 
     ref_idx = _reference_indices(data, ref_size, rng)
     mask = np.ones(len(data), dtype=bool)

@@ -23,6 +23,7 @@ from .simulation import (EventLog, SimConfig, Topology, active_clients,
                          init_network, run_round)
 
 FRAMEWORKS = ("hdus", "isgd", "dsgd", "fedunl", "sisa_a")
+_SMALL_TIER_FRAMEWORKS = ("dsgd", "fedunl", "sisa_a")
 SCHEMA_VERSION = 1
 
 
@@ -72,8 +73,9 @@ class ExperimentConfig:
             raise ConfigError(f"lambda: must be in [0, 1), got {self.ensemble_lambda}")
         if self.temperature <= 0:
             raise ConfigError(f"temperature: must be > 0, got {self.temperature}")
-        if self.n_clients < 1:
-            raise ConfigError("n_clients: must be >= 1")
+        # A lone client omits one class and has no donor for its rows.
+        if self.n_clients < 2:
+            raise ConfigError("n_clients: must be >= 2")
         # Each client never sees one distinct class, so classes bound clients.
         class_count = self.blob_classes if self.dataset == "blobs" else 10
         if self.n_clients > class_count:
@@ -143,8 +145,12 @@ class ExperimentConfig:
             raise ConfigError("master_seed: must be >= 0")
 
     def client_tiers(self) -> list[str]:
-        """Per-client size tiers. Heterogeneous default spreads clients over
-        small/medium/large with the remainder going to the larger tiers."""
+        """Per-client size tiers, as the engine builds the mains. Heterogeneous
+        dsgd, fedunl and sisa_a need one spec: all small, over any `tiers`.
+        Otherwise heterogeneous spreads clients over small/medium/large with
+        the remainder going to the larger tiers."""
+        if self.setting == "heterogeneous" and self.framework in _SMALL_TIER_FRAMEWORKS:
+            return ["small"] * self.n_clients
         if self.tiers is not None:
             return list(self.tiers)
         if self.setting == "homogeneous":
@@ -341,13 +347,10 @@ class _Engine:
         C = part.test.class_count
         self.sim = _sim_config(cfg, F, C)
         self.topology = Topology.complete(range(cfg.n_clients))
-        tiers = self._tiers()
+        tiers = cfg.client_tiers()
         specs = [tier_spec(t, F, C) for t in tiers]
         self.clients = init_network(part, specs, self.topology, self.sim, seed,
                                     tiers=tiers)
-
-    def _tiers(self) -> list[str]:
-        return self.cfg.client_tiers()
 
     def round(self, r: int) -> None:
         raise NotImplementedError
@@ -384,17 +387,7 @@ class _IsgdEngine(_Engine):
         bl.isgd_unlearn(self.clients, quitting_id)
 
 
-class _SmallTierEngine(_Engine):
-    """Frameworks without heterogeneous support get the smallest tier for
-    every client in the heterogeneous setting."""
-
-    def _tiers(self) -> list[str]:
-        if self.cfg.setting == "heterogeneous":
-            return ["small"] * self.cfg.n_clients
-        return self.cfg.client_tiers()
-
-
-class _DsgdEngine(_SmallTierEngine):
+class _DsgdEngine(_Engine):
     name = "dsgd"
 
     def round(self, r):
@@ -404,7 +397,7 @@ class _DsgdEngine(_SmallTierEngine):
         bl.dsgd_unlearn(self.clients, quitting_id)
 
 
-class _FedunlEngine(_SmallTierEngine):
+class _FedunlEngine(_Engine):
     name = "fedunl"
 
     def __init__(self, cfg, part, seed):
@@ -422,22 +415,18 @@ class _FedunlEngine(_SmallTierEngine):
                                 self.sim, epochs=self.cfg.local_epochs or 1)
 
 
-class _SisaEngine(_SmallTierEngine):
+class _SisaEngine(_Engine):
     name = "sisa_a"
 
-    def __init__(self, cfg, part, seed):
-        super().__init__(cfg, part, seed)
-        self.server = bl.CentralServerState()
-
     def round(self, r):
-        bl.sisa_round(self.server, self.clients, self.sim)
+        bl.sisa_round(self.clients, self.sim)
 
     def unlearn(self, quitting_id):
-        bl.sisa_unlearn_client(self.server, self.clients, quitting_id)
+        bl.sisa_unlearn_client(self.clients, quitting_id)
 
     def evaluate(self, log, r):
-        # One shared server ensemble; logged per client for schema uniformity.
-        out = bl.sisa_predict(self.server, self.part.test.features)
+        # One ensemble of every shard; logged per client for schema uniformity.
+        out = bl.sisa_predict(self.clients, self.part.test.features)
         acc = accuracy(out, self.part.test.labels)
         for c in active_clients(self.clients):
             log.log(r, c.id, self.name, "accuracy", acc)

@@ -242,6 +242,9 @@ def evaluate_all(clients: list[ClientState], test: LabeledDataset,
     """
     if len(test) == 0:
         raise ConfigError("empty test set")
+    active = active_clients(clients)
+    if not active:
+        raise StateError("no active clients")
     combine = cfg.ensemble.combine
     seed_outputs: dict[int, np.ndarray] = {}   # id(seed) -> its test-set output
 
@@ -253,7 +256,7 @@ def evaluate_all(clients: list[ClientState], test: LabeledDataset,
         return out
 
     per_client: dict[int, float] = {}
-    for c in active_clients(clients):
+    for c in active:
         main_out = _model_output(c.main, test.features, combine, "main model")
         out = _combine(main_out, c.repo, cfg.ensemble.lam, seed_output)
         per_client[c.id] = accuracy(out, test.labels)

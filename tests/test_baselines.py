@@ -97,7 +97,7 @@ def test_local_training_names_the_diverging_client(partition, framework):
         elif framework == "fedunl":
             fedunl_round(server, clients, cfg)
         else:
-            sisa_round(server, clients, cfg)
+            sisa_round(clients, cfg)
     if framework == "fedunl":
         # The server aggregates only after every client trained.
         assert np.array_equal(server.global_model.params, global_before)
@@ -253,12 +253,17 @@ def test_fedunl_recover_requires_unlearn_first(partition):
         fedunl_recover_round(server, clients, partition.reference, cfg)
 
 
-def test_fedunl_unlearn_empty_ledger_rejected(partition):
+def test_fedunl_unlearn_before_any_round_keeps_global(partition):
+    """An empty ledger means the quitter contributed nothing: nothing is
+    subtracted and the teacher is the untouched global."""
     cfg = make_cfg()
     clients, _ = make_clients(partition, cfg)
     server = fedunl_init(MlpSpec((F, 16, C)), 0)
-    with pytest.raises(StateError):
-        fedunl_unlearn(server, clients, 0)
+    before = server.global_model.params.copy()
+    fedunl_unlearn(server, clients, 0)
+    assert np.array_equal(server.global_model.params, before)
+    assert np.array_equal(server.pre_unlearn_global.params, before)
+    assert clients[0].status == "quit" and clients[0].main is None
 
 
 # --- SISA-A -----------------------------------------------------------------
@@ -266,48 +271,40 @@ def test_fedunl_unlearn_empty_ledger_rejected(partition):
 def test_sisa_predict_is_uniform_shard_mean(partition):
     cfg = make_cfg()
     clients, _ = make_clients(partition, cfg, master_seed=7)
-    server = fedunl_init(MlpSpec((F, 16, C)), 7)
-    server.shard_models.clear()
-    sisa_round(server, clients, cfg)
+    sisa_round(clients, cfg)
     batch = partition.test.features[:8]
-    want = np.mean([softmax_temp(mlp_forward(m, batch), 1.0)
-                    for _, m in sorted(server.shard_models.items())], axis=0)
-    assert np.allclose(sisa_predict(server, batch), want, atol=1e-15)
+    want = np.mean([softmax_temp(mlp_forward(c.main, batch), 1.0)
+                    for c in clients], axis=0)
+    assert np.allclose(sisa_predict(clients, batch), want, atol=1e-15)
 
 
 def test_sisa_unlearn_matches_never_trained(partition):
-    """Dropping shard 2 gives bitwise the ensemble of a control server where
+    """Dropping shard 2 gives bitwise the ensemble of a control network where
     client 2 never participated."""
     cfg = make_cfg()
     clients, _ = make_clients(partition, cfg, master_seed=8)
-    server = fedunl_init(MlpSpec((F, 16, C)), 8)
-    server.shard_models.clear()
     for _ in range(2):
-        sisa_round(server, clients, cfg)
+        sisa_round(clients, cfg)
     steps = training_step_count()
-    sisa_unlearn_client(server, clients, 2)
+    sisa_unlearn_client(clients, 2)
     assert training_step_count() == steps
 
     control, _ = make_clients(partition, cfg, master_seed=8)
-    control_server = fedunl_init(MlpSpec((F, 16, C)), 8)
-    control_server.shard_models.clear()
     control[2].status = "quit"
     for _ in range(2):
-        sisa_round(control_server, control, cfg)
+        sisa_round(control, cfg)
     batch = partition.test.features[:16]
-    assert np.array_equal(sisa_predict(server, batch),
-                          sisa_predict(control_server, batch))
+    assert np.array_equal(sisa_predict(clients, batch),
+                          sisa_predict(control, batch))
 
 
 def test_sisa_unlearn_unknown_shard_rejected(partition):
     cfg = make_cfg()
     clients, _ = make_clients(partition, cfg)
-    server = fedunl_init(MlpSpec((F, 16, C)), 0)
-    server.shard_models.clear()
-    sisa_round(server, clients, cfg)
+    sisa_round(clients, cfg)
     with pytest.raises(NotFoundError):
-        sisa_unlearn_client(server, clients, 99)
+        sisa_unlearn_client(clients, 99)
+    for c in clients:
+        sisa_unlearn_client(clients, c.id)
     with pytest.raises(StateError):
-        empty = fedunl_init(MlpSpec((F, 16, C)), 0)
-        empty.shard_models.clear()
-        sisa_predict(empty, partition.test.features[:4])
+        sisa_predict(clients, partition.test.features[:4])

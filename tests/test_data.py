@@ -257,6 +257,13 @@ def test_partition_more_clients_than_classes_rejected():
         partition_noniid(ds, 4, 10, 0.2, np.random.default_rng(0))
 
 
+def test_partition_lone_client_rejected():
+    """A lone client omits one class and has no donor for those rows."""
+    ds = gen_blobs(30, 3, 5, 0.5, np.random.default_rng(8))
+    with pytest.raises(ConfigError, match="n_clients"):
+        partition_noniid(ds, 1, 10, 0.2, np.random.default_rng(0))
+
+
 def test_partition_n_equals_c_boundary():
     """n_clients == class_count works: every class is omitted by exactly one."""
     ds = gen_blobs(80, 4, 6, 0.5, np.random.default_rng(9))

@@ -38,7 +38,7 @@ def test_validate_catches_bad_fields():
                 dict(blob_spread=-1.0), dict(blob_components=-1),
                 dict(blob_components=0), dict(incubate_every_rounds=0),
                 dict(incubate_every_rounds=-1), dict(master_seed=-1),
-                dict(incubate_epochs=0), dict(n_clients=6),
+                dict(incubate_epochs=0), dict(n_clients=6), dict(n_clients=1),
                 dict(dataset="mnist", data_dir="idx", n_clients=11),
                 dict(blob_classes=1, n_clients=1), dict(blob_features=1),
                 dict(blob_features=3), dict(ref_size=300),
@@ -59,6 +59,12 @@ def test_client_tiers_spread():
     assert tiny(n_clients=3, setting="homogeneous").client_tiers() == ["large"] * 3
     assert tiny(n_clients=2, tiers=["small", "large"]).client_tiers() == \
         ["small", "large"]
+    # Heterogeneous dsgd, fedunl and sisa_a are all small, over explicit tiers.
+    for fw in FRAMEWORKS:
+        cfg = tiny(framework=fw, n_clients=3, setting="heterogeneous",
+                   tiers=["large", "medium", "small"])
+        want = ["small"] * 3 if fw in ("dsgd", "fedunl", "sisa_a") else cfg.tiers
+        assert cfg.client_tiers() == want
 
 
 def test_config_hash_stable_and_sensitive():
@@ -132,6 +138,15 @@ def test_every_framework_runs_and_unlearns(fw):
     tl = rep.repeats[0].timeline
     assert [p.round for p in tl] == [0, 1, 2, 3]
     assert [p.t for p in tl] == [-2, -1, 0, 1]
+    assert all(0.0 <= p.mean_accuracy <= 1.0 for p in tl)
+
+
+@pytest.mark.parametrize("fw", FRAMEWORKS)
+def test_every_framework_quits_before_any_round(fw):
+    rep = run_experiment(tiny(framework=fw, rounds=3, unlearn_round=0,
+                              unlearn_client=1))
+    tl = rep.repeats[0].timeline
+    assert [p.t for p in tl] == [0, 1, 2]
     assert all(0.0 <= p.mean_accuracy <= 1.0 for p in tl)
 
 
@@ -226,6 +241,7 @@ def test_cli_validate_config(capsys):
     assert run_cli("validate-config", "--n-clients", "five") == 2
     assert "config error: n_clients: expected int" in capsys.readouterr().err
     for flag, value in (("--incubate-epochs", "0"), ("--n-clients", "11"),
+                        ("--n-clients", "1"),
                         ("--ref-size", "100000"), ("--blob-features", "3")):
         assert run_cli("validate-config", flag, value) == 2
         assert f"config error: {flag[2:].replace('-', '_')}: " in capsys.readouterr().err

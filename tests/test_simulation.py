@@ -197,6 +197,16 @@ def test_heterogeneous_mains_homogeneous_wire(partition, monkeypatch):
     assert 0.0 <= mean <= 1.0
 
 
+def test_evaluate_all_rejects_all_quit_roster(partition):
+    cfg = small_cfg()
+    clients, topo = fresh_network(partition, cfg)
+    run_round(clients, topo, cfg, 0)
+    for c in clients:
+        handle_unlearn_request(clients, c.id)
+    with pytest.raises(StateError, match="no active clients"):
+        evaluate_all(clients, partition.test, cfg)
+
+
 def test_evaluate_logs_deterministic_csv(partition):
     cfg = small_cfg()
     clients, topo = fresh_network(partition, cfg, master_seed=3)
