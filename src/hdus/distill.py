@@ -104,7 +104,8 @@ def incubate_seeds(mains: list[MlpModel], seed_spec: MlpSpec, ref: ReferenceSet,
     for k, main in enumerate(mains):   # one at a time: no second copy of the stack
         targets[k] = softmax_temp(mlp_forward(main, ref.features), cfg.temperature)
     live = _first_nonfinite(targets)   # position of a non-finite teacher
-    _train_stack(MlpModel(seed_spec, stack[:live]), ref.features, targets[:live],
+    features = np.broadcast_to(ref.features, (live, *ref.features.shape))  # no copy
+    _train_stack(MlpModel(seed_spec, stack[:live]), features, targets[:live],
                  cfg.temperature, cfg.epochs, cfg.lr, cfg.batch_size, rngs)
     if live < len(mains):
         raise DivergenceError("non-finite teacher output", index=live)

@@ -288,13 +288,16 @@ def _first_nonfinite(*stacks: np.ndarray) -> int:
 def _train_stack(stack: MlpModel, features: np.ndarray, targets: np.ndarray,
                  temperature: float, epochs: int, lr: float, batch_size: int,
                  rngs: list[np.random.Generator]) -> None:
-    """Minibatch SGD, in place, of each slice k of a stack toward the
-    probability rows `targets[k]`, with logit gradient
+    """Minibatch SGD, in place, of each slice k of a stack on its own rows
+    `features[k]` toward the probability rows `targets[k]`, with logit gradient
     T * (softmax(logits / T) - targets) / B: distillation, or at T = 1 with
     one-hot targets cross-entropy, bit for bit. Slice k draws each epoch's
-    permutation from `rngs[k]`, so it ends bitwise as it would alone. No
-    loss is computed: the softened outputs are checked to be finite at every
-    step, and `sgd_step` checks the gradients.
+    permutation from `rngs[k]`, so it ends bitwise as it would alone. Every
+    slice has the same row count n: `features` is S x n x F (a broadcast
+    view when the slices share rows), `targets` S x n x C, and each step
+    gathers one minibatch per slice. No loss is computed: the softened
+    outputs are checked to be finite at every step, and `sgd_step` checks
+    the gradients.
 
     All or nothing: if any slice diverges, DivergenceError's `index` is the
     lowest diverging position. A diverging slice stops those after it; those
@@ -302,7 +305,7 @@ def _train_stack(stack: MlpModel, features: np.ndarray, targets: np.ndarray,
     """
     live = len(stack.params)         # slices [0, live) are still training
     grad = MlpModel(stack.spec, np.empty(stack.params.shape))   # reused every step
-    n = features.shape[0]
+    n = features.shape[1]
     rows = np.arange(live)[:, np.newaxis]
     failure = None
     for epoch in range(epochs):
@@ -312,7 +315,7 @@ def _train_stack(stack: MlpModel, features: np.ndarray, targets: np.ndarray,
         start = 0
         while start < n:
             idx = orders[:, start:start + batch_size]
-            inputs = _forward_cached(stack, features[idx])
+            inputs = _forward_cached(stack, features[rows, idx])
             student = softmax_temp(inputs[-1], temperature)
             checked = [student]
             try:
@@ -330,7 +333,8 @@ def _train_stack(stack: MlpModel, features: np.ndarray, targets: np.ndarray,
                 # Redo this step without the diverged slice and those after it.
                 stack = MlpModel(stack.spec, stack.params[:live])
                 grad = MlpModel(stack.spec, grad.params[:live])
-                targets, orders, rows = targets[:live], orders[:live], rows[:live]
+                features, targets = features[:live], targets[:live]
+                orders, rows = orders[:live], rows[:live]
                 continue
             start += batch_size
     if failure is not None:
@@ -342,9 +346,9 @@ def sgd_train(model: MlpModel, features: np.ndarray, labels: np.ndarray,
               rng: np.random.Generator) -> None:
     """Minibatch cross-entropy training, in place; returns nothing. It is the
     stack of one of `_train_stack` (a view: updates land in the model)."""
-    _train_stack(MlpModel(model.spec, model.params[np.newaxis]), features,
-                 onehot_labels(labels, class_count)[np.newaxis], 1.0, epochs, lr,
-                 batch_size, [rng])
+    _train_stack(MlpModel(model.spec, model.params[np.newaxis]),
+                 features[np.newaxis], onehot_labels(labels, class_count)[np.newaxis],
+                 1.0, epochs, lr, batch_size, [rng])
 
 
 def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:

@@ -16,7 +16,8 @@ from .ensemble import (EnsembleConfig, SeedRepository, _combine, _model_output,
                        add_neighbor_seed, deserialize_seed, serialize_seed,
                        unlearn_neighbor)
 from .errors import ConfigError, DivergenceError, NotFoundError, StateError
-from .numeric import MlpModel, MlpSpec, accuracy, init_mlp, sgd_train
+from .numeric import (MlpModel, MlpSpec, _train_stack, accuracy, init_mlp,
+                      onehot_labels)
 
 ACTIVE = "active"
 QUIT = "quit"
@@ -147,14 +148,34 @@ def active_neighbors(clients: list[ClientState], topology: Topology,
 
 def local_training_phase(clients: list[ClientState], cfg: SimConfig) -> None:
     """Every framework's local training: one round of main-model SGD per active
-    client, in id order. A divergence is re-raised as `client N: ...`."""
+    client, as one `numeric._train_stack` call per (main spec, split size)
+    group, groups in first-appearance order and clients in id order within
+    one. Each client draws from its own `train_rng`, so its main ends bitwise
+    as `sgd_train` alone would leave it.
+
+    All or nothing: every group runs even if one diverges; then the lowest
+    diverging client id is raised as `client N: ...`.
+    """
+    groups: dict[tuple[MlpSpec, int], list[ClientState]] = {}
     for c in active_clients(clients):
+        groups.setdefault((c.main.spec, len(c.local_data)), []).append(c)
+    failures = []
+    for (spec, _), group in groups.items():
+        stack = np.stack([c.main.params for c in group])
+        splits = [c.local_data for c in group]
+        features = np.stack([d.features for d in splits])
+        targets = np.stack([onehot_labels(d.labels, d.class_count) for d in splits])
         try:
-            sgd_train(c.main, c.local_data.features, c.local_data.labels,
-                      c.local_data.class_count, cfg.local_epochs, cfg.lr,
-                      cfg.batch_size, c.train_rng)
+            _train_stack(MlpModel(spec, stack), features, targets, 1.0,
+                         cfg.local_epochs, cfg.lr, cfg.batch_size,
+                         [c.train_rng for c in group])
         except DivergenceError as e:
-            raise DivergenceError(f"client {c.id}: {e}") from e
+            failures.append((group[e.index].id, e))
+        for c, row in zip(group, stack):
+            c.main.params[...] = row
+    if failures:
+        cid, e = min(failures, key=lambda f: f[0])
+        raise DivergenceError(f"client {cid}: {e}") from e
 
 
 def run_round(clients: list[ClientState], topology: Topology, cfg: SimConfig,

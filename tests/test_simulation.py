@@ -1,16 +1,22 @@
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hdus.simulation as simulation
-from hdus.data import gen_blobs, partition_noniid
-from hdus.distill import DistillConfig
-from hdus.ensemble import (EnsembleConfig, add_neighbor_seed, ensemble_predict,
-                           unlearn_neighbor)
+from hdus.data import LabeledDataset, gen_blobs, partition_noniid
+from hdus.distill import DistillConfig, ReferenceSet
+from hdus.ensemble import (EnsembleConfig, SeedRepository, add_neighbor_seed,
+                           ensemble_predict, unlearn_neighbor)
 from hdus.errors import ConfigError, DivergenceError, NotFoundError, StateError
-from hdus.numeric import MlpSpec, accuracy, init_mlp, training_step_count
-from hdus.simulation import (EventLog, SimConfig, Topology, active_clients,
-                             active_neighbors, client_rng_streams, evaluate_all,
-                             handle_unlearn_request, init_network, run_round)
+from hdus.numeric import (MlpSpec, accuracy, init_mlp, sgd_train, tier_spec,
+                          training_step_count)
+from hdus.simulation import (ClientState, EventLog, SimConfig, Topology,
+                             active_clients, active_neighbors, client_rng_streams,
+                             evaluate_all, handle_unlearn_request, init_network,
+                             local_training_phase, retire_client, run_round)
 
 F, C = 6, 5
 
@@ -317,3 +323,89 @@ def test_evaluate_all_equals_ensemble_predict(partition, monkeypatch, combine, l
         assert seen[k] == want.tobytes()
         assert per_client[c.id] == accuracy(want, partition.test.labels)
     assert mean == float(np.mean(list(per_client.values())))
+
+
+# --- local training: one stack per (main spec, split size) ------------------
+
+_TIERS = ["small", "medium", "large"]
+
+
+def _clients_with_splits(tiers, sizes, seed=0):
+    """Active clients with the given main tiers and split row counts."""
+    rng = np.random.default_rng(seed)
+    ref = ReferenceSet(rng.normal(size=(8, F)))
+    clients = []
+    for i, (tier, n) in enumerate(zip(tiers, sizes)):
+        train_rng, distill_rng = client_rng_streams(seed, i)
+        split = LabeledDataset(rng.normal(size=(n, F)), rng.integers(0, C, size=n), C)
+        clients.append(ClientState(
+            id=i, main=init_mlp(tier_spec(tier, F, C), train_rng), own_seed=None,
+            repo=SeedRepository(owner_id=i), local_data=split, ref=ref,
+            train_rng=train_rng, distill_rng=distill_rng, tier=tier))
+    return clients
+
+
+def _sgd_train_alone(c, cfg):
+    sgd_train(c.main, c.local_data.features, c.local_data.labels,
+              c.local_data.class_count, cfg.local_epochs, cfg.lr,
+              cfg.batch_size, c.train_rng)
+
+
+@settings(max_examples=15, deadline=None)
+@given(first=st.sampled_from(_TIERS), rest=st.lists(st.sampled_from(_TIERS), max_size=3),
+       batch_size=st.integers(2, 7), full_batches=st.integers(0, 3),
+       epochs=st.integers(0, 2), lr=st.sampled_from([0.0, 0.05]), data=st.data())
+def test_local_training_equals_per_client_sgd_train(first, rest, batch_size,
+                                                    full_batches, epochs, lr, data):
+    """Stacked local training leaves every active main bitwise where
+    `sgd_train` leaves it alone, from the same rng, takes the same number of
+    steps, and leaves every rng in the same state. Clients 0 and 2 share a
+    tier but their splits differ by one row; client 1 has another tier; the
+    batch size does not divide client 0's split; one later client may have quit."""
+    other = data.draw(st.sampled_from([t for t in _TIERS if t != first]), label="other")
+    tiers = [first, other, first, *rest]
+    n = full_batches * batch_size + data.draw(st.integers(1, batch_size - 1),
+                                              label="remainder")
+    sizes = [n, n + data.draw(st.integers(0, 1), label="size 1"), n + 1,
+             *(n + data.draw(st.integers(0, 1), label="size") for _ in rest)]
+    clients = _clients_with_splits(tiers, sizes, seed=n)
+    quitter = data.draw(st.sampled_from([None, 1, *range(3, len(tiers))]), label="quitter")
+    if quitter is not None:
+        retire_client(clients, quitter)
+    cfg = SimConfig(local_epochs=epochs, lr=lr, batch_size=batch_size)
+    oracle = copy.deepcopy(clients)
+
+    before = training_step_count()
+    local_training_phase(clients, cfg)
+    steps = training_step_count() - before
+    before = training_step_count()
+    for c in active_clients(oracle):
+        _sgd_train_alone(c, cfg)
+    assert steps == training_step_count() - before
+    for c, want in zip(clients, oracle):
+        if c.id == quitter:
+            assert c.main is None
+            continue
+        assert _bits(c.main) == _bits(want.main)
+        assert c.train_rng.bit_generator.state == want.train_rng.bit_generator.state
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_local_training_names_lowest_diverging_client_across_groups():
+    """Clients 0 and 2 (large) train as the first group, client 1 (small) as
+    the second and client 3 (small, one row more) as the third. With 2 and 1
+    poisoned, client 2 diverges first, yet the error names client 1, and
+    every group still trained: clients 0 and 3 end as `sgd_train` leaves
+    them alone, though 3 comes after the named client."""
+    cfg = SimConfig(local_epochs=1, lr=0.05, batch_size=4)
+    clients = _clients_with_splits(["large", "small", "large", "small"],
+                                   [10, 10, 10, 11])
+    oracle = copy.deepcopy(clients)
+    _poison(clients[2].main)
+    _poison(clients[1].main)
+    with pytest.raises(DivergenceError,
+                       match="^client 1: non-finite student output at epoch 0"):
+        local_training_phase(clients, cfg)
+    for k in (0, 3):
+        _sgd_train_alone(oracle[k], cfg)
+        assert _bits(clients[k].main) == _bits(oracle[k].main)
