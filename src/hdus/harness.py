@@ -358,9 +358,6 @@ class _Engine:
     def unlearn(self, quitting_id: int) -> None:
         raise NotImplementedError
 
-    def recover_round(self, r: int) -> None:
-        self.round(r)
-
     def evaluate(self, log: EventLog, r: int) -> float:
         _, mean = evaluate_all(self.clients, self.part.test, self.sim,
                                framework=self.name, log=log, round_index=r)
@@ -405,14 +402,15 @@ class _FedunlEngine(_Engine):
         self.server = bl.fedunl_init(self.clients[0].main.spec, seed)
 
     def round(self, r):
-        bl.fedunl_round(self.server, self.clients, self.sim)
+        # Once a quit is subtracted, every round distills the global back.
+        if self.server.pre_unlearn_global is None:
+            bl.fedunl_round(self.server, self.clients, self.sim)
+        else:
+            bl.fedunl_recover_round(self.server, self.clients, self.part.reference,
+                                    self.sim, epochs=self.cfg.local_epochs or 1)
 
     def unlearn(self, quitting_id):
         bl.fedunl_unlearn(self.server, self.clients, quitting_id)
-
-    def recover_round(self, r):
-        bl.fedunl_recover_round(self.server, self.clients, self.part.reference,
-                                self.sim, epochs=self.cfg.local_epochs or 1)
 
 
 class _SisaEngine(_Engine):
@@ -454,8 +452,6 @@ def _single_run(cfg: ExperimentConfig, repeat: int, seed: int) -> RepeatResult:
             # The unlearn event occupies the whole tick: no training this round,
             # so the t=0 evaluation exposes the state right after the request.
             engine.unlearn(cfg.unlearn_client)
-        elif u is not None and r > u:
-            engine.recover_round(r)
         else:
             engine.round(r)
         final_acc = engine.evaluate(log, r)

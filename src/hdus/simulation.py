@@ -181,14 +181,16 @@ def local_training_phase(clients: list[ClientState], cfg: SimConfig) -> None:
 def run_round(clients: list[ClientState], topology: Topology, cfg: SimConfig,
               round_index: int = 0) -> list[ClientState]:
     """Synchronous round: (a) local main-model training, (b) seed incubation
-    per cadence, (c) barrier exchange of serialized seeds to all active
-    neighbors (remove-then-add replacement keeps repository order stable).
+    per cadence, (c) each due client's new seed replaces its entry in every
+    active neighbor's repository; an unchanged seed is not re-sent.
 
     The due clients' seeds are incubated as one stack (`incubate_seeds`),
     each bitwise what it would be alone. If one diverges, DivergenceError
-    names the lowest diverging client and no client's seed is replaced. Each
-    sent blob is decoded once, and every active receiver stores that same
-    read-only seed object.
+    names the lowest diverging client and no client's seed is stored or
+    sent. A sent seed is serialized and decoded once, and every active
+    receiver stores that same read-only seed object, remove-then-add. Every
+    active client holds a seed after its first round, so the due clients
+    are all active clients or none, and repositories stay in sender-id order.
     """
     active = active_clients(clients)
     if not active:
@@ -212,17 +214,14 @@ def run_round(clients: list[ClientState], topology: Topology, cfg: SimConfig,
         raise DivergenceError(f"client {due[e.index].id}: {e}") from e
     for c, seed in zip(due, seeds):
         c.own_seed = seed
-
-    for c in active:
-        blob = serialize_seed(c.own_seed)
         receivers = active_neighbors(clients, topology, c.id)
         if not receivers:
             continue
-        seed = deserialize_seed(blob)
+        sent = deserialize_seed(serialize_seed(seed))
         for nbr in receivers:
             if c.id in nbr.repo:
                 unlearn_neighbor(nbr.repo, c.id)
-            add_neighbor_seed(nbr.repo, c.id, seed)
+            add_neighbor_seed(nbr.repo, c.id, sent)
     return clients
 
 

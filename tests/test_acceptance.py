@@ -138,7 +138,7 @@ def test_criterion_2_zero_retraining_step_counter():
         before = training_step_count()
         eng.unlearn(3)
         if fw in ("dsgd", "fedunl"):
-            eng.recover_round(2)      # recovery is where these retrain
+            eng.round(2)      # recovery is where these retrain
         deltas[fw] = training_step_count() - before
     ok = (deltas["hdus"] == 0 and deltas["sisa_a"] == 0
           and deltas["dsgd"] > 0 and deltas["fedunl"] > 0)

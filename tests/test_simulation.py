@@ -1,9 +1,12 @@
 import copy
+import functools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
+                                 precondition, rule)
 
 import hdus.simulation as simulation
 from hdus.data import LabeledDataset, gen_blobs, partition_noniid
@@ -201,6 +204,36 @@ def test_heterogeneous_mains_homogeneous_wire(partition, monkeypatch):
         assert deserialize_seed(blob).spec == cfg.seed_spec
     _, mean = evaluate_all(clients, partition.test, cfg)
     assert 0.0 <= mean <= 1.0
+
+
+def test_seed_sent_once_in_the_round_it_is_incubated(partition, monkeypatch):
+    """With incubation every 2 rounds, round 0 sends each client's new seed
+    once; round 1 sends nothing, and every repository keeps the very seed
+    objects round 0 stored; round 2 sends again. A quit, and the
+    off-cadence round after it, send nothing."""
+    cfg = small_cfg()
+    cfg.incubate_every_rounds = 2
+    clients, topo = fresh_network(partition, cfg)
+    sent = []
+    serialize = simulation.serialize_seed
+
+    def spy(seed):
+        sent.append(seed)
+        return serialize(seed)
+    monkeypatch.setattr(simulation, "serialize_seed", spy)
+    run_round(clients, topo, cfg, 0)
+    assert [id(s) for s in sent] == [id(c.own_seed) for c in clients]
+    held = {c.id: list(c.repo.entries) for c in clients}
+    run_round(clients, topo, cfg, 1)
+    assert len(sent) == 4
+    for c in clients:
+        assert [nid for nid, _ in c.repo.entries] == [nid for nid, _ in held[c.id]]
+        assert all(s is h for (_, s), (_, h) in zip(c.repo.entries, held[c.id]))
+    run_round(clients, topo, cfg, 2)
+    assert [id(s) for s in sent[4:]] == [id(c.own_seed) for c in clients]
+    handle_unlearn_request(clients, 2)
+    run_round(clients, topo, cfg, 3)
+    assert len(sent) == 8
 
 
 def test_evaluate_all_rejects_all_quit_roster(partition):
@@ -409,3 +442,80 @@ def test_local_training_names_lowest_diverging_client_across_groups():
     for k in (0, 3):
         _sgd_train_alone(oracle[k], cfg)
         assert _bits(clients[k].main) == _bits(oracle[k].main)
+
+
+# --- exact unlearning as a stateful property --------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _tiny_partition(n_clients):
+    ds = gen_blobs(140, C, F, 0.5, np.random.default_rng(40))
+    return partition_noniid(ds, n_clients, 80, 0.2, np.random.default_rng(41))
+
+
+def _survivor_state(c, cfg, test):
+    own = None if c.own_seed is None else _bits(c.own_seed)
+    return (_bits(c.main), own, c.repo.neighbor_ids(),
+            [_bits(seed) for _, seed in c.repo.entries],
+            ensemble_predict(c.main, c.repo, cfg.ensemble, test.features).tobytes())
+
+
+class ExactUnlearning(RuleBasedStateMachine):
+    """Rounds and quits in any order. After every step, each survivor is
+    bitwise the same client in a control network where every quitter so far
+    was cut off from the start (`Topology.without`) and the same rounds ran:
+    main, own seed, repository ids in order, repository seeds and ensemble
+    predictions."""
+
+    @initialize(n=st.integers(2, 5), every=st.integers(1, 3),
+                combine=st.sampled_from(["proba", "logits"]),
+                lam=st.sampled_from([0.0, 0.5]), data=st.data())
+    def build(self, n, every, combine, lam, data):
+        tiers = data.draw(st.lists(st.sampled_from(_TIERS), min_size=n, max_size=n),
+                          label="tiers")
+        self.part = _tiny_partition(n)
+        self.specs = [tier_spec(t, F, C) for t in tiers]
+        self.cfg = SimConfig(local_epochs=1, lr=0.05, batch_size=32,
+                             distill=DistillConfig(epochs=2, lr=0.1),
+                             ensemble=EnsembleConfig(lam=lam, combine=combine),
+                             seed_spec=MlpSpec((F, 8, C)), incubate_every_rounds=every)
+        self.rounds = 0
+        self.quitters = []
+        self.clients, self.topo = self._network()
+        self.control, self.control_topo = self._network()
+
+    def _network(self):
+        """A network cut off from every quitter so far, after the same rounds."""
+        topo = Topology.complete(range(self.part.n_clients))
+        for q in self.quitters:
+            topo = topo.without(q)
+        clients = init_network(self.part, self.specs, topo, self.cfg, 0)
+        for r in range(self.rounds):
+            run_round(clients, topo, self.cfg, r)
+        return clients, topo
+
+    @rule()
+    def run_a_round(self):
+        run_round(self.clients, self.topo, self.cfg, self.rounds)
+        run_round(self.control, self.control_topo, self.cfg, self.rounds)
+        self.rounds += 1
+
+    @precondition(lambda self: len(active_clients(self.clients)) >= 2)
+    @rule(data=st.data())
+    def quit(self, data):
+        ids = [c.id for c in active_clients(self.clients)]
+        quitter = data.draw(st.sampled_from(ids), label="quitter")
+        handle_unlearn_request(self.clients, quitter)
+        self.quitters.append(quitter)
+        self.control, self.control_topo = self._network()
+
+    @invariant()
+    def survivors_match_control(self):
+        test = self.part.test
+        for c in active_clients(self.clients):
+            assert (_survivor_state(c, self.cfg, test)
+                    == _survivor_state(self.control[c.id], self.cfg, test)), c.id
+
+
+ExactUnlearning.TestCase.settings = settings(max_examples=25, stateful_step_count=8,
+                                             deadline=None)
+TestExactUnlearning = ExactUnlearning.TestCase
