@@ -9,12 +9,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distill import ReferenceSet
+from .distill import ReferenceSet, incubate_seed
 from .errors import ConfigError, StateError
-from .numeric import (MlpModel, MlpSpec, init_mlp, mlp_backward, mlp_forward,
-                      onehot_labels, sgd_step, softmax_temp)
+from .numeric import MlpModel, MlpSpec, init_mlp, mlp_forward, softmax_temp
 from .simulation import (ClientState, SimConfig, Topology, active_clients,
-                         active_neighbors, local_training_phase, retire_client)
+                         active_neighbors, client_rng_streams,
+                         local_training_phase, retire_client)
 
 
 # ---------------------------------------------------------------------------
@@ -61,16 +61,15 @@ def dsgd_round(clients: list[ClientState], topology: Topology,
     return clients
 
 
-def dsgd_unlearn(clients: list[ClientState], quitting_id: int) -> list[int]:
-    """Remove the quitter and reset every remaining client to its stored
-    initial parameters; the caller then reruns dsgd rounds to retrain.
-    Returns the remaining active client ids."""
+def dsgd_unlearn(clients: list[ClientState], quitting_id: int,
+                 master_seed: int) -> list[int]:
+    """Remove the quitter and reset every remaining client to its initial
+    parameters, re-drawn from its `master_seed` training stream; the caller
+    then reruns dsgd rounds to retrain. Returns the remaining active ids."""
     retire_client(clients, quitting_id)
     remaining = []
     for c in active_clients(clients):
-        if c.initial_main is None:
-            raise StateError(f"client {c.id} has no stored initial parameters")
-        c.main = c.initial_main.copy()
+        c.main = init_mlp(c.main.spec, client_rng_streams(master_seed, c.id)[0])
         remaining.append(c.id)
     return remaining
 
@@ -82,7 +81,7 @@ def dsgd_unlearn(clients: list[ClientState], quitting_id: int) -> list[int]:
 @dataclass
 class CentralServerState:
     """FedUnl's server: the global model, the per-round delta ledger, the
-    pre-subtraction teacher and the recovery-round rng."""
+    pre-subtraction teacher (from a quit to its recovery) and the recovery rng."""
 
     global_model: MlpModel
     rng: np.random.Generator
@@ -136,7 +135,7 @@ def fedunl_unlearn(server: CentralServerState, clients: list[ClientState],
                    quitting_id: int) -> None:
     """Subtract the quitter's ledger contribution (each round's delta at that
     round's 1/N averaging weight) from the global model. The pre-subtraction
-    global is kept as the distillation teacher for recovery rounds. A quit
+    global is kept as the distillation teacher for the recovery. A quit
     before any round finds an empty ledger and leaves the global as it is."""
     retire_client(clients, quitting_id)
     server.pre_unlearn_global = server.global_model.copy()
@@ -147,29 +146,17 @@ def fedunl_unlearn(server: CentralServerState, clients: list[ClientState],
 
 
 def fedunl_recover_round(server: CentralServerState, clients: list[ClientState],
-                         ref: ReferenceSet, cfg: SimConfig,
-                         epochs: int = 1) -> None:
-    """Post-unlearning remedy: the new global distills from the pre-subtraction
-    global on the reference set, mixed with cross-entropy on the reference
-    labels (which only FedUnl may unseal), at equal weights."""
+                         ref: ReferenceSet, cfg: SimConfig) -> None:
+    """Post-unlearning remedy, once per quit: the subtracted global distills
+    from the pre-subtraction global on the unlabeled reference set (one
+    `incubate_seed` from the subtracted global, under `cfg.distill`), then the
+    teacher is dropped and the result broadcast."""
     if server.pre_unlearn_global is None:
         raise StateError("no pre-unlearn global stored; call fedunl_unlearn first")
-    if ref.sealed_labels is None:
-        raise StateError("reference labels unavailable")
-    temp = cfg.distill.temperature
-    teacher = softmax_temp(mlp_forward(server.pre_unlearn_global, ref.features), temp)
-    class_count = server.global_model.spec.out_dim
-    targets = onehot_labels(ref.sealed_labels, class_count)
-    model = server.global_model
-    n = len(ref)
-    for _ in range(epochs):
-        order = server.rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            _, g_kd = mlp_backward(model, ref.features[idx],
-                                   teacher_soft=teacher[idx], temperature=temp)
-            _, g_ce = mlp_backward(model, ref.features[idx], onehot=targets[idx])
-            sgd_step(model, 0.5 * g_kd + 0.5 * g_ce, cfg.lr)
+    server.global_model = incubate_seed(server.pre_unlearn_global,
+                                        server.global_model.spec, ref, cfg.distill,
+                                        server.rng, init=server.global_model)
+    server.pre_unlearn_global = None
     _broadcast(server, clients)
 
 

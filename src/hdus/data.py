@@ -192,12 +192,12 @@ def _reference_indices(data: LabeledDataset, ref_size: int,
 
 def split_reference(data: LabeledDataset, ref_size: int,
                     rng: np.random.Generator) -> tuple[ReferenceSet, LabeledDataset]:
-    """Carve an unlabeled reference set out of the data. The labels of the
-    carved rows are retained only in the reference's sealed store."""
+    """Carve an unlabeled reference set out of the data; the carved rows'
+    labels are dropped."""
     idx = _reference_indices(data, ref_size, rng)
     mask = np.ones(len(data), dtype=bool)
     mask[idx] = False
-    ref = ReferenceSet(data.features[idx], sealed_labels=data.labels[idx].copy())
+    ref = ReferenceSet(data.features[idx])
     return ref, data.take(np.flatnonzero(mask))
 
 
@@ -283,8 +283,7 @@ def partition_noniid(data: LabeledDataset, n_clients: int, ref_size: int,
     return PartitionedDataset(
         client_splits=[data.take(ci) for ci in client_indices],
         test=data.take(test_idx),
-        reference=ReferenceSet(data.features[ref_idx],
-                               sealed_labels=data.labels[ref_idx].copy()),
+        reference=ReferenceSet(data.features[ref_idx]),
         class_menu=menus,
         omitted_class=omitted,
         client_indices=client_indices,

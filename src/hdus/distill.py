@@ -7,7 +7,7 @@ features and the main model's outputs on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,15 +36,9 @@ class DistillConfig:
 
 @dataclass
 class ReferenceSet:
-    """Unlabeled feature rows shared for distillation.
-
-    `sealed_labels` holds the true labels for the same rows when they are
-    known; by convention they are read only by the FedUnl baseline (which is
-    the one framework the labels are released to).
-    """
+    """Unlabeled feature rows shared for distillation."""
 
     features: np.ndarray
-    sealed_labels: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -59,12 +53,12 @@ class ReferenceSet:
 def incubate_seed(main: MlpModel, seed_spec: MlpSpec, ref: ReferenceSet,
                   cfg: DistillConfig, rng: np.random.Generator,
                   init: MlpModel | None = None) -> MlpModel:
-    """Train a seed model by minibatch SGD on the distillation loss: the stack
-    of one of `incubate_seeds`.
+    """Distill `main` into a model of `seed_spec` by minibatch SGD: the stack
+    of one of `incubate_seeds` (HDUS's seeds), and FedUnl's recovery.
 
     Teacher targets are the main model's temperature-softened outputs on the
     reference features, computed once (the teacher is never modified). Pass
-    `init` to continue training an existing seed instead of starting fresh.
+    `init` to continue training an existing model instead of starting fresh.
     """
     return incubate_seeds([main], seed_spec, ref, cfg, [rng], [init])[0]
 

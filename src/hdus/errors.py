@@ -53,4 +53,4 @@ class ConflictError(HdusError):
 
 
 class StateError(HdusError):
-    """Operation requires state (ledger rounds, initial snapshot) that is missing."""
+    """Operation requires state (active clients, a pre-unlearn global) that is missing."""

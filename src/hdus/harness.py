@@ -94,6 +94,9 @@ class ExperimentConfig:
         if self.lr < 0 or self.incubate_lr < 0:
             raise ConfigError("lr/incubate_lr: must be >= 0")
         if self.tiers is not None:
+            if self.setting == "heterogeneous" and self.framework in _SMALL_TIER_FRAMEWORKS:
+                raise ConfigError(f"tiers: heterogeneous {self.framework} runs "
+                                  f"all-small mains; leave tiers unset")
             if len(self.tiers) != self.n_clients:
                 raise ConfigError("tiers: length must equal n_clients")
             for t in self.tiers:
@@ -146,7 +149,7 @@ class ExperimentConfig:
 
     def client_tiers(self) -> list[str]:
         """Per-client size tiers, as the engine builds the mains. Heterogeneous
-        dsgd, fedunl and sisa_a need one spec: all small, over any `tiers`.
+        dsgd, fedunl and sisa_a need one spec: all small (they take no `tiers`).
         Otherwise heterogeneous spreads clients over small/medium/large with
         the remainder going to the larger tiers."""
         if self.setting == "heterogeneous" and self.framework in _SMALL_TIER_FRAMEWORKS:
@@ -290,6 +293,8 @@ class RunReport:
 # ---------------------------------------------------------------------------
 
 def build_dataset(cfg: ExperimentConfig, seed: int) -> LabeledDataset:
+    """Blobs, or the pooled IDX train and t10k files under `data_dir/dataset`
+    (plain or `.gz`); ConfigError if none exist or their image sizes differ."""
     if cfg.dataset == "blobs":
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
         return gen_blobs(cfg.blob_samples_per_class, cfg.blob_classes,
@@ -298,19 +303,21 @@ def build_dataset(cfg: ExperimentConfig, seed: int) -> LabeledDataset:
     # IDX datasets: pool the train and test files; the partitioner re-carves
     # reference, test and client splits from the combined pool.
     base = os.path.join(cfg.data_dir, cfg.dataset)
-    parts = []
-    for img_name, lab_name in (("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
-                               ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")):
-        img = os.path.join(base, img_name)
-        lab = os.path.join(base, lab_name)
-        for cand_img, cand_lab in ((img, lab), (img + ".gz", lab + ".gz")):
-            if os.path.exists(cand_img) and os.path.exists(cand_lab):
-                parts.append(load_idx_files(cand_img, cand_lab))
-                break
-    if not parts:
+    files = []   # (images, labels) paths of train, then t10k
+    for prefix in ("train", "t10k"):
+        img = os.path.join(base, f"{prefix}-images-idx3-ubyte")
+        lab = os.path.join(base, f"{prefix}-labels-idx1-ubyte")
+        files += [pair for pair in ((img, lab), (img + ".gz", lab + ".gz"))
+                  if all(map(os.path.exists, pair))][:1]
+    if not files:
         raise ConfigError(f"data_dir: IDX files not found under {base}")
+    parts = [load_idx_files(img, lab) for img, lab in files]
     if len(parts) == 1:
         return parts[0]
+    sizes = [p.features.shape[1] for p in parts]
+    if sizes[0] != sizes[1]:
+        raise ConfigError(f"data_dir: {files[0][0]} has {sizes[0]} pixels per "
+                          f"image, {files[1][0]} has {sizes[1]}")
     feats = np.concatenate([p.features for p in parts])
     labs = np.concatenate([p.labels for p in parts])
     return LabeledDataset(feats, labs, parts[0].class_count, parts[0].scaling)
@@ -318,6 +325,8 @@ def build_dataset(cfg: ExperimentConfig, seed: int) -> LabeledDataset:
 
 def build_partition(cfg: ExperimentConfig, seed: int) -> PartitionedDataset:
     data = build_dataset(cfg, seed)
+    if cfg.ref_size >= len(data):   # IDX only: `validate` checks blobs
+        raise ConfigError(f"ref_size: {cfg.ref_size} must be < the {len(data)} samples")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3,)))
     return partition_noniid(data, cfg.n_clients, cfg.ref_size,
                             cfg.test_fraction, rng)
@@ -391,7 +400,7 @@ class _DsgdEngine(_Engine):
         bl.dsgd_round(self.clients, self.topology, self.sim)
 
     def unlearn(self, quitting_id):
-        bl.dsgd_unlearn(self.clients, quitting_id)
+        bl.dsgd_unlearn(self.clients, quitting_id, self.seed)
 
 
 class _FedunlEngine(_Engine):
@@ -402,12 +411,12 @@ class _FedunlEngine(_Engine):
         self.server = bl.fedunl_init(self.clients[0].main.spec, seed)
 
     def round(self, r):
-        # Once a quit is subtracted, every round distills the global back.
+        # The round after a quit recovers the global once; later rounds train.
         if self.server.pre_unlearn_global is None:
             bl.fedunl_round(self.server, self.clients, self.sim)
         else:
             bl.fedunl_recover_round(self.server, self.clients, self.part.reference,
-                                    self.sim, epochs=self.cfg.local_epochs or 1)
+                                    self.sim)
 
     def unlearn(self, quitting_id):
         bl.fedunl_unlearn(self.server, self.clients, quitting_id)
@@ -544,4 +553,7 @@ def unlearn_demo(cfg: ExperimentConfig) -> list[RunReport]:
         cfg = replace(cfg, unlearn_round=cfg.rounds // 2,
                       unlearn_client=cfg.n_clients - 1)
     cfg.validate()
-    return [run_experiment(replace(cfg, framework=fw)) for fw in FRAMEWORKS]
+    small = cfg.setting == "heterogeneous"   # then tiers size hdus and isgd only
+    return [run_experiment(replace(cfg, framework=fw, tiers=None if small and
+                                   fw in _SMALL_TIER_FRAMEWORKS else cfg.tiers))
+            for fw in FRAMEWORKS]

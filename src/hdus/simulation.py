@@ -86,7 +86,6 @@ class ClientState:
     distill_rng: np.random.Generator
     status: str = ACTIVE
     tier: str = "large"
-    initial_main: MlpModel | None = None   # snapshot for retrain-from-scratch baselines
 
 
 @dataclass
@@ -129,8 +128,7 @@ def init_network(partition: PartitionedDataset, specs: list[MlpSpec],
             id=i, main=main, own_seed=None, repo=SeedRepository(owner_id=i),
             local_data=partition.client_splits[i], ref=partition.reference,
             train_rng=train_rng, distill_rng=distill_rng,
-            tier=tiers[i] if tiers else "large",
-            initial_main=main.copy()))
+            tier=tiers[i] if tiers else "large"))
     return clients
 
 

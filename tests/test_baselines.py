@@ -8,11 +8,10 @@ from hdus.baselines import (dsgd_round, dsgd_unlearn, fedunl_init,
                             fedunl_unlearn, isgd_round, isgd_unlearn,
                             sisa_predict, sisa_round, sisa_unlearn_client)
 from hdus.data import gen_blobs, partition_noniid
-from hdus.distill import DistillConfig
+from hdus.distill import DistillConfig, distill_fidelity
 from hdus.ensemble import EnsembleConfig
 from hdus.errors import ConfigError, DivergenceError, NotFoundError, StateError
-from hdus.numeric import (MlpSpec, accuracy, mlp_forward, softmax_temp,
-                          training_step_count)
+from hdus.numeric import MlpSpec, mlp_forward, softmax_temp, training_step_count
 from hdus.simulation import (SimConfig, Topology, init_network,
                              client_rng_streams)
 
@@ -145,13 +144,14 @@ def test_dsgd_unlearn_resets_and_retrains(partition):
     clients, topo = make_clients(partition, cfg)
     for r in range(2):
         dsgd_round(clients, topo, cfg)
-    remaining = dsgd_unlearn(clients, 3)
+    remaining = dsgd_unlearn(clients, 3, master_seed=0)
     assert remaining == [0, 1, 2]
+    fresh, _ = make_clients(partition, cfg)     # the mains before any round
     for c in clients:
         if c.id == 3:
             assert c.main is None
         else:
-            assert np.array_equal(flat(c), c.initial_main.params)
+            assert np.array_equal(flat(c), flat(fresh[c.id]))
     # retraining changes parameters again
     topo = topo.without(3)
     steps = training_step_count()
@@ -232,13 +232,13 @@ def test_fedunl_recover_round_improves_reference_fit(partition):
         fedunl_round(server, clients, cfg)
     fedunl_unlearn(server, clients, 1)
     ref = partition.reference
-    def ref_acc():
-        p = softmax_temp(mlp_forward(server.global_model, ref.features), 1.0)
-        return accuracy(p, ref.sealed_labels)
-    before = ref_acc()
-    for _ in range(3):
-        fedunl_recover_round(server, clients, ref, cfg)
-    assert ref_acc() >= before
+    teacher = server.pre_unlearn_global
+    T = cfg.distill.temperature
+    before, _ = distill_fidelity(server.global_model, teacher, ref, T)
+    fedunl_recover_round(server, clients, ref, cfg)
+    after, _ = distill_fidelity(server.global_model, teacher, ref, T)
+    assert after < before
+    assert server.pre_unlearn_global is None    # one recovery per quit
     for c in clients:
         if c.status == "active":
             assert np.array_equal(flat(c), server.global_model.params)

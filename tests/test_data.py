@@ -1,5 +1,6 @@
 import gzip
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -181,11 +182,11 @@ def test_gen_blobs_rejects_overfull_grid():
 
 # --- reference carve-out ----------------------------------------------------
 
-def test_split_reference_disjoint_and_sealed():
+def test_split_reference_disjoint_and_unlabeled():
     ds = gen_blobs(30, 3, 5, 0.5, np.random.default_rng(6))
     ref, rest = split_reference(ds, 20, np.random.default_rng(7))
     assert ref.features.shape == (20, 5)
-    assert ref.sealed_labels.shape == (20,)
+    assert [f.name for f in fields(ref)] == ["features"]    # no labels travel
     assert len(rest) == len(ds) - 20
     # every reference row exists in the source, none in the remainder
     src = {tuple(r) for r in ds.features}

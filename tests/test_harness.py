@@ -1,15 +1,21 @@
 import csv
+import gzip
 import io
 import json
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from hdus import baselines as bl
 from hdus.cli import main as cli_main
-from hdus.errors import ConfigError
+from hdus.errors import ConfigError, StateError
 from hdus.harness import (CONFIG_KEYS, FRAMEWORKS, ExperimentConfig,
-                          build_partition, emit_metrics, load_config, run_experiment, sweep,
+                          build_dataset, build_partition, emit_metrics,
+                          load_config, make_engine, run_experiment, sweep,
                           summary_csv_text, timeline_csv_text, unlearn_demo)
+from test_data import make_idx
 
 
 def tiny(**kw) -> ExperimentConfig:
@@ -59,12 +65,17 @@ def test_client_tiers_spread():
     assert tiny(n_clients=3, setting="homogeneous").client_tiers() == ["large"] * 3
     assert tiny(n_clients=2, tiers=["small", "large"]).client_tiers() == \
         ["small", "large"]
-    # Heterogeneous dsgd, fedunl and sisa_a are all small, over explicit tiers.
+    # Heterogeneous dsgd, fedunl and sisa_a are all small and take no tiers.
     for fw in FRAMEWORKS:
         cfg = tiny(framework=fw, n_clients=3, setting="heterogeneous",
                    tiers=["large", "medium", "small"])
-        want = ["small"] * 3 if fw in ("dsgd", "fedunl", "sisa_a") else cfg.tiers
-        assert cfg.client_tiers() == want
+        if fw in ("dsgd", "fedunl", "sisa_a"):
+            with pytest.raises(ConfigError, match="^tiers: "):
+                cfg.validate()
+            assert replace(cfg, tiers=None).client_tiers() == ["small"] * 3
+        else:
+            cfg.validate()
+            assert cfg.client_tiers() == cfg.tiers
 
 
 def test_config_hash_stable_and_sensitive():
@@ -153,7 +164,6 @@ def test_every_framework_quits_before_any_round(fw):
 def test_heterogeneous_tiers_assigned():
     cfg = tiny(framework="hdus", setting="heterogeneous")
     part = build_partition(cfg, 0)
-    from hdus.harness import make_engine
     eng = make_engine(cfg, part, 0)
     assert [c.tier for c in eng.clients] == ["small", "medium", "large", "large"]
     # param-free check: mains really differ in size
@@ -164,9 +174,26 @@ def test_heterogeneous_tiers_assigned():
 def test_baselines_fall_back_to_small_tier():
     cfg = tiny(framework="dsgd", setting="heterogeneous")
     part = build_partition(cfg, 0)
-    from hdus.harness import make_engine
     eng = make_engine(cfg, part, 0)
     assert len({c.main.spec for c in eng.clients}) == 1
+
+
+def test_fedunl_recovers_once_then_trains():
+    """The round after a quit distills the global back without touching the
+    ledger; the round after that trains the survivors again."""
+    cfg = tiny(framework="fedunl", rounds=5)
+    eng = make_engine(cfg, build_partition(cfg, 0), 0)
+    u = 2
+    for r in range(u):
+        eng.round(r)
+    eng.unlearn(3)
+    ledger = eng.server.update_ledger
+    eng.round(u + 1)
+    assert len(ledger) == u and eng.server.pre_unlearn_global is None
+    eng.round(u + 2)
+    assert len(ledger) == u + 1 and sorted(ledger[-1]) == [0, 1, 2]
+    with pytest.raises(StateError):
+        bl.fedunl_recover_round(eng.server, eng.clients, eng.part.reference, eng.sim)
 
 
 def test_sweep_grid_and_error_cells():
@@ -227,6 +254,13 @@ def test_unlearn_demo_covers_all_frameworks():
         assert r.config.unlearn_client == 3
 
 
+def test_unlearn_demo_tiers_size_only_hdus_and_isgd():
+    tiers = ["large", "large", "medium", "small"]
+    reports = unlearn_demo(tiny(rounds=2, tiers=tiers))
+    assert {r.config.framework: r.config.tiers for r in reports} == {
+        "hdus": tiers, "isgd": tiers, "dsgd": None, "fedunl": None, "sisa_a": None}
+
+
 # --- CLI ----------------------------------------------------------------------
 
 def run_cli(*argv):
@@ -248,6 +282,9 @@ def test_cli_validate_config(capsys):
     assert run_cli("validate-config", "--combine", "logits", "--n-clients", "2",
                    "--tiers", '["small","large"]') == 0
     assert "config_hash" in capsys.readouterr().out
+    assert run_cli("validate-config", "--framework", "dsgd",
+                   "--tiers", '["large","large","large","large","large"]') == 2
+    assert "config error: tiers: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", sorted(CONFIG_KEYS))
@@ -319,3 +356,76 @@ def test_cli_runtime_error_exit_code(tmp_path, capsys):
     code = run_cli("run", "--dataset", "mnist", "--data-dir", str(tmp_path),
                    "--rounds", "1")
     assert code in (2, 3)
+
+
+def test_cli_fedunl_quit_at_round_zero_trains_again(tmp_path, capsys):
+    """A quit before any round subtracts nothing, so the recovery round keeps
+    the global's accuracy; the round after it trains on client data again."""
+    out = tmp_path / "o"
+    assert run_cli("run", "--framework", "fedunl", "--rounds", "3",
+                   "--unlearn-round", "0", "--unlearn-client", "1",
+                   "--output-path", str(out)) == 0
+    rows = list(csv.DictReader(io.StringIO((out / "timeline.csv").read_text())))
+    acc = [float(r["mean_accuracy"]) for r in rows]
+    assert acc[1] == acc[0] and acc[2] > acc[1]
+
+
+# --- IDX datasets -------------------------------------------------------------
+
+def _write_idx(root: Path, prefix: str, images, labels, gz: bool) -> None:
+    img, lab = make_idx(images, labels)
+    write = (lambda b: gzip.compress(b, mtime=0)) if gz else (lambda b: b)
+    suffix = ".gz" if gz else ""
+    (root / f"{prefix}-images-idx3-ubyte{suffix}").write_bytes(write(img))
+    (root / f"{prefix}-labels-idx1-ubyte{suffix}").write_bytes(write(lab))
+
+
+@pytest.fixture
+def idx_dir(tmp_path):
+    """mnist/ with 500 plain train and 100 gzipped t10k 4x5 images."""
+    rng = np.random.default_rng(11)
+    images = rng.integers(0, 256, size=(600, 4, 5))
+    labels = np.arange(600) % 10
+    root = tmp_path / "mnist"
+    root.mkdir()
+    _write_idx(root, "train", images[:500], labels[:500], gz=False)
+    _write_idx(root, "t10k", images[500:], labels[500:], gz=True)
+    return tmp_path, images, labels
+
+
+def test_idx_dataset_runs_end_to_end(idx_dir):
+    data_dir, images, labels = idx_dir
+    cfg = tiny(dataset="mnist", data_dir=str(data_dir), n_clients=3,
+               ref_size=100, rounds=2, unlearn_round=1, unlearn_client=2)
+    data = build_dataset(cfg, 0)       # train rows, then t10k rows
+    assert np.array_equal(data.features, images.reshape(600, 20) / 255.0)
+    assert np.array_equal(data.labels, labels)
+    part = build_partition(cfg, 0)
+    assert len(part.reference) == 100
+    assert sum(map(len, part.client_splits)) + len(part.test) == 500
+    rep = run_experiment(cfg)
+    assert [p.round for p in rep.repeats[0].timeline] == [0, 1]
+    assert 0.0 <= rep.mean() <= 1.0
+
+
+def test_idx_image_sizes_must_agree(idx_dir, capsys):
+    data_dir, _, labels = idx_dir
+    _write_idx(data_dir / "mnist", "t10k", np.zeros((100, 3, 3)), labels[:100],
+               gz=True)
+    cfg = tiny(dataset="mnist", data_dir=str(data_dir), n_clients=3, ref_size=100)
+    with pytest.raises(ConfigError, match="train-images-idx3-ubyte has 20 pixels "
+                       "per image, .*t10k-images-idx3-ubyte.gz has 9$"):
+        build_dataset(cfg, 0)
+    assert run_cli("run", "--dataset", "mnist", "--data-dir", str(data_dir),
+                   "--n-clients", "3", "--ref-size", "100", "--rounds", "1",
+                   "--output-path", str(data_dir / "o")) == 2
+    assert "config error: data_dir: " in capsys.readouterr().err
+
+
+def test_idx_ref_size_must_leave_samples(idx_dir, capsys):
+    data_dir, _, _ = idx_dir
+    assert run_cli("run", "--dataset", "mnist", "--data-dir", str(data_dir),
+                   "--ref-size", "600", "--rounds", "1",
+                   "--output-path", str(data_dir / "o")) == 2
+    assert "config error: ref_size: 600 must be < the 600 samples" \
+        in capsys.readouterr().err
