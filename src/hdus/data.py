@@ -23,6 +23,7 @@ class LabeledDataset:
     labels: np.ndarray            # M, int
     class_count: int
     scaling: str = "none"         # how the features were scaled
+    image_shape: tuple[int, int] | None = None   # IDX rows x columns per image
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -40,7 +41,7 @@ class LabeledDataset:
 
     def take(self, indices: np.ndarray) -> "LabeledDataset":
         return LabeledDataset(self.features[indices], self.labels[indices],
-                              self.class_count, self.scaling)
+                              self.class_count, self.scaling, self.image_shape)
 
 
 @dataclass
@@ -125,7 +126,7 @@ def parse_idx(image_bytes: bytes, label_bytes: bytes,
         raise ParseError(f"label {labels[bad]} out of range for C={class_count}",
                          offset=8 + bad)
     return LabeledDataset(features, labels.astype(np.int64), class_count,
-                          scaling="pixel/255")
+                          scaling="pixel/255", image_shape=(rows, cols))
 
 
 def load_idx_files(image_path, label_path, class_count: int = 10) -> LabeledDataset:
@@ -207,7 +208,8 @@ def partition_noniid(data: LabeledDataset, n_clients: int, ref_size: int,
     client i never sees one distinct class (a seeded permutation decides which).
 
     Splits are pairwise disjoint, equal-sized (+-1), and disjoint from both
-    the test set and the reference features.
+    the test set and the reference features. The test set's features are
+    read-only.
     """
     C = data.class_count
     if n_clients > C:
@@ -280,9 +282,12 @@ def partition_noniid(data: LabeledDataset, n_clients: int, ref_size: int,
                             f"{int(need.sum())} samples")
 
     client_indices = [np.sort(np.asarray(rows, dtype=np.int64)) for rows in assigned]
+    test = data.take(test_idx)
+    # Read-only, so that evaluation may keep each seed's output on it.
+    test.features.flags.writeable = False
     return PartitionedDataset(
         client_splits=[data.take(ci) for ci in client_indices],
-        test=data.take(test_idx),
+        test=test,
         reference=ReferenceSet(data.features[ref_idx]),
         class_menu=menus,
         omitted_class=omitted,

@@ -33,10 +33,18 @@ class EnsembleConfig:
 @dataclass
 class SeedRepository:
     """Ordered collection of neighbor seed models. Never holds an entry for
-    the owning client itself."""
+    the owning client itself.
+
+    `entries` is the (neighbor id, seed) list in arrival order. Callers read
+    it; `add_neighbor_seed` and `unlearn_neighbor` write it, and keep the id
+    set that answers `in` in step."""
 
     owner_id: int
     entries: list[tuple[int, MlpModel]] = field(default_factory=list)
+    _ids: set[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._ids = {nid for nid, _ in self.entries}
 
     def neighbor_ids(self) -> list[int]:
         return [nid for nid, _ in self.entries]
@@ -45,7 +53,7 @@ class SeedRepository:
         return len(self.entries)
 
     def __contains__(self, neighbor_id: int) -> bool:
-        return any(nid == neighbor_id for nid, _ in self.entries)
+        return neighbor_id in self._ids
 
 
 def add_neighbor_seed(repo: SeedRepository, neighbor_id: int,
@@ -63,17 +71,18 @@ def add_neighbor_seed(repo: SeedRepository, neighbor_id: int,
                 f"({seed.spec.in_dim}, {seed.spec.out_dim}), repository holds "
                 f"({ref_spec.in_dim}, {ref_spec.out_dim})")
     repo.entries.append((neighbor_id, seed))
+    repo._ids.add(neighbor_id)
     return repo
 
 
 def unlearn_neighbor(repo: SeedRepository, neighbor_id: int) -> SeedRepository:
     """Delete a neighbor's seed entry; O(K), no retraining, no other state touched."""
-    for i, (nid, _) in enumerate(repo.entries):
-        if nid == neighbor_id:
-            del repo.entries[i]
-            return repo
-    raise NotFoundError(f"neighbor {neighbor_id} not in repository of "
-                        f"client {repo.owner_id}")
+    if neighbor_id not in repo:
+        raise NotFoundError(f"neighbor {neighbor_id} not in repository of "
+                            f"client {repo.owner_id}")
+    del repo.entries[repo.neighbor_ids().index(neighbor_id)]
+    repo._ids.remove(neighbor_id)
+    return repo
 
 
 def ensemble_predict(main: MlpModel, repo: SeedRepository, cfg: EnsembleConfig,
@@ -81,13 +90,18 @@ def ensemble_predict(main: MlpModel, repo: SeedRepository, cfg: EnsembleConfig,
     """(1 - lambda) * p_main + (lambda / K) * sum_k p_seed_k.
 
     Model outputs are converted to probabilities by a standard softmax before
-    averaging (set cfg.combine = "logits" to average raw logits instead). An
-    empty repository degenerates to the main model alone.
+    averaging (set cfg.combine = "logits" to average raw logits instead). The
+    seed outputs are summed in repository order. An empty repository, or
+    lambda 0, degenerates to the main model alone, and no seed is forwarded.
     """
     batch = np.asarray(batch, dtype=np.float64)
-    return _combine(_model_output(main, batch, cfg.combine, "main model"), repo, cfg.lam,
-                    lambda nid, seed: _model_output(seed, batch, cfg.combine,
-                                                    f"seed of neighbor {nid}"))
+    main_out = _model_output(main, batch, cfg.combine, "main model")
+    if len(repo) == 0 or cfg.lam == 0.0:
+        return main_out
+    seed_sum = np.zeros_like(main_out)
+    for nid, seed in repo.entries:
+        seed_sum += _model_output(seed, batch, cfg.combine, f"seed of neighbor {nid}")
+    return _mix(main_out, seed_sum, cfg.lam, len(repo))
 
 
 def _model_output(model: MlpModel, batch: np.ndarray, combine: str,
@@ -100,17 +114,9 @@ def _model_output(model: MlpModel, batch: np.ndarray, combine: str,
     return logits if combine == "logits" else softmax_temp(logits, 1.0)
 
 
-def _combine(main_out: np.ndarray, repo: SeedRepository, lam: float,
-             seed_output) -> np.ndarray:
-    """The ensemble of `main_out` and `seed_output(nid, seed)` of every
-    repository entry, summed in repository order. Seeds are not forwarded
-    when the repository is empty or lambda is 0."""
-    if len(repo) == 0 or lam == 0.0:
-        return main_out
-    seed_sum = np.zeros_like(main_out)
-    for nid, seed in repo.entries:
-        seed_sum += seed_output(nid, seed)
-    k = len(repo)
+def _mix(main_out: np.ndarray, seed_sum: np.ndarray, lam: float,
+         k: int) -> np.ndarray:
+    """(1 - lambda) * main_out + (lambda / k) * the sum of k seed outputs."""
     return (1.0 - lam) * main_out + (lam / k) * seed_sum
 
 
@@ -137,7 +143,8 @@ def deserialize_seed(blob: bytes) -> MlpModel:
     parameter is finite.
 
     The seed's `params` are read-only: receivers share one decoded seed (and
-    evaluation forwards it once), so it must never change after exchange."""
+    evaluation forwards it once in its lifetime), so it must never change
+    after exchange."""
     if len(blob) < 12:
         raise ParseError("blob too short for header", offset=len(blob))
     if blob[:4] != SEED_MAGIC:

@@ -102,6 +102,9 @@ class ExperimentConfig:
             for t in self.tiers:
                 if t not in ("small", "medium", "large"):
                     raise ConfigError(f"tiers: unknown tier {t!r}")
+            if self.framework in ("dsgd", "fedunl") and len(set(self.tiers)) > 1:
+                raise ConfigError(f"tiers: {self.framework} needs one model spec, "
+                                  f"got tiers {sorted(set(self.tiers))}")
         if (self.unlearn_round is None) != (self.unlearn_client is None):
             raise ConfigError("unlearn_round and unlearn_client must be set together")
         if self.unlearn_round is not None:
@@ -294,7 +297,7 @@ class RunReport:
 
 def build_dataset(cfg: ExperimentConfig, seed: int) -> LabeledDataset:
     """Blobs, or the pooled IDX train and t10k files under `data_dir/dataset`
-    (plain or `.gz`); ConfigError if none exist or their image sizes differ."""
+    (plain or `.gz`); ConfigError if none exist or their image shapes differ."""
     if cfg.dataset == "blobs":
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
         return gen_blobs(cfg.blob_samples_per_class, cfg.blob_classes,
@@ -318,9 +321,14 @@ def build_dataset(cfg: ExperimentConfig, seed: int) -> LabeledDataset:
     if sizes[0] != sizes[1]:
         raise ConfigError(f"data_dir: {files[0][0]} has {sizes[0]} pixels per "
                           f"image, {files[1][0]} has {sizes[1]}")
+    shapes = ["x".join(map(str, p.image_shape)) for p in parts]
+    if shapes[0] != shapes[1]:
+        raise ConfigError(f"data_dir: {files[0][0]} has {shapes[0]} images, "
+                          f"{files[1][0]} has {shapes[1]}")
     feats = np.concatenate([p.features for p in parts])
     labs = np.concatenate([p.labels for p in parts])
-    return LabeledDataset(feats, labs, parts[0].class_count, parts[0].scaling)
+    return LabeledDataset(feats, labs, parts[0].class_count, parts[0].scaling,
+                          parts[0].image_shape)
 
 
 def build_partition(cfg: ExperimentConfig, seed: int) -> PartitionedDataset:

@@ -74,13 +74,18 @@ class MlpModel:
     one row per model: then `weights[i]` is S x fan_in x fan_out, row k is
     model k, and `params[:s]` is the stack of the first s. Read-only `params`
     give read-only layers. `__reduce__` rebuilds the views from a copied
-    `params`, so `copy.deepcopy` and pickle keep them aliasing it.
+    `params`, so `copy.deepcopy` and pickle keep them aliasing it and keep
+    read-only `params` read-only. It drops `_test_output`, the test-set
+    output that evaluation stores on a read-only model as (features, combine
+    mode, output), so a copy forwards once before it keeps its own.
     """
 
     spec: MlpSpec
     params: np.ndarray
     weights: list[np.ndarray] = field(init=False, repr=False)
     biases: list[np.ndarray] = field(init=False, repr=False)
+    _test_output: tuple | None = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     def __post_init__(self):
         p = self.params
@@ -96,13 +101,21 @@ class MlpModel:
             off = end + fan_out
 
     def __reduce__(self):
-        return MlpModel, (self.spec, self.params)
+        return _rebuild_model, (self.spec, self.params, self.params.flags.writeable)
 
     def copy(self) -> "MlpModel":
         return MlpModel(self.spec, self.params.copy())
 
     def param_count(self) -> int:
         return self.spec.param_count()
+
+
+def _rebuild_model(spec: MlpSpec, params: np.ndarray, writeable: bool) -> MlpModel:
+    """`MlpModel.__reduce__`'s constructor: numpy hands back deep-copied and
+    unpickled arrays writable, so a read-only model's flag is set again."""
+    if not writeable:
+        params.flags.writeable = False
+    return MlpModel(spec, params)
 
 
 def init_mlp(spec: MlpSpec, rng: np.random.Generator) -> MlpModel:
@@ -135,7 +148,9 @@ def softmax_temp(logits: np.ndarray, temperature: float) -> np.ndarray:
     """Temperature softmax with max-subtraction; row-wise on 2-D input."""
     if temperature <= 0:
         raise DomainError(f"temperature must be > 0, got {temperature}")
-    z = np.asarray(logits, dtype=np.float64) / temperature
+    z = np.asarray(logits, dtype=np.float64)
+    if temperature != 1.0:       # x / 1.0 == x for every IEEE value
+        z = z / temperature
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .data import LabeledDataset, PartitionedDataset
 from .distill import DistillConfig, ReferenceSet, incubate_seeds
-from .ensemble import (EnsembleConfig, SeedRepository, _combine, _model_output,
+from .ensemble import (EnsembleConfig, SeedRepository, _mix, _model_output,
                        add_neighbor_seed, deserialize_seed, serialize_seed,
                        unlearn_neighbor)
 from .errors import ConfigError, DivergenceError, NotFoundError, StateError
@@ -246,37 +246,79 @@ def handle_unlearn_request(clients: list[ClientState], quitting_id: int) -> list
     return clients
 
 
+def _shared_prefix(a: list[tuple[int, MlpModel]],
+                   b: list[tuple[int, MlpModel]]) -> int:
+    """How many leading repository entries hold the same seed objects."""
+    n = 0
+    for (_, x), (_, y) in zip(a, b):
+        if x is not y:
+            break
+        n += 1
+    return n
+
+
 def evaluate_all(clients: list[ClientState], test: LabeledDataset,
                  cfg: SimConfig, framework: str = "hdus",
                  log: EventLog | None = None,
                  round_index: int = 0) -> tuple[dict[int, float], float]:
     """Per-active-client ensemble accuracy on the shared test set + the mean.
 
-    Bitwise what `ensemble_predict` gives each client, but each distinct seed
-    object is forwarded once per call, not once per repository holding it:
-    receivers share the seed decoded from one blob, and decoded seeds are
-    read-only. Each repository combines the outputs in its own
-    order.
+    Bitwise what `ensemble_predict` gives each client, for less work:
+    - A read-only seed (every decoded one; receivers share the seed decoded
+      from one blob) is forwarded once in its lifetime: its output on a
+      read-only `test.features` is stored on the seed, keyed by that array
+      and the combine mode; another test set or mode forwards it anew. Any
+      other seed is forwarded once per call.
+    - Each repository sums its seed outputs in its own order, starting from
+      the partial sum of the prefix it shares (by seed identity) with the
+      previous active client's repository, so a prefix common to a run of
+      repositories is summed once.
     """
     if len(test) == 0:
         raise ConfigError("empty test set")
     active = active_clients(clients)
     if not active:
         raise StateError("no active clients")
-    combine = cfg.ensemble.combine
-    seed_outputs: dict[int, np.ndarray] = {}   # id(seed) -> its test-set output
+    combine, lam = cfg.ensemble.combine, cfg.ensemble.lam
+    features = test.features
+    cacheable = not features.flags.writeable
+    forwarded: dict[int, np.ndarray] = {}   # id(seed) -> output, this call only
 
     def seed_output(nid: int, seed: MlpModel) -> np.ndarray:
-        out = seed_outputs.get(id(seed))
+        cached = seed._test_output
+        if cached is not None and cached[0] is features and cached[1] == combine:
+            return cached[2]
+        out = forwarded.get(id(seed))
         if out is None:
-            out = seed_outputs[id(seed)] = _model_output(
-                seed, test.features, combine, f"seed of neighbor {nid}")
+            out = _model_output(seed, features, combine, f"seed of neighbor {nid}")
+            if cacheable and not seed.params.flags.writeable:
+                out.flags.writeable = False
+                seed._test_output = (features, combine, out)
+            else:
+                forwarded[id(seed)] = out
         return out
 
+    # One list per active client, and an empty one after the last.
+    repos = [c.repo.entries if lam != 0.0 else [] for c in active] + [[]]
+    carry = None    # (length, partial sum) of the prefix the next repo shares
     per_client: dict[int, float] = {}
-    for c in active:
-        main_out = _model_output(c.main, test.features, combine, "main model")
-        out = _combine(main_out, c.repo, cfg.ensemble.lam, seed_output)
+    for i, c in enumerate(active):
+        out = _model_output(c.main, features, combine, "main model")
+        entries = repos[i]
+        if entries:
+            keep = _shared_prefix(entries, repos[i + 1])
+            done, seed_sum = carry or (0, np.zeros_like(out))
+            carry = None
+            if done <= keep and keep > 0:
+                for nid, seed in entries[done:keep]:
+                    seed_sum += seed_output(nid, seed)
+                done = keep
+                # The sum is not written after the last entry, so it needs
+                # no copy when the next repository shares all of it.
+                carry = (keep, seed_sum.copy() if keep < len(entries) else seed_sum)
+            for nid, seed in entries[done:]:
+                seed_sum += seed_output(nid, seed)
+            out = _mix(out, seed_sum, lam, len(entries))
         per_client[c.id] = accuracy(out, test.labels)
     mean = float(np.mean(list(per_client.values())))
     if log is not None:

@@ -36,6 +36,8 @@ def test_parse_idx_roundtrip(tiny_idx):
     assert np.array_equal(ds.features, images.reshape(6, 9) / 255.0)
     assert ds.features.min() >= 0.0 and ds.features.max() <= 1.0
     assert ds.scaling == "pixel/255"
+    assert ds.image_shape == (3, 3)
+    assert ds.take(np.array([1, 4])).image_shape == (3, 3)
 
 
 def test_parse_idx_gzip_transparent(tiny_idx):

@@ -76,6 +76,17 @@ def test_client_tiers_spread():
         else:
             cfg.validate()
             assert cfg.client_tiers() == cfg.tiers
+    # Homogeneous dsgd and fedunl need one spec, so at most one distinct tier.
+    for fw in FRAMEWORKS:
+        cfg = tiny(framework=fw, n_clients=3, setting="homogeneous",
+                   tiers=["small", "large", "large"])
+        if fw in ("dsgd", "fedunl"):
+            with pytest.raises(ConfigError, match="^tiers: "):
+                cfg.validate()
+            replace(cfg, tiers=["medium"] * 3).validate()
+        else:
+            cfg.validate()
+            assert cfg.client_tiers() == cfg.tiers
 
 
 def test_config_hash_stable_and_sensitive():
@@ -285,6 +296,10 @@ def test_cli_validate_config(capsys):
     assert run_cli("validate-config", "--framework", "dsgd",
                    "--tiers", '["large","large","large","large","large"]') == 2
     assert "config error: tiers: " in capsys.readouterr().err
+    assert run_cli("validate-config", "--framework", "dsgd", "--setting",
+                   "homogeneous", "--tiers",
+                   '["small","large","large","large","large"]') == 2
+    assert "config error: tiers: dsgd needs one model spec" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", sorted(CONFIG_KEYS))
@@ -415,6 +430,21 @@ def test_idx_image_sizes_must_agree(idx_dir, capsys):
     cfg = tiny(dataset="mnist", data_dir=str(data_dir), n_clients=3, ref_size=100)
     with pytest.raises(ConfigError, match="train-images-idx3-ubyte has 20 pixels "
                        "per image, .*t10k-images-idx3-ubyte.gz has 9$"):
+        build_dataset(cfg, 0)
+    assert run_cli("run", "--dataset", "mnist", "--data-dir", str(data_dir),
+                   "--n-clients", "3", "--ref-size", "100", "--rounds", "1",
+                   "--output-path", str(data_dir / "o")) == 2
+    assert "config error: data_dir: " in capsys.readouterr().err
+
+
+def test_idx_image_shapes_must_agree(idx_dir, capsys):
+    """Images of one pixel count but transposed shapes do not pool."""
+    data_dir, images, labels = idx_dir
+    _write_idx(data_dir / "mnist", "t10k", images[500:].swapaxes(1, 2),
+               labels[500:], gz=True)
+    cfg = tiny(dataset="mnist", data_dir=str(data_dir), n_clients=3, ref_size=100)
+    with pytest.raises(ConfigError, match="^data_dir: .*train-images-idx3-ubyte "
+                       "has 4x5 images, .*t10k-images-idx3-ubyte.gz has 5x4$"):
         build_dataset(cfg, 0)
     assert run_cli("run", "--dataset", "mnist", "--data-dir", str(data_dir),
                    "--n-clients", "3", "--ref-size", "100", "--rounds", "1",

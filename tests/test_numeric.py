@@ -355,7 +355,7 @@ class TestFlatParams:
     def test_copies_keep_views_aliasing_params(self, clone):
         """A deep copy or a pickle round trip rebuilds the layer views over
         the copied vector, so a step on the copy moves its layers and leaves
-        the original alone."""
+        the original alone; a read-only model's copy is read-only."""
         m = init_mlp(MlpSpec((3, 4, 2)), np.random.default_rng(0))
         before = m.params.copy()
         c = clone(m)
@@ -366,6 +366,11 @@ class TestFlatParams:
         assert np.array_equal(c.weights[0], w0 - 0.5)
         assert np.array_equal(c.biases[-1], np.full(2, -0.5))
         assert np.array_equal(m.params, before)
+        frozen = m.params.copy()
+        frozen.flags.writeable = False
+        r = clone(MlpModel(m.spec, frozen))
+        assert not np.shares_memory(r.params, frozen)
+        assert not any(a.flags.writeable for a in [r.params, *r.weights, *r.biases])
 
 
 # --- one minibatch loop: sgd_train is the stack of one ----------------------

@@ -12,10 +12,11 @@ import hdus.simulation as simulation
 from hdus.data import LabeledDataset, gen_blobs, partition_noniid
 from hdus.distill import DistillConfig, ReferenceSet
 from hdus.ensemble import (EnsembleConfig, SeedRepository, add_neighbor_seed,
-                           ensemble_predict, unlearn_neighbor)
+                           deserialize_seed, ensemble_predict, serialize_seed,
+                           unlearn_neighbor)
 from hdus.errors import ConfigError, DivergenceError, NotFoundError, StateError
-from hdus.numeric import (MlpSpec, accuracy, init_mlp, sgd_train, tier_spec,
-                          training_step_count)
+from hdus.numeric import (MlpModel, MlpSpec, accuracy, init_mlp, sgd_train,
+                          tier_spec, training_step_count)
 from hdus.simulation import (ClientState, EventLog, SimConfig, Topology,
                              active_clients, active_neighbors, client_rng_streams,
                              evaluate_all, handle_unlearn_request, init_network,
@@ -199,7 +200,6 @@ def test_heterogeneous_mains_homogeneous_wire(partition, monkeypatch):
     monkeypatch.setattr(simulation, "serialize_seed", spy)
     run_round(clients, topo, cfg, 0)
     assert len(wire) == 4
-    from hdus.ensemble import deserialize_seed
     for blob in wire:
         assert deserialize_seed(blob).spec == cfg.seed_spec
     _, mean = evaluate_all(clients, partition.test, cfg)
@@ -356,6 +356,152 @@ def test_evaluate_all_equals_ensemble_predict(partition, monkeypatch, combine, l
         assert seen[k] == want.tobytes()
         assert per_client[c.id] == accuracy(want, partition.test.labels)
     assert mean == float(np.mean(list(per_client.values())))
+
+
+_TOPOLOGIES = {
+    "complete": Topology.complete(range(5)),
+    "path": Topology({i: frozenset({i - 1, i + 1} & set(range(5))) for i in range(5)}),
+    "star": Topology({0: frozenset({1, 2, 3, 4}),
+                      **{i: frozenset({0}) for i in range(1, 5)}}),
+    # Clients 0 and 1 hold [3, 4], client 2 only [3]: the prefix client 1
+    # shares with client 2 is shorter than the one it shares with client 0.
+    "two_hubs": Topology({0: frozenset({3, 4}), 1: frozenset({3, 4}),
+                          2: frozenset({3}), 3: frozenset({0, 1, 2}),
+                          4: frozenset({0, 1})}),
+}
+
+
+def _resend(clients, topo, sender_id, scale):
+    """A new seed for one client, sent to its active neighbors as `run_round`
+    sends one: decoded once, remove-then-add, so it moves to the end."""
+    sender = clients[sender_id]
+    sender.own_seed = MlpModel(sender.own_seed.spec, sender.own_seed.params * scale)
+    sent = deserialize_seed(serialize_seed(sender.own_seed))
+    for nbr in active_neighbors(clients, topo, sender_id):
+        unlearn_neighbor(nbr.repo, sender_id)
+        add_neighbor_seed(nbr.repo, sender_id, sent)
+
+
+def _substitute(repo, neighbor_id, seed):
+    """Hold `seed` for `neighbor_id` at the position the old one had."""
+    held = list(repo.entries)
+    for nid, _ in held:
+        unlearn_neighbor(repo, nid)
+    for nid, old in held:
+        add_neighbor_seed(repo, nid, seed if nid == neighbor_id else old)
+
+
+@pytest.mark.parametrize("topology", sorted(_TOPOLOGIES))
+@pytest.mark.parametrize("combine", ["proba", "logits"])
+@pytest.mark.parametrize("lam", [0.0, 0.6])
+def test_evaluate_all_across_calls_equals_ensemble_predict(monkeypatch, topology,
+                                                           combine, lam):
+    """Outputs stored on seeds and partial sums shared between repositories
+    leave every client's ensemble output bitwise what ensemble_predict gives
+    it, call after call, across a quit, a single re-sent seed, a round, and
+    another seed under a shared id at a shared position."""
+    part = _tiny_partition(5)
+    topo = _TOPOLOGIES[topology]
+    cfg = small_cfg(lam)
+    cfg.ensemble = EnsembleConfig(lam=lam, combine=combine)
+    clients = init_network(part, [MlpSpec((F, 16, C))] * 5, topo, cfg, 0)
+    run_round(clients, topo, cfg, 0)
+    seen = []
+
+    def spy(out, labels):
+        seen.append(out.tobytes())
+        return accuracy(out, labels)
+    monkeypatch.setattr(simulation, "accuracy", spy)
+
+    def check():
+        seen.clear()
+        per_client, _ = evaluate_all(clients, part.test, cfg)
+        active = active_clients(clients)
+        assert list(per_client) == [c.id for c in active]
+        assert seen == [ensemble_predict(c.main, c.repo, cfg.ensemble,
+                                         part.test.features).tobytes()
+                        for c in active]
+
+    check()
+    check()
+    handle_unlearn_request(clients, 3)
+    check()
+    _resend(clients, topo, 0, 0.5)
+    check()
+    run_round(clients, topo, cfg, 1)
+    check()
+    _resend(clients, topo, 4, 2.0)
+    check()
+    last = [c for c in active_clients(clients) if len(c.repo)][-1]
+    nid, seed = last.repo.entries[0]
+    _substitute(last.repo, nid, MlpModel(seed.spec, seed.params * 0.5))
+    check()
+
+
+def test_evaluate_all_forwards_a_read_only_seed_once(partition, monkeypatch):
+    """A decoded (read-only) seed is forwarded once over calls on one
+    read-only test set. A writable seed is forwarded on every call, and
+    another test set, a writable one or another combine mode forwards anew."""
+    cfg = small_cfg()
+    clients, topo = fresh_network(partition, cfg)
+    run_round(clients, topo, cfg, 0)
+    # client 0 holds a writable copy of client 3's seed
+    copy_of_3 = dict(clients[0].repo.entries)[3].copy()
+    unlearn_neighbor(clients[0].repo, 3)
+    add_neighbor_seed(clients[0].repo, 3, copy_of_3)
+    forwards = []
+    model_output = simulation._model_output
+
+    def spy(model, batch, combine, who):
+        if who != "main model":
+            forwards.append(id(model))
+        return model_output(model, batch, combine, who)
+    monkeypatch.setattr(simulation, "_model_output", spy)
+    decoded = {id(seed) for c in clients for _, seed in c.repo.entries
+               if seed is not copy_of_3}
+    assert len(decoded) == 4
+
+    test = partition.test
+    assert not test.features.flags.writeable
+    evaluate_all(clients, test, cfg)
+    evaluate_all(clients, test, cfg)
+    assert sorted(forwards) == sorted([*decoded, id(copy_of_3), id(copy_of_3)])
+    for c in clients:
+        for _, seed in c.repo.entries:
+            if seed is not copy_of_3:
+                assert seed._test_output[0] is test.features
+                assert not seed._test_output[2].flags.writeable
+    assert copy_of_3._test_output is None
+
+    # A deep copy of the network holds read-only seeds, shared as before,
+    # that forward once before they keep their own outputs.
+    forwards.clear()
+    twin = copy.deepcopy(clients)
+    twin_copy = twin[0].repo.entries[-1][1]
+    assert twin_copy.params.flags.writeable
+    twin_decoded = {id(seed) for c in twin for _, seed in c.repo.entries
+                    if seed is not twin_copy}
+    assert len(twin_decoded) == 4
+    evaluate_all(twin, test, cfg)
+    evaluate_all(twin, test, cfg)
+    assert sorted(forwards) == sorted([*twin_decoded, id(twin_copy), id(twin_copy)])
+
+    forwards.clear()
+    other = LabeledDataset(test.features.copy(), test.labels, test.class_count)
+    other.features.flags.writeable = False
+    evaluate_all(clients, other, cfg)
+    assert sorted(forwards) == sorted([*decoded, id(copy_of_3)])
+
+    forwards.clear()
+    writable = LabeledDataset(test.features.copy(), test.labels, test.class_count)
+    evaluate_all(clients, writable, cfg)
+    evaluate_all(clients, writable, cfg)
+    assert sorted(forwards) == sorted([*decoded, id(copy_of_3)] * 2)
+
+    forwards.clear()
+    cfg.ensemble = EnsembleConfig(lam=cfg.ensemble.lam, combine="logits")
+    evaluate_all(clients, other, cfg)     # the test set the seeds last kept
+    assert sorted(forwards) == sorted([*decoded, id(copy_of_3)])
 
 
 # --- local training: one stack per (main spec, split size) ------------------
