@@ -6,7 +6,8 @@ is `--lambda`), and a flag value is read the same way as a file value: a JSON
 literal, or a bare word as a string (for example `--tiers '["small","large"]'`
 or `--framework dsgd`). A config file overrides built-in defaults and flags
 override the file.
-Exit codes: 0 success, 2 config error, 3 runtime error.
+Exit codes: 0 success, 2 config error, 3 runtime error; a sweep with no good
+cell exits as its first cell's error does.
 """
 
 from __future__ import annotations
@@ -70,13 +71,15 @@ def main(argv=None) -> int:
             values = [parse_config_value(args.param, v, "--values")[1]
                       for v in args.values.split(",")]
             grid = sweep(cfg, args.param, values)
-            reports = [r for r in grid.values() if not isinstance(r, Exception)]
-            paths = emit_metrics(reports, out)
             for v, rep in grid.items():
                 if isinstance(rep, Exception):
                     print(f"{args.param}={v}: error: {rep}")
                 else:
                     print(f"{args.param}={v}: {rep.mean():.4f} +- {rep.std():.4f}")
+            reports = [r for r in grid.values() if not isinstance(r, Exception)]
+            if not reports:   # nothing to write: fail as the first cell did
+                raise next(iter(grid.values()))
+            paths = emit_metrics(reports, out)
         else:  # unlearn-demo
             reports = unlearn_demo(cfg)
             paths = emit_metrics(reports, out)

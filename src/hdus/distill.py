@@ -95,8 +95,9 @@ def incubate_seeds(mains: list[MlpModel], seed_spec: MlpSpec, ref: ReferenceSet,
     stack = np.stack([(init if init is not None else init_mlp(seed_spec, rng)).params
                       for init, rng in zip(inits, rngs)])
     targets = np.empty((len(mains), len(ref), seed_spec.out_dim))
-    for k, main in enumerate(mains):   # one at a time: no second copy of the stack
-        targets[k] = softmax_temp(mlp_forward(main, ref.features), cfg.temperature)
+    with np.errstate(over="ignore", invalid="ignore"):   # `live` finds a diverged main
+        for k, main in enumerate(mains):   # one at a time: no second copy of the stack
+            targets[k] = softmax_temp(mlp_forward(main, ref.features), cfg.temperature)
     live = _first_nonfinite(targets)   # position of a non-finite teacher
     features = np.broadcast_to(ref.features, (live, *ref.features.shape))  # no copy
     _train_stack(MlpModel(seed_spec, stack[:live]), features, targets[:live],

@@ -22,7 +22,6 @@ from .simulation import (EventLog, SimConfig, Topology, active_clients,
                          csv_text, evaluate_all, handle_unlearn_request,
                          init_network, run_round)
 
-FRAMEWORKS = ("hdus", "isgd", "dsgd", "fedunl", "sisa_a")
 _SMALL_TIER_FRAMEWORKS = ("dsgd", "fedunl", "sisa_a")
 SCHEMA_VERSION = 1
 
@@ -292,7 +291,7 @@ class RunReport:
 
 
 # ---------------------------------------------------------------------------
-# Framework engines: shared dataset + unified round/unlearn/evaluate loop
+# Framework engines: shared dataset, one engine, a table of framework steps
 # ---------------------------------------------------------------------------
 
 def build_dataset(cfg: ExperimentConfig, seed: int) -> LabeledDataset:
@@ -317,10 +316,6 @@ def build_dataset(cfg: ExperimentConfig, seed: int) -> LabeledDataset:
     parts = [load_idx_files(img, lab) for img, lab in files]
     if len(parts) == 1:
         return parts[0]
-    sizes = [p.features.shape[1] for p in parts]
-    if sizes[0] != sizes[1]:
-        raise ConfigError(f"data_dir: {files[0][0]} has {sizes[0]} pixels per "
-                          f"image, {files[1][0]} has {sizes[1]}")
     shapes = ["x".join(map(str, p.image_shape)) for p in parts]
     if shapes[0] != shapes[1]:
         raise ConfigError(f"data_dir: {files[0][0]} has {shapes[0]} images, "
@@ -351,13 +346,36 @@ def _sim_config(cfg: ExperimentConfig, feature_dim: int, class_count: int) -> Si
         incubate_every_rounds=cfg.incubate_every_rounds)
 
 
+def _fedunl_round(e: _Engine, r: int) -> None:
+    # The round after a quit recovers the global once; later rounds train.
+    if e.server.pre_unlearn_global is None:
+        bl.fedunl_round(e.server, e.clients, e.sim)
+    else:
+        bl.fedunl_recover_round(e.server, e.clients, e.part.reference, e.sim)
+
+
+# Framework -> (round step, unlearn step), each called with the engine. A step
+# looks its callee up when it runs, so a patched module attribute sees the call.
+_STEPS = {
+    "hdus": (lambda e, r: run_round(e.clients, e.topology, e.sim, round_index=r),
+             lambda e, q: handle_unlearn_request(e.clients, q)),
+    "isgd": (lambda e, r: bl.isgd_round(e.clients, e.sim),
+             lambda e, q: bl.isgd_unlearn(e.clients, q)),
+    "dsgd": (lambda e, r: bl.dsgd_round(e.clients, e.topology, e.sim),
+             lambda e, q: bl.dsgd_unlearn(e.clients, q, e.seed)),
+    "fedunl": (_fedunl_round,
+               lambda e, q: bl.fedunl_unlearn(e.server, e.clients, q)),
+    "sisa_a": (lambda e, r: bl.sisa_round(e.clients, e.sim),
+               lambda e, q: bl.sisa_unlearn_client(e.clients, q)),
+}
+FRAMEWORKS = tuple(_STEPS)
+
+
 class _Engine:
     """One framework bound to one partition + master seed."""
 
-    name = "base"
-
     def __init__(self, cfg: ExperimentConfig, part: PartitionedDataset, seed: int):
-        self.cfg = cfg
+        self.name = cfg.framework
         self.part = part
         self.seed = seed
         F = part.test.features.shape[1]
@@ -368,93 +386,32 @@ class _Engine:
         specs = [tier_spec(t, F, C) for t in tiers]
         self.clients = init_network(part, specs, self.topology, self.sim, seed,
                                     tiers=tiers)
+        # FedUnl's server is the only state a framework adds to the roster.
+        self.server = (bl.fedunl_init(self.clients[0].main.spec, seed)
+                       if self.name == "fedunl" else None)
 
     def round(self, r: int) -> None:
-        raise NotImplementedError
+        _STEPS[self.name][0](self, r)
 
     def unlearn(self, quitting_id: int) -> None:
-        raise NotImplementedError
+        _STEPS[self.name][1](self, quitting_id)
 
     def evaluate(self, log: EventLog, r: int) -> float:
+        if self.name == "sisa_a":
+            # One ensemble of every shard; logged per client for schema uniformity.
+            out = bl.sisa_predict(self.clients, self.part.test.features)
+            acc = accuracy(out, self.part.test.labels)
+            for c in active_clients(self.clients):
+                log.log(r, c.id, self.name, "accuracy", acc)
+            log.log(r, "mean", self.name, "mean_accuracy", acc)
+            return acc
         _, mean = evaluate_all(self.clients, self.part.test, self.sim,
                                framework=self.name, log=log, round_index=r)
         return mean
 
 
-class _HdusEngine(_Engine):
-    name = "hdus"
-
-    def round(self, r):
-        run_round(self.clients, self.topology, self.sim, round_index=r)
-
-    def unlearn(self, quitting_id):
-        handle_unlearn_request(self.clients, quitting_id)
-
-
-class _IsgdEngine(_Engine):
-    name = "isgd"
-
-    def round(self, r):
-        bl.isgd_round(self.clients, self.sim)
-
-    def unlearn(self, quitting_id):
-        bl.isgd_unlearn(self.clients, quitting_id)
-
-
-class _DsgdEngine(_Engine):
-    name = "dsgd"
-
-    def round(self, r):
-        bl.dsgd_round(self.clients, self.topology, self.sim)
-
-    def unlearn(self, quitting_id):
-        bl.dsgd_unlearn(self.clients, quitting_id, self.seed)
-
-
-class _FedunlEngine(_Engine):
-    name = "fedunl"
-
-    def __init__(self, cfg, part, seed):
-        super().__init__(cfg, part, seed)
-        self.server = bl.fedunl_init(self.clients[0].main.spec, seed)
-
-    def round(self, r):
-        # The round after a quit recovers the global once; later rounds train.
-        if self.server.pre_unlearn_global is None:
-            bl.fedunl_round(self.server, self.clients, self.sim)
-        else:
-            bl.fedunl_recover_round(self.server, self.clients, self.part.reference,
-                                    self.sim)
-
-    def unlearn(self, quitting_id):
-        bl.fedunl_unlearn(self.server, self.clients, quitting_id)
-
-
-class _SisaEngine(_Engine):
-    name = "sisa_a"
-
-    def round(self, r):
-        bl.sisa_round(self.clients, self.sim)
-
-    def unlearn(self, quitting_id):
-        bl.sisa_unlearn_client(self.clients, quitting_id)
-
-    def evaluate(self, log, r):
-        # One ensemble of every shard; logged per client for schema uniformity.
-        out = bl.sisa_predict(self.clients, self.part.test.features)
-        acc = accuracy(out, self.part.test.labels)
-        for c in active_clients(self.clients):
-            log.log(r, c.id, self.name, "accuracy", acc)
-        log.log(r, "mean", self.name, "mean_accuracy", acc)
-        return acc
-
-
-_ENGINES = {"hdus": _HdusEngine, "isgd": _IsgdEngine, "dsgd": _DsgdEngine,
-            "fedunl": _FedunlEngine, "sisa_a": _SisaEngine}
-
-
 def make_engine(cfg: ExperimentConfig, part: PartitionedDataset, seed: int) -> _Engine:
-    return _ENGINES[cfg.framework](cfg, part, seed)
+    return _Engine(cfg, part, seed)
 
 
 def _single_run(cfg: ExperimentConfig, repeat: int, seed: int) -> RepeatResult:

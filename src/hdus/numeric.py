@@ -297,6 +297,9 @@ def _first_nonfinite(*stacks: np.ndarray) -> int:
     return int(bad[0]) if bad.size else finite.size
 
 
+# Divergence overflows to inf and NaN; the finiteness checks below detect it,
+# so numpy's own warnings would only repeat it.
+@np.errstate(over="ignore", invalid="ignore")
 def _train_stack(stack: MlpModel, features: np.ndarray, targets: np.ndarray,
                  temperature: float, epochs: int, lr: float, batch_size: int,
                  rngs: list[np.random.Generator]) -> None:

@@ -242,7 +242,6 @@ def _poisoned(model):
     return model
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_stacked_divergence_names_lowest_position(blob_task):
     main, ref = blob_task
     spec = MlpSpec((6, 8, 4))

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hdus.harness as harness
 from hdus import baselines as bl
 from hdus.cli import main as cli_main
 from hdus.errors import ConfigError, StateError
@@ -207,6 +208,41 @@ def test_fedunl_recovers_once_then_trains():
         bl.fedunl_recover_round(eng.server, eng.clients, eng.part.reference, eng.sim)
 
 
+# Each framework's round and unlearn functions, as the engine calls them:
+# (module, name) -> calls in a run of 4 rounds with a quit at round 1.
+_FRAMEWORK_CALLS = {
+    "hdus": {("harness", "run_round"): 3, ("harness", "handle_unlearn_request"): 1},
+    "isgd": {("baselines", "isgd_round"): 3, ("baselines", "isgd_unlearn"): 1},
+    "dsgd": {("baselines", "dsgd_round"): 3, ("baselines", "dsgd_unlearn"): 1},
+    "fedunl": {("baselines", "fedunl_round"): 2,
+               ("baselines", "fedunl_recover_round"): 1,
+               ("baselines", "fedunl_unlearn"): 1},
+    "sisa_a": {("baselines", "sisa_round"): 3, ("baselines", "sisa_unlearn_client"): 1,
+               ("baselines", "sisa_predict"): 4},
+}
+
+
+@pytest.mark.parametrize("fw", FRAMEWORKS)
+def test_engine_looks_up_framework_functions_when_called(fw, monkeypatch):
+    """Counting wrappers patched onto the modules see every call, so the
+    engine binds no framework function at import time."""
+    modules = {"harness": harness, "baselines": bl}
+    counts = dict.fromkeys((key for calls in _FRAMEWORK_CALLS.values()
+                            for key in calls), 0)
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mod, name in counts:
+        monkeypatch.setattr(modules[mod], name, counting((mod, name),
+                                                         getattr(modules[mod], name)))
+    run_experiment(tiny(framework=fw, rounds=4, unlearn_round=1, unlearn_client=3))
+    assert {k: n for k, n in counts.items() if n} == _FRAMEWORK_CALLS[fw]
+
+
 def test_sweep_grid_and_error_cells():
     grid = sweep(tiny(framework="hdus"), "lambda", [0.0, 0.5, 1.5])
     assert set(grid) == {0.0, 0.5, 1.5}
@@ -366,11 +402,36 @@ def test_cli_non_utf8_config_file_is_config_error(tmp_path, capsys):
     assert "bad.conf: not UTF-8 text" in capsys.readouterr().err
 
 
-def test_cli_runtime_error_exit_code(tmp_path, capsys):
-    # mnist requested but no IDX files present under data_dir
+def test_cli_missing_idx_files_is_config_error(tmp_path, capsys):
     code = run_cli("run", "--dataset", "mnist", "--data-dir", str(tmp_path),
                    "--rounds", "1")
-    assert code in (2, 3)
+    assert code == 2
+    assert "config error: data_dir: IDX files not found" in capsys.readouterr().err
+
+
+def test_cli_diverging_run_is_runtime_error(tmp_path, capsys):
+    """Divergence is reported once, as a DivergenceError; no numpy warning
+    escapes (pytest turns one into an error)."""
+    code = run_cli("run", "--lr", "1e12", "--rounds", "2",
+                   "--output-path", str(tmp_path / "o"))
+    assert code == 3
+    assert "runtime error: client 0: non-finite student output at epoch 0" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_sweep_fails_only_when_no_cell_succeeds(tmp_path, capsys):
+    out = tmp_path / "s"
+    assert run_cli("sweep", "--param", "lambda", "--values", "1.5,2",
+                   "--output-path", str(out)) == 2
+    assert "config error: lambda: must be in [0, 1), got 1.5" \
+        in capsys.readouterr().err
+    assert not (out / "summary.csv").exists()
+    assert run_cli("sweep", "--param", "lambda", "--values", "0.2,1.5",
+                   "--rounds", "1", "--n-clients", "3", "--ref-size", "40",
+                   "--output-path", str(out)) == 0
+    assert "lambda=1.5: error: " in capsys.readouterr().out
+    assert (out / "summary.csv").exists()
 
 
 def test_cli_fedunl_quit_at_round_zero_trains_again(tmp_path, capsys):
@@ -423,28 +484,19 @@ def test_idx_dataset_runs_end_to_end(idx_dir):
     assert 0.0 <= rep.mean() <= 1.0
 
 
-def test_idx_image_sizes_must_agree(idx_dir, capsys):
+@pytest.mark.parametrize("t10k_shape", [
+    pytest.param((5, 4), id="transposed"),   # one pixel count, other shape
+    pytest.param((3, 3), id="smaller"),
+])
+def test_idx_image_shapes_must_agree(idx_dir, capsys, t10k_shape):
+    """train (4x5) and t10k images of another shape do not pool."""
     data_dir, _, labels = idx_dir
-    _write_idx(data_dir / "mnist", "t10k", np.zeros((100, 3, 3)), labels[:100],
-               gz=True)
-    cfg = tiny(dataset="mnist", data_dir=str(data_dir), n_clients=3, ref_size=100)
-    with pytest.raises(ConfigError, match="train-images-idx3-ubyte has 20 pixels "
-                       "per image, .*t10k-images-idx3-ubyte.gz has 9$"):
-        build_dataset(cfg, 0)
-    assert run_cli("run", "--dataset", "mnist", "--data-dir", str(data_dir),
-                   "--n-clients", "3", "--ref-size", "100", "--rounds", "1",
-                   "--output-path", str(data_dir / "o")) == 2
-    assert "config error: data_dir: " in capsys.readouterr().err
-
-
-def test_idx_image_shapes_must_agree(idx_dir, capsys):
-    """Images of one pixel count but transposed shapes do not pool."""
-    data_dir, images, labels = idx_dir
-    _write_idx(data_dir / "mnist", "t10k", images[500:].swapaxes(1, 2),
+    _write_idx(data_dir / "mnist", "t10k", np.zeros((100, *t10k_shape)),
                labels[500:], gz=True)
     cfg = tiny(dataset="mnist", data_dir=str(data_dir), n_clients=3, ref_size=100)
+    shape = "x".join(map(str, t10k_shape))
     with pytest.raises(ConfigError, match="^data_dir: .*train-images-idx3-ubyte "
-                       "has 4x5 images, .*t10k-images-idx3-ubyte.gz has 5x4$"):
+                       f"has 4x5 images, .*t10k-images-idx3-ubyte.gz has {shape}$"):
         build_dataset(cfg, 0)
     assert run_cli("run", "--dataset", "mnist", "--data-dir", str(data_dir),
                    "--n-clients", "3", "--ref-size", "100", "--rounds", "1",

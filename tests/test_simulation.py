@@ -285,7 +285,6 @@ def _poison(model):
     model.weights[0][0, 0] = np.inf
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_incubation_divergence_is_all_or_nothing(partition):
     """A diverging seed stops the round before any seed is replaced, and the
     error names the lowest diverging client, even when a higher one is
@@ -569,7 +568,6 @@ def test_local_training_equals_per_client_sgd_train(first, rest, batch_size,
         assert c.train_rng.bit_generator.state == want.train_rng.bit_generator.state
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_local_training_names_lowest_diverging_client_across_groups():
     """Clients 0 and 2 (large) train as the first group, client 1 (small) as
     the second and client 3 (small, one row more) as the third. With 2 and 1
