@@ -2,8 +2,7 @@
 and erasable neighbor ensembles."""
 
 from .data import (LabeledDataset, PartitionedDataset, export_manifest,
-                   gen_blobs, load_idx_files, parse_idx, partition_noniid,
-                   split_reference)
+                   gen_blobs, load_idx_files, parse_idx, partition_noniid)
 from .distill import (DistillConfig, ReferenceSet, distill_fidelity,
                       incubate_seed, incubate_seeds)
 from .ensemble import (EnsembleConfig, SeedRepository, add_neighbor_seed,

@@ -10,8 +10,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distill import ReferenceSet, incubate_seed
+from .ensemble import _model_output
 from .errors import ConfigError, StateError
-from .numeric import MlpModel, MlpSpec, init_mlp, mlp_forward, softmax_temp
+from .numeric import MlpModel, MlpSpec, init_mlp
 from .simulation import (ClientState, SimConfig, Topology, active_clients,
                          active_neighbors, client_rng_streams,
                          local_training_phase, retire_client)
@@ -178,7 +179,7 @@ def sisa_predict(clients: list[ClientState], batch: np.ndarray) -> np.ndarray:
         raise StateError("no active clients")
     probs = None
     for c in shards:
-        p = softmax_temp(mlp_forward(c.main, batch), 1.0)
+        p = _model_output(c.main, batch, "proba", f"client {c.id}: shard")
         probs = p if probs is None else probs + p
     return probs / len(shards)
 

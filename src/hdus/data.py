@@ -22,7 +22,6 @@ class LabeledDataset:
     features: np.ndarray          # M x F, float64
     labels: np.ndarray            # M, int
     class_count: int
-    scaling: str = "none"         # how the features were scaled
     image_shape: tuple[int, int] | None = None   # IDX rows x columns per image
 
     def __post_init__(self):
@@ -41,7 +40,7 @@ class LabeledDataset:
 
     def take(self, indices: np.ndarray) -> "LabeledDataset":
         return LabeledDataset(self.features[indices], self.labels[indices],
-                              self.class_count, self.scaling, self.image_shape)
+                              self.class_count, self.image_shape)
 
 
 @dataclass
@@ -49,7 +48,6 @@ class PartitionedDataset:
     client_splits: list[LabeledDataset]
     test: LabeledDataset
     reference: ReferenceSet
-    class_menu: list[frozenset[int]]       # permitted classes per client
     omitted_class: list[int]               # the one class each client never sees
     client_indices: list[np.ndarray]       # row indices into the source dataset
     test_indices: np.ndarray
@@ -126,7 +124,7 @@ def parse_idx(image_bytes: bytes, label_bytes: bytes,
         raise ParseError(f"label {labels[bad]} out of range for C={class_count}",
                          offset=8 + bad)
     return LabeledDataset(features, labels.astype(np.int64), class_count,
-                          scaling="pixel/255", image_shape=(rows, cols))
+                          image_shape=(rows, cols))
 
 
 def load_idx_files(image_path, label_path, class_count: int = 10) -> LabeledDataset:
@@ -177,30 +175,12 @@ def gen_blobs(n_per_class: int, class_count: int, feature_dim: int,
     std = features.std(axis=0)
     std = np.where(std < 1e-12, 1.0, std)
     features = (features - features.mean(axis=0)) / std
-    return LabeledDataset(features, labels, class_count, scaling="standardized")
+    return LabeledDataset(features, labels, class_count)
 
 
 # ---------------------------------------------------------------------------
 # Partitioning
 # ---------------------------------------------------------------------------
-
-def _reference_indices(data: LabeledDataset, ref_size: int,
-                       rng: np.random.Generator) -> np.ndarray:
-    if ref_size >= len(data):
-        raise CapacityError(f"ref_size {ref_size} >= dataset size {len(data)}")
-    return np.sort(rng.choice(len(data), size=ref_size, replace=False))
-
-
-def split_reference(data: LabeledDataset, ref_size: int,
-                    rng: np.random.Generator) -> tuple[ReferenceSet, LabeledDataset]:
-    """Carve an unlabeled reference set out of the data; the carved rows'
-    labels are dropped."""
-    idx = _reference_indices(data, ref_size, rng)
-    mask = np.ones(len(data), dtype=bool)
-    mask[idx] = False
-    ref = ReferenceSet(data.features[idx])
-    return ref, data.take(np.flatnonzero(mask))
-
 
 def partition_noniid(data: LabeledDataset, n_clients: int, ref_size: int,
                      test_fraction: float, rng: np.random.Generator) -> PartitionedDataset:
@@ -217,7 +197,9 @@ def partition_noniid(data: LabeledDataset, n_clients: int, ref_size: int,
     if n_clients < 2:
         raise ConfigError(f"n_clients {n_clients} < 2: a lone client has no donor")
 
-    ref_idx = _reference_indices(data, ref_size, rng)
+    if ref_size >= len(data):
+        raise CapacityError(f"ref_size {ref_size} >= dataset size {len(data)}")
+    ref_idx = np.sort(rng.choice(len(data), size=ref_size, replace=False))
     mask = np.ones(len(data), dtype=bool)
     mask[ref_idx] = False
     pool = np.flatnonzero(mask)
@@ -233,7 +215,6 @@ def partition_noniid(data: LabeledDataset, n_clients: int, ref_size: int,
 
     sigma = rng.permutation(C)
     omitted = [int(sigma[i]) for i in range(n_clients)]
-    menus = [frozenset(range(C)) - {o} for o in omitted]
 
     # Equal split sizes (+-1); deal shuffled rows to the most-needy allowed client.
     m = train_pool.size
@@ -289,7 +270,6 @@ def partition_noniid(data: LabeledDataset, n_clients: int, ref_size: int,
         client_splits=[data.take(ci) for ci in client_indices],
         test=test,
         reference=ReferenceSet(data.features[ref_idx]),
-        class_menu=menus,
         omitted_class=omitted,
         client_indices=client_indices,
         test_indices=test_idx,

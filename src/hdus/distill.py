@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, DomainError
-from .numeric import (MlpModel, MlpSpec, _first_nonfinite, _mean_kl_rows,
-                      _train_stack, init_mlp, mlp_forward, softmax_temp)
+from .errors import ConfigError, DivergenceError
+from .numeric import (MlpModel, MlpSpec, _first_nonfinite, _train_stack,
+                      init_mlp, kl_divergence, mlp_forward, softmax_temp)
 
 
 @dataclass
@@ -80,7 +80,7 @@ def incubate_seeds(mains: list[MlpModel], seed_spec: MlpSpec, ref: ReferenceSet,
                 f"main ({main.spec.in_dim}, {main.spec.out_dim})")
         # <= (not <): clients whose main already sits at the smallest tier use
         # a seed of the same size.
-        if seed_spec.param_count() > main.param_count():
+        if seed_spec.param_count() > main.spec.param_count():
             raise ConfigError("seed model must not be larger than the main model")
         if ref.features.shape[1] != main.spec.in_dim:
             raise ConfigError(
@@ -111,11 +111,9 @@ def distill_fidelity(seed: MlpModel, main: MlpModel, ref: ReferenceSet,
                      temperature: float) -> tuple[float, float]:
     """Mean KL(softened main || softened seed) over the reference rows, plus
     the argmax agreement fraction."""
-    if len(ref) == 0:
-        raise DomainError("empty reference set")
     main_logits = mlp_forward(main, ref.features)
     seed_logits = mlp_forward(seed, ref.features)
-    mean_kl = _mean_kl_rows(softmax_temp(main_logits, temperature),
+    mean_kl = kl_divergence(softmax_temp(main_logits, temperature),
                             softmax_temp(seed_logits, temperature))
     agreement = float((main_logits.argmax(axis=1) == seed_logits.argmax(axis=1)).mean())
     return mean_kl, agreement

@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ConfigError, ConflictError, DimensionError, NotFoundError,
-                     ParseError, ValidationError)
+from .errors import (ConfigError, ConflictError, DimensionError, DivergenceError,
+                     NotFoundError, ParseError, ValidationError)
 from .numeric import MlpModel, MlpSpec, mlp_forward, softmax_temp
 
 SEED_MAGIC = b"HDUS"
@@ -25,9 +25,9 @@ class EnsembleConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.lam < 1.0:
-            raise ConfigError(f"lambda must be in [0, 1), got {self.lam}")
+            raise ConfigError(f"lambda: must be in [0, 1), got {self.lam}")
         if self.combine not in ("proba", "logits"):
-            raise ConfigError(f"combine must be 'proba' or 'logits', got {self.combine!r}")
+            raise ConfigError(f"combine: must be proba or logits, got {self.combine!r}")
 
 
 @dataclass
@@ -106,12 +106,19 @@ def ensemble_predict(main: MlpModel, repo: SeedRepository, cfg: EnsembleConfig,
 
 def _model_output(model: MlpModel, batch: np.ndarray, combine: str,
                   who: str) -> np.ndarray:
-    """The model's logits, or their softmax when combining probabilities."""
+    """The model's logits, or their softmax when combining probabilities.
+    DivergenceError if any entry is not finite: a model whose parameters
+    grew past what a forward can hold overflows to inf and NaN here, and
+    this check, not numpy's warnings, reports it."""
     try:
-        logits = mlp_forward(model, batch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            logits = mlp_forward(model, batch)
+            out = logits if combine == "logits" else softmax_temp(logits, 1.0)
     except DimensionError as e:
         raise DimensionError(f"{who}: {e}") from e
-    return logits if combine == "logits" else softmax_temp(logits, 1.0)
+    if not np.isfinite(out).all():
+        raise DivergenceError(f"{who}: non-finite output")
+    return out
 
 
 def _mix(main_out: np.ndarray, seed_sum: np.ndarray, lam: float,

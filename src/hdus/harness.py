@@ -17,7 +17,7 @@ from .data import LabeledDataset, PartitionedDataset, gen_blobs, load_idx_files,
 from .distill import DistillConfig
 from .ensemble import EnsembleConfig
 from .errors import ConfigError, HdusError
-from .numeric import accuracy, tier_spec
+from .numeric import TIERS, accuracy, tier_spec
 from .simulation import (EventLog, SimConfig, Topology, active_clients,
                          csv_text, evaluate_all, handle_unlearn_request,
                          init_network, run_round)
@@ -68,8 +68,7 @@ class ExperimentConfig:
             raise ConfigError(f"framework: must be one of {FRAMEWORKS}")
         if self.setting not in ("homogeneous", "heterogeneous"):
             raise ConfigError(f"setting: must be homogeneous or heterogeneous")
-        if not 0.0 <= self.ensemble_lambda < 1.0:
-            raise ConfigError(f"lambda: must be in [0, 1), got {self.ensemble_lambda}")
+        EnsembleConfig(lam=self.ensemble_lambda, combine=self.combine)
         if self.temperature <= 0:
             raise ConfigError(f"temperature: must be > 0, got {self.temperature}")
         # A lone client omits one class and has no donor for its rows.
@@ -99,7 +98,7 @@ class ExperimentConfig:
             if len(self.tiers) != self.n_clients:
                 raise ConfigError("tiers: length must equal n_clients")
             for t in self.tiers:
-                if t not in ("small", "medium", "large"):
+                if t not in TIERS:
                     raise ConfigError(f"tiers: unknown tier {t!r}")
             if self.framework in ("dsgd", "fedunl") and len(set(self.tiers)) > 1:
                 raise ConfigError(f"tiers: {self.framework} needs one model spec, "
@@ -113,9 +112,7 @@ class ExperimentConfig:
                 raise ConfigError("unlearn_client: must be a valid client id")
         if self.dataset in ("mnist", "fmnist") and self.data_dir is None:
             raise ConfigError("data_dir: required for IDX datasets")
-        if self.combine not in ("proba", "logits"):
-            raise ConfigError("combine: must be proba or logits")
-        if self.seed_tier not in ("small", "medium", "large"):
+        if self.seed_tier not in TIERS:
             raise ConfigError(f"seed_tier: unknown tier {self.seed_tier!r}")
         if self.ref_size < 1:
             raise ConfigError("ref_size: must be >= 1")
@@ -322,8 +319,7 @@ def build_dataset(cfg: ExperimentConfig, seed: int) -> LabeledDataset:
                           f"{files[1][0]} has {shapes[1]}")
     feats = np.concatenate([p.features for p in parts])
     labs = np.concatenate([p.labels for p in parts])
-    return LabeledDataset(feats, labs, parts[0].class_count, parts[0].scaling,
-                          parts[0].image_shape)
+    return LabeledDataset(feats, labs, parts[0].class_count, parts[0].image_shape)
 
 
 def build_partition(cfg: ExperimentConfig, seed: int) -> PartitionedDataset:

@@ -50,16 +50,15 @@ class MlpSpec:
         return sum(dims[i] * dims[i + 1] + dims[i + 1] for i in range(len(dims) - 1))
 
 
-# Size tiers standing in for small/medium/large client hardware budgets.
+# Size tiers standing in for small/medium/large client hardware budgets:
+# tier name -> hidden layer widths.
+TIERS = {"small": (16,), "medium": (64,), "large": (128, 64)}
+
+
 def tier_spec(tier: str, feature_dim: int, class_count: int) -> MlpSpec:
-    hidden = {
-        "small": (16,),
-        "medium": (64,),
-        "large": (128, 64),
-    }
-    if tier not in hidden:
+    if tier not in TIERS:
         raise ValidationError(f"unknown model tier {tier!r}")
-    return MlpSpec((feature_dim, *hidden[tier], class_count))
+    return MlpSpec((feature_dim, *TIERS[tier], class_count))
 
 
 @dataclass
@@ -105,9 +104,6 @@ class MlpModel:
 
     def copy(self) -> "MlpModel":
         return MlpModel(self.spec, self.params.copy())
-
-    def param_count(self) -> int:
-        return self.spec.param_count()
 
 
 def _rebuild_model(spec: MlpSpec, params: np.ndarray, writeable: bool) -> MlpModel:
@@ -157,22 +153,19 @@ def softmax_temp(logits: np.ndarray, temperature: float) -> np.ndarray:
 
 
 def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
-    """Sum_i p_i ln(p_i / q_i) with q clamped below by 1e-12."""
+    """Sum_i p_i ln(p_i / q_i) with q clamped below by 1e-12. 1-D inputs are
+    one distribution; 2-D inputs are rows of them, and the result is the mean
+    over rows."""
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
         raise DimensionError(f"length mismatch: {p.shape} vs {q.shape}")
-    if abs(p.sum() - 1.0) > 1e-9 or abs(q.sum() - 1.0) > 1e-9:
+    if (np.abs(p.sum(axis=-1) - 1.0) > 1e-9).any() or \
+            (np.abs(q.sum(axis=-1) - 1.0) > 1e-9).any():
         raise DomainError("inputs must each sum to 1 within 1e-9")
-    return _mean_kl_rows(p.reshape(1, -1), q.reshape(1, -1))
-
-
-def _mean_kl_rows(p_rows: np.ndarray, q_rows: np.ndarray) -> float:
-    """Batch-mean KL(p || q) over probability rows (q clamped at 1e-12)."""
-    q = np.maximum(q_rows, 1e-12)
-    terms = np.where(p_rows > 0,
-                     p_rows * (np.log(np.maximum(p_rows, 1e-300)) - np.log(q)), 0.0)
-    return float(terms.sum(axis=1).mean())
+    q = np.maximum(q, 1e-12)
+    terms = np.where(p > 0, p * (np.log(np.maximum(p, 1e-300)) - np.log(q)), 0.0)
+    return float(terms.sum(axis=-1).mean())
 
 
 def _check_onehot(onehot: np.ndarray, class_count: int) -> np.ndarray:
@@ -259,7 +252,7 @@ def mlp_backward(model: MlpModel, batch: np.ndarray, *,
             raise DimensionError(
                 f"teacher targets shape {teacher_soft.shape} != logits {logits.shape}")
         student_soft = softmax_temp(logits, temperature)
-        loss = temperature ** 2 * _mean_kl_rows(teacher_soft, student_soft)
+        loss = temperature ** 2 * kl_divergence(teacher_soft, student_soft)
         dlogits = temperature * (student_soft - teacher_soft) / n
     return loss, _backprop(model, inputs, dlogits,
                            MlpModel(model.spec, np.empty(model.params.shape)))

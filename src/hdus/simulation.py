@@ -303,7 +303,7 @@ def evaluate_all(clients: list[ClientState], test: LabeledDataset,
     carry = None    # (length, partial sum) of the prefix the next repo shares
     per_client: dict[int, float] = {}
     for i, c in enumerate(active):
-        out = _model_output(c.main, features, combine, "main model")
+        out = _model_output(c.main, features, combine, f"client {c.id}: main model")
         entries = repos[i]
         if entries:
             keep = _shared_prefix(entries, repos[i + 1])

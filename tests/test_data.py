@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdus.data import (LabeledDataset, export_manifest, gen_blobs,
-                       load_idx_files, parse_idx, partition_noniid,
-                       split_reference)
+                       load_idx_files, parse_idx, partition_noniid)
 from hdus.errors import CapacityError, ConfigError, ParseError
 
 
@@ -35,7 +34,6 @@ def test_parse_idx_roundtrip(tiny_idx):
     assert np.array_equal(ds.labels, labels)
     assert np.array_equal(ds.features, images.reshape(6, 9) / 255.0)
     assert ds.features.min() >= 0.0 and ds.features.max() <= 1.0
-    assert ds.scaling == "pixel/255"
     assert ds.image_shape == (3, 3)
     assert ds.take(np.array([1, 4])).image_shape == (3, 3)
 
@@ -153,7 +151,6 @@ def test_gen_blobs_class_balance_and_scaling():
     assert np.array_equal(counts, np.full(5, 37))
     assert np.allclose(ds.features.mean(axis=0), 0.0, atol=1e-10)
     assert np.allclose(ds.features.std(axis=0), 1.0, atol=1e-10)
-    assert ds.scaling == "standardized"
 
 
 def test_gen_blobs_separable_when_tight():
@@ -180,28 +177,6 @@ def test_gen_blobs_multi_component_counts():
 def test_gen_blobs_rejects_overfull_grid():
     with pytest.raises(ConfigError):
         gen_blobs(10, 4, 2, 0.5, np.random.default_rng(0), components_per_class=2)
-
-
-# --- reference carve-out ----------------------------------------------------
-
-def test_split_reference_disjoint_and_unlabeled():
-    ds = gen_blobs(30, 3, 5, 0.5, np.random.default_rng(6))
-    ref, rest = split_reference(ds, 20, np.random.default_rng(7))
-    assert ref.features.shape == (20, 5)
-    assert [f.name for f in fields(ref)] == ["features"]    # no labels travel
-    assert len(rest) == len(ds) - 20
-    # every reference row exists in the source, none in the remainder
-    src = {tuple(r) for r in ds.features}
-    rest_rows = {tuple(r) for r in rest.features}
-    for r in ref.features:
-        assert tuple(r) in src
-        assert tuple(r) not in rest_rows
-
-
-def test_split_reference_too_large():
-    ds = gen_blobs(5, 3, 5, 0.5, np.random.default_rng(6))
-    with pytest.raises(CapacityError):
-        split_reference(ds, len(ds), np.random.default_rng(0))
 
 
 # --- non-IID partition ------------------------------------------------------
@@ -233,13 +208,24 @@ def test_partition_sizes(partition):
     assert sum(sizes) == pool - part.test_indices.size
 
 
+def test_partition_reference_unlabeled(partition):
+    """The reference set is the carved-out rows' features and nothing else."""
+    ds, part = partition
+    assert [f.name for f in fields(part.reference)] == ["features"]   # no labels travel
+    assert np.array_equal(part.reference.features, ds.features[part.reference_indices])
+
+
+def test_partition_reference_too_large():
+    ds = gen_blobs(5, 3, 5, 0.5, np.random.default_rng(6))
+    with pytest.raises(CapacityError, match="ref_size"):
+        partition_noniid(ds, 2, len(ds), 0.2, np.random.default_rng(0))
+
+
 def test_partition_omits_one_distinct_class_each(partition):
     _, part = partition
     assert len(set(part.omitted_class)) == part.n_clients
-    for split, omitted, menu in zip(part.client_splits, part.omitted_class,
-                                    part.class_menu):
-        assert omitted not in split.labels
-        assert omitted not in menu
+    for split, omitted in zip(part.client_splits, part.omitted_class):
+        menu = set(range(part.test.class_count)) - {omitted}
         assert set(np.unique(split.labels)) <= menu
 
 

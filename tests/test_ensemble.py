@@ -237,7 +237,7 @@ def test_fuzz_truncation_raises_parse_error(length):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, _FUZZ_MODEL.param_count() - 1),
+@given(st.integers(0, _FUZZ_MODEL.spec.param_count() - 1),
        st.sampled_from([np.nan, np.inf, -np.inf]))
 def test_fuzz_non_finite_parameter_raises_parse_error(index, value):
     model = _FUZZ_MODEL.copy()

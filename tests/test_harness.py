@@ -420,6 +420,21 @@ def test_cli_diverging_run_is_runtime_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("framework,who", [("dsgd", "main model"),
+                                           ("fedunl", "main model"),
+                                           ("sisa_a", "shard")])
+def test_cli_overflowing_evaluation_is_runtime_error(tmp_path, capsys, framework, who):
+    """Finite parameters that overflow the test-set forward (gossip or the
+    ledger step can make them) fail the run with the one DivergenceError
+    naming the client, not an accuracy from NaN outputs."""
+    code = run_cli("run", "--framework", framework, "--lr", "1e9", "--rounds", "3",
+                   "--unlearn-round", "1", "--unlearn-client", "1",
+                   "--output-path", str(tmp_path / "o"))
+    assert code == 3
+    assert capsys.readouterr().err == f"runtime error: client 0: {who}: non-finite output\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_sweep_fails_only_when_no_cell_succeeds(tmp_path, capsys):
     out = tmp_path / "s"
     assert run_cli("sweep", "--param", "lambda", "--values", "1.5,2",

@@ -132,6 +132,21 @@ class TestKl:
     def test_zero_entries_in_q_are_clamped(self):
         assert np.isfinite(kl_divergence([0.5, 0.5], [1.0, 0.0]))
 
+    def test_rows_give_the_mean_of_row_values(self):
+        rng = np.random.default_rng(6)
+        p, q = rng.dirichlet(np.ones(4), size=7), rng.dirichlet(np.ones(4), size=7)
+        rows = [kl_divergence(a, b) for a, b in zip(p, q)]
+        assert abs(kl_divergence(p, q) - np.mean(rows)) < 1e-14
+
+    def test_row_count_mismatch(self):
+        p = np.full((3, 2), 0.5)
+        with pytest.raises(DimensionError):
+            kl_divergence(p, p[:2])
+
+    def test_each_row_must_sum_to_one(self):
+        with pytest.raises(DomainError):
+            kl_divergence([[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.25, 0.5]])
+
 
 class TestCrossEntropy:
     def test_uniform_logits(self):
@@ -347,7 +362,7 @@ class TestFlatParams:
             [a.ravel() for w, b in zip(m.weights, m.biases) for a in (w, b)]))
         assert all(np.shares_memory(a, m.params) for a in m.weights + m.biases)
         with pytest.raises(DimensionError):
-            MlpModel(m.spec, np.zeros(m.param_count() + 1))
+            MlpModel(m.spec, np.zeros(m.spec.param_count() + 1))
 
     @pytest.mark.parametrize("clone", [
         copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],

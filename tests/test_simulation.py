@@ -9,6 +9,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
                                  precondition, rule)
 
 import hdus.simulation as simulation
+from hdus.baselines import sisa_predict
 from hdus.data import LabeledDataset, gen_blobs, partition_noniid
 from hdus.distill import DistillConfig, ReferenceSet
 from hdus.ensemble import (EnsembleConfig, SeedRepository, add_neighbor_seed,
@@ -357,11 +358,19 @@ def test_evaluate_all_equals_ensemble_predict(partition, monkeypatch, combine, l
     assert mean == float(np.mean(list(per_client.values())))
 
 
+def _graph(shape, n):
+    """A connected symmetric graph of one shape over clients 0..n-1."""
+    if shape == "complete":
+        return Topology.complete(range(n))
+    if shape == "path":
+        return Topology({i: frozenset({i - 1, i + 1} & set(range(n))) for i in range(n)})
+    return Topology({0: frozenset(range(1, n)),        # star around client 0
+                     **{i: frozenset({0}) for i in range(1, n)}})
+
+
+_SHAPES = ("complete", "path", "star")
 _TOPOLOGIES = {
-    "complete": Topology.complete(range(5)),
-    "path": Topology({i: frozenset({i - 1, i + 1} & set(range(5))) for i in range(5)}),
-    "star": Topology({0: frozenset({1, 2, 3, 4}),
-                      **{i: frozenset({0}) for i in range(1, 5)}}),
+    **{shape: _graph(shape, 5) for shape in _SHAPES},
     # Clients 0 and 1 hold [3, 4], client 2 only [3]: the prefix client 1
     # shares with client 2 is shorter than the one it shares with client 0.
     "two_hubs": Topology({0: frozenset({3, 4}), 1: frozenset({3, 4}),
@@ -437,6 +446,24 @@ def test_evaluate_all_across_calls_equals_ensemble_predict(monkeypatch, topology
     check()
 
 
+def test_overflowing_main_is_divergence(partition):
+    """A main whose finite parameters overflow the forward fails evaluation
+    with DivergenceError naming it, and no numpy warning (pytest would turn
+    one into an error)."""
+    cfg = small_cfg()
+    clients, topo = fresh_network(partition, cfg)
+    run_round(clients, topo, cfg, 0)
+    clients[1].main.params[...] *= 1e200
+    assert np.isfinite(clients[1].main.params).all()
+    features = partition.test.features
+    with pytest.raises(DivergenceError, match="^client 1: main model: non-finite output$"):
+        evaluate_all(clients, partition.test, cfg)
+    with pytest.raises(DivergenceError, match="^main model: non-finite output$"):
+        ensemble_predict(clients[1].main, clients[1].repo, cfg.ensemble, features)
+    with pytest.raises(DivergenceError, match="^client 1: shard: non-finite output$"):
+        sisa_predict(clients, features)
+
+
 def test_evaluate_all_forwards_a_read_only_seed_once(partition, monkeypatch):
     """A decoded (read-only) seed is forwarded once over calls on one
     read-only test set. A writable seed is forwarded on every call, and
@@ -452,7 +479,7 @@ def test_evaluate_all_forwards_a_read_only_seed_once(partition, monkeypatch):
     model_output = simulation._model_output
 
     def spy(model, batch, combine, who):
-        if who != "main model":
+        if not who.endswith(": main model"):
             forwards.append(id(model))
         return model_output(model, batch, combine, who)
     monkeypatch.setattr(simulation, "_model_output", spy)
@@ -604,19 +631,21 @@ def _survivor_state(c, cfg, test):
 
 
 class ExactUnlearning(RuleBasedStateMachine):
-    """Rounds and quits in any order. After every step, each survivor is
-    bitwise the same client in a control network where every quitter so far
-    was cut off from the start (`Topology.without`) and the same rounds ran:
-    main, own seed, repository ids in order, repository seeds and ensemble
-    predictions."""
+    """Rounds and quits in any order, on a complete, path or star graph (a
+    quit on a path can split it). After every step, each survivor is bitwise
+    the same client in a control network where every quitter so far was cut
+    off from the start (`Topology.without`) and the same rounds ran: main,
+    own seed, repository ids in order, repository seeds, ensemble predictions
+    and `evaluate_all` accuracy."""
 
-    @initialize(n=st.integers(2, 5), every=st.integers(1, 3),
-                combine=st.sampled_from(["proba", "logits"]),
+    @initialize(n=st.integers(2, 5), shape=st.sampled_from(_SHAPES),
+                every=st.integers(1, 3), combine=st.sampled_from(["proba", "logits"]),
                 lam=st.sampled_from([0.0, 0.5]), data=st.data())
-    def build(self, n, every, combine, lam, data):
+    def build(self, n, shape, every, combine, lam, data):
         tiers = data.draw(st.lists(st.sampled_from(_TIERS), min_size=n, max_size=n),
                           label="tiers")
         self.part = _tiny_partition(n)
+        self.graph = _graph(shape, n)
         self.specs = [tier_spec(t, F, C) for t in tiers]
         self.cfg = SimConfig(local_epochs=1, lr=0.05, batch_size=32,
                              distill=DistillConfig(epochs=2, lr=0.1),
@@ -629,7 +658,7 @@ class ExactUnlearning(RuleBasedStateMachine):
 
     def _network(self):
         """A network cut off from every quitter so far, after the same rounds."""
-        topo = Topology.complete(range(self.part.n_clients))
+        topo = self.graph
         for q in self.quitters:
             topo = topo.without(q)
         clients = init_network(self.part, self.specs, topo, self.cfg, 0)
@@ -658,6 +687,10 @@ class ExactUnlearning(RuleBasedStateMachine):
         for c in active_clients(self.clients):
             assert (_survivor_state(c, self.cfg, test)
                     == _survivor_state(self.control[c.id], self.cfg, test)), c.id
+        # The control keeps its cut-off clients active: compare survivors only.
+        ours, _ = evaluate_all(self.clients, test, self.cfg)
+        theirs, _ = evaluate_all(self.control, test, self.cfg)
+        assert ours == {cid: theirs[cid] for cid in ours}
 
 
 ExactUnlearning.TestCase.settings = settings(max_examples=25, stateful_step_count=8,
