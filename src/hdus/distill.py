@@ -7,6 +7,7 @@ features and the main model's outputs on them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,10 @@ class DistillConfig:
     batch_size: int = 32
 
     def __post_init__(self):
+        for name in ("temperature", "lr"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.temperature <= 0:
             raise ConfigError(f"temperature must be > 0, got {self.temperature}")
         if self.epochs < 1:

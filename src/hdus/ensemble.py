@@ -123,8 +123,12 @@ def _model_output(model: MlpModel, batch: np.ndarray, combine: str,
 
 def _mix(main_out: np.ndarray, seed_sum: np.ndarray, lam: float,
          k: int) -> np.ndarray:
-    """(1 - lambda) * main_out + (lambda / k) * the sum of k seed outputs."""
-    return (1.0 - lam) * main_out + (lam / k) * seed_sum
+    """(1 - lambda) * main_out + (lambda / k) * the sum of k seed outputs,
+    written into `main_out`, a fresh array. `seed_sum` is never written:
+    `evaluate_all` may carry it to the next client."""
+    main_out *= 1.0 - lam
+    main_out += (lam / k) * seed_sum
+    return main_out
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 import typing
@@ -62,6 +63,11 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.schema_version != SCHEMA_VERSION:
             raise ConfigError(f"schema_version: unsupported value {self.schema_version}")
+        # NaN passes every `x < 0` bound below, and inf overflows at run time.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if _FIELD_TYPES[f.name] is float and not math.isfinite(value):
+                raise ConfigError(f"{f.name}: must be finite, got {value}")
         if self.dataset not in ("blobs", "mnist", "fmnist"):
             raise ConfigError(f"dataset: unknown dataset {self.dataset!r}")
         if self.framework not in FRAMEWORKS:

@@ -135,9 +135,32 @@ def _check_batch(model: MlpModel, batch: np.ndarray) -> np.ndarray:
     return batch
 
 
+# Rows per block of a large forward: the default minibatch size. A block's
+# largest gemm, 32 x 128 x 64 in the large tier, is then a training step's,
+# which threaded OpenBLAS runs on one thread (m*n*k <= 65,536 x 4); a larger
+# one wakes a helper thread, which then spins until the next matmul.
+_BLOCK_ROWS = 32
+
+
 def mlp_forward(model: MlpModel, batch: np.ndarray) -> np.ndarray:
-    """Forward pass returning raw (pre-softmax) logits, shape B x C."""
-    return _forward_cached(model, batch)[-1]
+    """Forward pass returning raw (pre-softmax) logits, shape B x C.
+
+    One model's batch of more than `_BLOCK_ROWS` rows runs as a stack of
+    blocks of that many, the last zero-padded, so every row takes the BLAS
+    path of a 32-row matmul and its logits do not depend on the batch around
+    it. On the rows of full blocks they are bitwise those of one unblocked
+    pass. On the last block's rows they can differ in the last bit: a BLAS
+    rounds the rows past a multiple of its kernel's row unroll (4 in
+    OpenBLAS's Haswell kernels) on another path.
+    """
+    x = _check_batch(model, batch)
+    n = x.shape[0]
+    if x.ndim == 2 and n > _BLOCK_ROWS:
+        blocks = np.zeros((-(-n // _BLOCK_ROWS) * _BLOCK_ROWS, x.shape[1]))
+        blocks[:n] = x
+        out = _layers(model, blocks.reshape(-1, _BLOCK_ROWS, x.shape[1]))[-1]
+        return out.reshape(-1, out.shape[-1])[:n]
+    return _layers(model, x)[-1]
 
 
 def softmax_temp(logits: np.ndarray, temperature: float) -> np.ndarray:
@@ -145,11 +168,15 @@ def softmax_temp(logits: np.ndarray, temperature: float) -> np.ndarray:
     if temperature <= 0:
         raise DomainError(f"temperature must be > 0, got {temperature}")
     z = np.asarray(logits, dtype=np.float64)
+    # One new array, never the input; every later pass writes it in place.
     if temperature != 1.0:       # x / 1.0 == x for every IEEE value
         z = z / temperature
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+        z -= z.max(axis=-1, keepdims=True)
+    else:
+        z = z - z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
@@ -193,13 +220,20 @@ def cross_entropy(logits: np.ndarray, onehot: np.ndarray) -> float:
 def _forward_cached(model: MlpModel, batch: np.ndarray):
     """Forward pass keeping per-layer inputs for backprop. A stacked model
     takes a stacked batch, one B x F slice per model."""
-    x = _check_batch(model, batch)
+    return _layers(model, _check_batch(model, batch))
+
+
+def _layers(model: MlpModel, x: np.ndarray) -> list[np.ndarray]:
+    """The layer loop: the input, then each layer's output. `x` is a checked
+    batch, or for one model any stack of batches, which share its weights.
+    Bias add and ReLU write the fresh matmul output in place."""
     inputs = [x]
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        x = x @ w + b[..., np.newaxis, :]
+        x = x @ w
+        x += b[..., np.newaxis, :]
         if i < last:
-            x = np.maximum(x, 0.0)
+            np.maximum(x, 0.0, out=x)
         inputs.append(x)
     return inputs
 
@@ -215,7 +249,7 @@ def _backprop(model: MlpModel, inputs: list[np.ndarray], dlogits: np.ndarray,
         np.sum(delta, axis=-2, out=grad.biases[i])
         if i > 0:
             delta = delta @ model.weights[i].swapaxes(-1, -2)
-            delta = delta * (inputs[i] > 0)  # ReLU mask of the hidden activation
+            delta *= inputs[i] > 0   # ReLU mask of the hidden activation
     return grad.params
 
 
@@ -330,7 +364,11 @@ def _train_stack(stack: MlpModel, features: np.ndarray, targets: np.ndarray,
                 if not np.isfinite(student).all():
                     raise DivergenceError("non-finite student output")
                 if lr > 0:
-                    dlogits = temperature * (student - targets[rows, idx]) / idx.shape[1]
+                    # The logit gradient overwrites `student`, now checked.
+                    dlogits = student
+                    dlogits -= targets[rows, idx]
+                    dlogits *= temperature
+                    dlogits /= idx.shape[1]
                     checked.append(_backprop(stack, inputs, dlogits, grad))
                     sgd_step(stack, grad.params, lr)
             except DivergenceError as e:

@@ -133,6 +133,10 @@ def test_config_validation():
         DistillConfig(epochs=0)
     with pytest.raises(ConfigError):
         DistillConfig(batch_size=0)
+    for key in ("temperature", "lr"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match=f"{key} must be finite"):
+                DistillConfig(**{key: value})
 
 
 def test_init_spec_must_match_seed_spec(blob_task):

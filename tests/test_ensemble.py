@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdus.ensemble import (EnsembleConfig, SeedRepository, add_neighbor_seed,
-                           deserialize_seed, ensemble_predict, serialize_seed,
-                           unlearn_neighbor)
+from hdus.ensemble import (EnsembleConfig, SeedRepository, _mix,
+                           add_neighbor_seed, deserialize_seed, ensemble_predict,
+                           serialize_seed, unlearn_neighbor)
 from hdus.errors import (ConfigError, ConflictError, DimensionError,
                          NotFoundError, ParseError, ValidationError)
 from hdus.numeric import MlpSpec, init_mlp, mlp_forward, softmax_temp
@@ -36,6 +36,18 @@ def test_ensemble_is_convex_combination(setup):
     assert np.allclose(pred, want, atol=1e-15)
     # rows stay normalized because each term is a probability row
     assert np.allclose(pred.sum(axis=1), 1.0, atol=1e-12)
+
+
+def test_mix_writes_main_out_and_never_seed_sum():
+    """`_mix` returns (1 - lam) * main_out + (lam / k) * seed_sum, bitwise,
+    in `main_out`; `seed_sum`, which evaluation may carry to the next client,
+    is never written."""
+    rng = np.random.default_rng(4)
+    main_out, seed_sum = rng.random((12, 3)), rng.random((12, 3))
+    want = (1 - 0.6) * main_out + (0.6 / 3) * seed_sum
+    seed_sum.flags.writeable = False     # a write would raise
+    out = _mix(main_out, seed_sum, 0.6, 3)
+    assert out is main_out and out.tobytes() == want.tobytes()
 
 
 def test_empty_repository_degenerates_to_main(setup):

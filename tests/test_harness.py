@@ -338,6 +338,20 @@ def test_cli_validate_config(capsys):
     assert "config error: tiers: dsgd needs one model spec" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--lr", "NaN"), ("--temperature", "NaN"), ("--temperature", "Infinity"),
+    ("--incubate-lr", "Infinity"), ("--blob-spread", "Infinity")])
+def test_cli_run_rejects_non_finite_floats(flag, value, tmp_path, capsys):
+    """NaN passes every `x < 0` bound and inf overflows at run time; both are
+    config errors naming the key, raised before any work."""
+    assert run_cli("run", flag, value, "--rounds", "2",
+                   "--output-path", str(tmp_path / "out")) == 2
+    key = flag[2:].replace("-", "_")
+    assert f"config error: {key}: must be finite, got {float(value)}" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("key", sorted(CONFIG_KEYS))
 def test_cli_flag_for_every_config_key(key, capsys):
     default = ExperimentConfig()

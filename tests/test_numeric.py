@@ -66,6 +66,47 @@ class TestForward:
         with pytest.raises(DimensionError, match="features"):
             mlp_forward(m, np.ones((4, 5)))
 
+    @pytest.mark.parametrize("rows", [1, 31, 32, 33, 950, 1000])
+    @pytest.mark.parametrize("tier", ["small", "large"])
+    def test_row_blocks(self, tier, rows):
+        """A batch of more than 32 rows runs as zero-padded blocks of 32:
+        bitwise the unblocked layer loop on each block, and on every row of
+        a full block the loop on the whole batch; a row's logits do not
+        depend on the batch around it. The batch, writable or not, is never
+        written."""
+        def unblocked(x):
+            for i, (w, b) in enumerate(zip(m.weights, m.biases)):
+                x = x @ w + b
+                if i < len(m.weights) - 1:
+                    x = np.maximum(x, 0.0)
+            return x
+
+        rng = np.random.default_rng(rows)
+        m = init_mlp(tier_spec(tier, 20, 10), rng)
+        for b in m.biases:
+            b[...] = rng.normal(size=b.shape)
+        x = rng.normal(size=(rows, 20))
+        before = x.copy()
+        out = mlp_forward(m, x)
+        assert np.array_equal(x, before)
+        if rows <= 32:
+            per_block = unblocked(x)
+        else:
+            padded = np.zeros((-(-rows // 32) * 32, 20))
+            padded[:rows] = x
+            per_block = np.concatenate([unblocked(blk) for blk in
+                                        np.split(padded, len(padded) // 32)])[:rows]
+        assert out.shape == (rows, 10) and out.tobytes() == per_block.tobytes()
+        whole = unblocked(x)
+        full = rows // 32 * 32 or rows
+        assert out[:full].tobytes() == whole[:full].tobytes()
+        assert np.allclose(out, whole, rtol=1e-12, atol=1e-12)
+        x.flags.writeable = False
+        assert mlp_forward(m, x).tobytes() == out.tobytes()
+        if rows > 32:
+            perm = rng.permutation(rows)[:33]
+            assert mlp_forward(m, x[perm]).tobytes() == out[perm].tobytes()
+
 
 class TestSoftmaxTemp:
     def test_symmetry(self):
@@ -106,6 +147,15 @@ class TestSoftmaxTemp:
     def test_overflow_safety(self):
         p = softmax_temp(np.array([1000.0, 0.0]), 1.0)
         assert np.isfinite(p).all() and abs(p.sum() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("t", [1.0, 3.0])
+    def test_input_is_never_written(self, t):
+        d = np.random.default_rng(9).normal(scale=5, size=(40, 10))
+        before = d.copy()
+        p = softmax_temp(d, t)
+        assert np.array_equal(d, before) and not np.shares_memory(p, d)
+        d.flags.writeable = False
+        assert softmax_temp(d, t).tobytes() == p.tobytes()
 
 
 class TestKl:
