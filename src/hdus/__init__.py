@@ -12,7 +12,7 @@ from .errors import (CapacityError, ConfigError, ConflictError, DimensionError,
                      DivergenceError, DomainError, HdusError, NotFoundError,
                      ParseError, StateError, ValidationError)
 from .harness import (ExperimentConfig, RunReport, emit_metrics, load_config,
-                      run_experiment, sweep, unlearn_demo)
+                      run_experiment, sweep, unlearn_demo, verify_unlearning)
 from .numeric import (MlpModel, MlpSpec, accuracy, cross_entropy, init_mlp,
                       kl_divergence, mlp_backward, mlp_forward, onehot_labels,
                       sgd_step, sgd_train, softmax_temp, tier_spec,

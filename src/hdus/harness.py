@@ -16,12 +16,12 @@ import numpy as np
 from . import baselines as bl
 from .data import LabeledDataset, PartitionedDataset, gen_blobs, load_idx_files, partition_noniid
 from .distill import DistillConfig
-from .ensemble import EnsembleConfig
+from .ensemble import EnsembleConfig, ensemble_predict
 from .errors import ConfigError, HdusError
-from .numeric import TIERS, accuracy, tier_spec
+from .numeric import TIERS, accuracy, tier_spec, training_step_count
 from .simulation import (EventLog, SimConfig, Topology, active_clients,
                          csv_text, evaluate_all, handle_unlearn_request,
-                         init_network, run_round)
+                         init_network, retire_client, run_round)
 
 _SMALL_TIER_FRAMEWORKS = ("dsgd", "fedunl", "sisa_a")
 SCHEMA_VERSION = 1
@@ -126,8 +126,10 @@ class ExperimentConfig:
             raise ConfigError("test_fraction: must be in (0, 1)")
         if self.blob_samples_per_class < 1:
             raise ConfigError("blob_samples_per_class: must be >= 1")
-        if self.blob_spread < 0:
-            raise ConfigError("blob_spread: must be >= 0")
+        # Standardizing squares the deviations: under 1e100 their sum stays
+        # finite for any pool that fits in memory.
+        if not 0 <= self.blob_spread <= 1e100:
+            raise ConfigError(f"blob_spread: must be in [0, 1e100], got {self.blob_spread}")
         if self.blob_components < 1:
             raise ConfigError("blob_components: must be >= 1")
         if self.dataset == "blobs":
@@ -143,14 +145,32 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"blob_features: a grid of {self.blob_features} features holds "
                     f"{grid} clusters, but blob_components x blob_classes = {clusters}")
+            # partition_noniid's split: the rows left after the reference set
+            # give a test set of at least one row and one training row or
+            # more per client.
             pool = self.blob_classes * self.blob_samples_per_class
-            if self.ref_size >= pool:
-                raise ConfigError(f"ref_size: {self.ref_size} must be < the {pool} "
+            rest = pool - self.ref_size
+            if rest < 1 + self.n_clients:
+                raise ConfigError(f"ref_size: {self.ref_size} must leave a test row "
+                                  f"and {self.n_clients} training rows of the {pool} "
                                   f"blob samples")
+            test_n = round(self.test_fraction * rest)
+            if not 1 <= test_n <= rest - self.n_clients:
+                raise ConfigError(f"test_fraction: {self.test_fraction} of the {rest} "
+                                  f"samples left after ref_size makes {test_n} test "
+                                  f"and {rest - test_n} training rows; need >= 1 "
+                                  f"and >= {self.n_clients}")
         if self.incubate_every_rounds < 1:
             raise ConfigError("incubate_every_rounds: must be >= 1")
         if self.master_seed < 0:
             raise ConfigError("master_seed: must be >= 0")
+        # Parameter count grows with the tier for every F and C, and a seed
+        # may not outgrow the main it distills.
+        order = list(TIERS)
+        smallest = min(self.client_tiers(), key=order.index)
+        if order.index(self.seed_tier) > order.index(smallest):
+            raise ConfigError(f"seed_tier: {self.seed_tier!r} is larger than the "
+                              f"smallest main, {smallest!r}")
 
     def client_tiers(self) -> list[str]:
         """Per-client size tiers, as the engine builds the mains. Heterogeneous
@@ -441,6 +461,47 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     results = [_single_run(cfg, k, cfg.master_seed + k)
                for k in range(cfg.repeats)]
     return RunReport(cfg, cfg.config_hash(), results)
+
+
+def verify_unlearning(cfg: ExperimentConfig) -> tuple[list[int], int]:
+    """Exactness check of `cfg`'s one quit at `master_seed`: the run beside a
+    control that `make_engine` builds from the same partition, in which the
+    quitter is retired before round 0; both step through the same rounds and
+    the control does nothing at the unlearn tick. Returns the survivors, in id
+    order, whose main, own seed, repository ids or seeds, `ensemble_predict`
+    bytes on the test set, or event-log rows from the unlearn round on differ
+    from the control's, and the SGD steps the unlearn call took. The mean row
+    is the mean of the survivors' rows, so it differs only where one does."""
+    cfg.validate()
+    if cfg.unlearn_round is None:
+        raise ConfigError("unlearn_round: verify_unlearning needs a quit")
+    seed, u, q = cfg.master_seed, cfg.unlearn_round, cfg.unlearn_client
+    part = build_partition(cfg, seed)
+    run, control = make_engine(cfg, part, seed), make_engine(cfg, part, seed)
+    retire_client(control.clients, q)
+    logs = {run: EventLog(), control: EventLog()}
+    steps = 0
+    for r in range(cfg.rounds):
+        if r == u:
+            before = training_step_count()
+            run.unlearn(q)
+            steps = training_step_count() - before
+        else:
+            run.round(r)
+            control.round(r)
+        for engine, log in logs.items():
+            engine.evaluate(log, r)
+
+    def state(engine: _Engine, cid: int) -> tuple:
+        c = engine.clients[cid]
+        own = None if c.own_seed is None else c.own_seed.params.tobytes()
+        pred = ensemble_predict(c.main, c.repo, engine.sim.ensemble, part.test.features)
+        return (c.main.params.tobytes(), own, c.repo.neighbor_ids(),
+                [s.params.tobytes() for _, s in c.repo.entries], pred.tobytes(),
+                [rec for rec in logs[engine].records if rec[0] >= u and rec[1] == str(cid)])
+
+    return [c.id for c in active_clients(run.clients)
+            if state(run, c.id) != state(control, c.id)], steps
 
 
 def sweep(cfg: ExperimentConfig, param: str, values) -> dict[object, RunReport | HdusError]:

@@ -11,11 +11,13 @@ import pytest
 import hdus.harness as harness
 from hdus import baselines as bl
 from hdus.cli import main as cli_main
+from hdus.ensemble import add_neighbor_seed
 from hdus.errors import ConfigError, StateError
 from hdus.harness import (CONFIG_KEYS, FRAMEWORKS, ExperimentConfig,
                           build_dataset, build_partition, emit_metrics,
                           load_config, make_engine, run_experiment, sweep,
-                          summary_csv_text, timeline_csv_text, unlearn_demo)
+                          summary_csv_text, timeline_csv_text, unlearn_demo,
+                          verify_unlearning)
 from test_data import make_idx
 
 
@@ -49,11 +51,14 @@ def test_validate_catches_bad_fields():
                 dict(dataset="mnist", data_dir="idx", n_clients=11),
                 dict(blob_classes=1, n_clients=1), dict(blob_features=1),
                 dict(blob_features=3), dict(ref_size=300),
-                dict(ref_size=100000)):
+                dict(ref_size=100000),
+                dict(blob_classes=6, blob_features=4, ref_size=356)):
         with pytest.raises(ConfigError):
             tiny(**bad).validate()
     tiny().validate()
-    tiny(blob_classes=6, blob_features=4, ref_size=359).validate()   # at both bounds
+    # At both bounds: 12 clusters fill the grid of 4 features, and the 5 rows
+    # left after the reference set make 1 test row and 1 training row per client.
+    tiny(blob_classes=6, blob_features=4, ref_size=355).validate()
     # IDX pool sizes are checked at run time, once the files load.
     tiny(dataset="mnist", data_dir="idx", ref_size=100000).validate()
 
@@ -208,6 +213,44 @@ def test_fedunl_recovers_once_then_trains():
         bl.fedunl_recover_round(eng.server, eng.clients, eng.part.reference, eng.sim)
 
 
+@pytest.mark.parametrize("fw", FRAMEWORKS)
+def test_verify_unlearning_against_the_never_joined_control(fw):
+    """Every quitter, at the first, the middle and the last round: hdus, isgd
+    and sisa_a leave every survivor bitwise as the control after 0 unlearn
+    steps. DSGD's reset and FedUnl's subtraction leave every survivor apart
+    from it, except DSGD's quit at round 0, whose reset restores the initial
+    mains it already holds."""
+    for q in range(4):
+        for u in range(3):
+            cfg = tiny(framework=fw, rounds=3, unlearn_round=u, unlearn_client=q)
+            exact = fw in ("hdus", "isgd", "sisa_a") or (fw, u) == ("dsgd", 0)
+            survivors = [i for i in range(4) if i != q]
+            assert verify_unlearning(cfg) == ([] if exact else survivors, 0), (q, u)
+
+
+def test_verify_unlearning_at_package_defaults():
+    """unlearn-demo's quit, client 4 at round 15, at default sizes and tiers."""
+    assert verify_unlearning(ExperimentConfig(unlearn_round=15,
+                                              unlearn_client=4)) == ([], 0)
+    with pytest.raises(ConfigError, match="unlearn_round: "):
+        verify_unlearning(ExperimentConfig())
+
+
+def test_verify_unlearning_reports_the_faulty_survivor(monkeypatch):
+    """An unlearn that leaves the quitter's seed in client 0's repository is
+    reported for client 0 alone."""
+    real = harness.handle_unlearn_request
+
+    def keeps_seed_at_client_0(clients, q):
+        kept = dict(clients[0].repo.entries)[q]
+        real(clients, q)
+        add_neighbor_seed(clients[0].repo, q, kept)
+
+    monkeypatch.setattr(harness, "handle_unlearn_request", keeps_seed_at_client_0)
+    assert verify_unlearning(tiny(rounds=3, unlearn_round=1,
+                                  unlearn_client=2)) == ([0], 0)
+
+
 # Each framework's round and unlearn functions, as the engine calls them:
 # (module, name) -> calls in a run of 4 rounds with a quit at round 1.
 _FRAMEWORK_CALLS = {
@@ -323,9 +366,14 @@ def test_cli_validate_config(capsys):
     assert "config error: n_clients: expected int" in capsys.readouterr().err
     for flag, value in (("--incubate-epochs", "0"), ("--n-clients", "11"),
                         ("--n-clients", "1"),
-                        ("--ref-size", "100000"), ("--blob-features", "3")):
+                        ("--ref-size", "100000"), ("--blob-features", "3"),
+                        ("--test-fraction", "0.9999"), ("--ref-size", "4749"),
+                        ("--test-fraction", "1e-300"), ("--seed-tier", "medium"),
+                        ("--seed-tier", "large"), ("--blob-spread", "1e300")):
         assert run_cli("validate-config", flag, value) == 2
         assert f"config error: {flag[2:].replace('-', '_')}: " in capsys.readouterr().err
+    assert run_cli("validate-config", "--n-clients", "2", "--seed-tier", "medium") == 0
+    assert "config_hash" in capsys.readouterr().out
     assert run_cli("validate-config", "--combine", "logits", "--n-clients", "2",
                    "--tiers", '["small","large"]') == 0
     assert "config_hash" in capsys.readouterr().out

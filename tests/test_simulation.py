@@ -633,10 +633,10 @@ def _survivor_state(c, cfg, test):
 class ExactUnlearning(RuleBasedStateMachine):
     """Rounds and quits in any order, on a complete, path or star graph (a
     quit on a path can split it). After every step, each survivor is bitwise
-    the same client in a control network where every quitter so far was cut
-    off from the start (`Topology.without`) and the same rounds ran: main,
-    own seed, repository ids in order, repository seeds, ensemble predictions
-    and `evaluate_all` accuracy."""
+    the same client in a control network on the same graph where every
+    quitter so far was retired before round 0 and the same rounds ran: main,
+    own seed, repository ids in order, repository seeds and ensemble
+    predictions; and `evaluate_all` gives the same accuracies and mean."""
 
     @initialize(n=st.integers(2, 5), shape=st.sampled_from(_SHAPES),
                 every=st.integers(1, 3), combine=st.sampled_from(["proba", "logits"]),
@@ -653,23 +653,23 @@ class ExactUnlearning(RuleBasedStateMachine):
                              seed_spec=MlpSpec((F, 8, C)), incubate_every_rounds=every)
         self.rounds = 0
         self.quitters = []
-        self.clients, self.topo = self._network()
-        self.control, self.control_topo = self._network()
+        self.clients = self._network()
+        self.control = self._network()
 
     def _network(self):
-        """A network cut off from every quitter so far, after the same rounds."""
-        topo = self.graph
+        """A network whose quitters so far retired before round 0, after the
+        same rounds."""
+        clients = init_network(self.part, self.specs, self.graph, self.cfg, 0)
         for q in self.quitters:
-            topo = topo.without(q)
-        clients = init_network(self.part, self.specs, topo, self.cfg, 0)
+            retire_client(clients, q)
         for r in range(self.rounds):
-            run_round(clients, topo, self.cfg, r)
-        return clients, topo
+            run_round(clients, self.graph, self.cfg, r)
+        return clients
 
     @rule()
     def run_a_round(self):
-        run_round(self.clients, self.topo, self.cfg, self.rounds)
-        run_round(self.control, self.control_topo, self.cfg, self.rounds)
+        run_round(self.clients, self.graph, self.cfg, self.rounds)
+        run_round(self.control, self.graph, self.cfg, self.rounds)
         self.rounds += 1
 
     @precondition(lambda self: len(active_clients(self.clients)) >= 2)
@@ -679,7 +679,7 @@ class ExactUnlearning(RuleBasedStateMachine):
         quitter = data.draw(st.sampled_from(ids), label="quitter")
         handle_unlearn_request(self.clients, quitter)
         self.quitters.append(quitter)
-        self.control, self.control_topo = self._network()
+        self.control = self._network()
 
     @invariant()
     def survivors_match_control(self):
@@ -687,10 +687,8 @@ class ExactUnlearning(RuleBasedStateMachine):
         for c in active_clients(self.clients):
             assert (_survivor_state(c, self.cfg, test)
                     == _survivor_state(self.control[c.id], self.cfg, test)), c.id
-        # The control keeps its cut-off clients active: compare survivors only.
-        ours, _ = evaluate_all(self.clients, test, self.cfg)
-        theirs, _ = evaluate_all(self.control, test, self.cfg)
-        assert ours == {cid: theirs[cid] for cid in ours}
+        assert (evaluate_all(self.clients, test, self.cfg)
+                == evaluate_all(self.control, test, self.cfg))
 
 
 ExactUnlearning.TestCase.settings = settings(max_examples=25, stateful_step_count=8,
