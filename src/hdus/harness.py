@@ -19,7 +19,7 @@ from .distill import DistillConfig
 from .ensemble import EnsembleConfig, ensemble_predict
 from .errors import ConfigError, HdusError
 from .numeric import TIERS, accuracy, tier_spec, training_step_count
-from .simulation import (EventLog, SimConfig, Topology, active_clients,
+from .simulation import (ClientState, EventLog, SimConfig, Topology, active_clients,
                          csv_text, evaluate_all, handle_unlearn_request,
                          init_network, retire_client, run_round)
 
@@ -164,13 +164,14 @@ class ExperimentConfig:
             raise ConfigError("incubate_every_rounds: must be >= 1")
         if self.master_seed < 0:
             raise ConfigError("master_seed: must be >= 0")
-        # Parameter count grows with the tier for every F and C, and a seed
-        # may not outgrow the main it distills.
-        order = list(TIERS)
-        smallest = min(self.client_tiers(), key=order.index)
-        if order.index(self.seed_tier) > order.index(smallest):
-            raise ConfigError(f"seed_tier: {self.seed_tier!r} is larger than the "
-                              f"smallest main, {smallest!r}")
+        # Only hdus distills seeds. Parameter count grows with the tier for
+        # every F and C, and a seed may not outgrow the main it distills.
+        if self.framework == "hdus":
+            order = list(TIERS)
+            smallest = min(self.client_tiers(), key=order.index)
+            if order.index(self.seed_tier) > order.index(smallest):
+                raise ConfigError(f"seed_tier: {self.seed_tier!r} is larger than "
+                                  f"the smallest main, {smallest!r}")
 
     def client_tiers(self) -> list[str]:
         """Per-client size tiers, as the engine builds the mains. Heterogeneous
@@ -436,6 +437,16 @@ def make_engine(cfg: ExperimentConfig, part: PartitionedDataset, seed: int) -> _
     return _Engine(cfg, part, seed)
 
 
+def _tick(engine: _Engine, cfg: ExperimentConfig, r: int, unlearn: bool = True) -> None:
+    """Round r of a run. The unlearn event occupies the whole tick: no training
+    this round, so the t=0 evaluation exposes the state right after the
+    request. With unlearn=False the unlearn tick does nothing."""
+    if r != cfg.unlearn_round:
+        engine.round(r)
+    elif unlearn:
+        engine.unlearn(cfg.unlearn_client)
+
+
 def _single_run(cfg: ExperimentConfig, repeat: int, seed: int) -> RepeatResult:
     engine = make_engine(cfg, build_partition(cfg, seed), seed)
     log = EventLog()
@@ -443,15 +454,10 @@ def _single_run(cfg: ExperimentConfig, repeat: int, seed: int) -> RepeatResult:
     u = cfg.unlearn_round
     final_acc = 0.0
     for r in range(cfg.rounds):
-        t = None if u is None else r - u
-        if u is not None and r == u:
-            # The unlearn event occupies the whole tick: no training this round,
-            # so the t=0 evaluation exposes the state right after the request.
-            engine.unlearn(cfg.unlearn_client)
-        else:
-            engine.round(r)
+        _tick(engine, cfg, r)
         final_acc = engine.evaluate(log, r)
-        timeline.append(TimelinePoint(repeat, r, t, engine.name, final_acc))
+        timeline.append(TimelinePoint(repeat, r, None if u is None else r - u,
+                                      engine.name, final_acc))
     return RepeatResult(repeat, seed, log, timeline, final_acc)
 
 
@@ -463,45 +469,48 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     return RunReport(cfg, cfg.config_hash(), results)
 
 
+def survivor_state(c: ClientState, sim: SimConfig, test: LabeledDataset) -> tuple:
+    """What unlearning must leave a survivor as a never-joined control would:
+    its main, own seed, repository ids in order, repository seeds and its
+    `ensemble_predict` bytes on `test`."""
+    own = None if c.own_seed is None else c.own_seed.params.tobytes()
+    return (c.main.params.tobytes(), own, c.repo.neighbor_ids(),
+            [s.params.tobytes() for _, s in c.repo.entries],
+            ensemble_predict(c.main, c.repo, sim.ensemble, test.features).tobytes())
+
+
 def verify_unlearning(cfg: ExperimentConfig) -> tuple[list[int], int]:
-    """Exactness check of `cfg`'s one quit at `master_seed`: the run beside a
-    control that `make_engine` builds from the same partition, in which the
-    quitter is retired before round 0; both step through the same rounds and
-    the control does nothing at the unlearn tick. Returns the survivors, in id
-    order, whose main, own seed, repository ids or seeds, `ensemble_predict`
-    bytes on the test set, or event-log rows from the unlearn round on differ
-    from the control's, and the SGD steps the unlearn call took. The mean row
-    is the mean of the survivors' rows, so it differs only where one does."""
+    """Exactness check of `cfg`'s one quit at `master_seed`, against a control
+    from the same partition whose quitter retired before round 0 and whose
+    unlearn tick does nothing. Returns, in id order, the clients active in one
+    engine only and the survivors whose `survivor_state` or event-log rows
+    from the unlearn round on differ, and the SGD steps the unlearn took."""
     cfg.validate()
     if cfg.unlearn_round is None:
         raise ConfigError("unlearn_round: verify_unlearning needs a quit")
-    seed, u, q = cfg.master_seed, cfg.unlearn_round, cfg.unlearn_client
+    seed, u = cfg.master_seed, cfg.unlearn_round
     part = build_partition(cfg, seed)
     run, control = make_engine(cfg, part, seed), make_engine(cfg, part, seed)
-    retire_client(control.clients, q)
+    retire_client(control.clients, cfg.unlearn_client)
     logs = {run: EventLog(), control: EventLog()}
     steps = 0
     for r in range(cfg.rounds):
+        before = training_step_count()
+        _tick(run, cfg, r)
         if r == u:
-            before = training_step_count()
-            run.unlearn(q)
             steps = training_step_count() - before
-        else:
-            run.round(r)
-            control.round(r)
+        _tick(control, cfg, r, unlearn=False)
         for engine, log in logs.items():
             engine.evaluate(log, r)
 
     def state(engine: _Engine, cid: int) -> tuple:
-        c = engine.clients[cid]
-        own = None if c.own_seed is None else c.own_seed.params.tobytes()
-        pred = ensemble_predict(c.main, c.repo, engine.sim.ensemble, part.test.features)
-        return (c.main.params.tobytes(), own, c.repo.neighbor_ids(),
-                [s.params.tobytes() for _, s in c.repo.entries], pred.tobytes(),
+        return (survivor_state(engine.clients[cid], engine.sim, part.test),
                 [rec for rec in logs[engine].records if rec[0] >= u and rec[1] == str(cid)])
 
-    return [c.id for c in active_clients(run.clients)
-            if state(run, c.id) != state(control, c.id)], steps
+    run_ids, control_ids = ({c.id for c in active_clients(e.clients)}
+                            for e in (run, control))
+    differ = {cid for cid in run_ids & control_ids if state(run, cid) != state(control, cid)}
+    return sorted((run_ids ^ control_ids) | differ), steps
 
 
 def sweep(cfg: ExperimentConfig, param: str, values) -> dict[object, RunReport | HdusError]:
@@ -580,8 +589,10 @@ def unlearn_demo(cfg: ExperimentConfig) -> list[RunReport]:
     if cfg.unlearn_round is None:
         cfg = replace(cfg, unlearn_round=cfg.rounds // 2,
                       unlearn_client=cfg.n_clients - 1)
-    cfg.validate()
     small = cfg.setting == "heterogeneous"   # then tiers size hdus and isgd only
-    return [run_experiment(replace(cfg, framework=fw, tiers=None if small and
-                                   fw in _SMALL_TIER_FRAMEWORKS else cfg.tiers))
-            for fw in FRAMEWORKS]
+    cfgs = [replace(cfg, framework=fw, tiers=None if small and
+                    fw in _SMALL_TIER_FRAMEWORKS else cfg.tiers) for fw in FRAMEWORKS]
+    # Every framework's config is checked before the first run starts.
+    for c in [cfg, *cfgs]:
+        c.validate()
+    return [run_experiment(c) for c in cfgs]

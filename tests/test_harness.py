@@ -11,7 +11,7 @@ import pytest
 import hdus.harness as harness
 from hdus import baselines as bl
 from hdus.cli import main as cli_main
-from hdus.ensemble import add_neighbor_seed
+from hdus.ensemble import add_neighbor_seed, unlearn_neighbor
 from hdus.errors import ConfigError, StateError
 from hdus.harness import (CONFIG_KEYS, FRAMEWORKS, ExperimentConfig,
                           build_dataset, build_partition, emit_metrics,
@@ -236,9 +236,10 @@ def test_verify_unlearning_at_package_defaults():
         verify_unlearning(ExperimentConfig())
 
 
-def test_verify_unlearning_reports_the_faulty_survivor(monkeypatch):
+def test_verify_unlearning_reports_the_faulty_client(monkeypatch):
     """An unlearn that leaves the quitter's seed in client 0's repository is
-    reported for client 0 alone."""
+    reported for client 0 alone; one that strips every repository but leaves
+    the quitter active, at the last round, for the quitter alone."""
     real = harness.handle_unlearn_request
 
     def keeps_seed_at_client_0(clients, q):
@@ -249,6 +250,10 @@ def test_verify_unlearning_reports_the_faulty_survivor(monkeypatch):
     monkeypatch.setattr(harness, "handle_unlearn_request", keeps_seed_at_client_0)
     assert verify_unlearning(tiny(rounds=3, unlearn_round=1,
                                   unlearn_client=2)) == ([0], 0)
+    monkeypatch.setattr(harness, "handle_unlearn_request", lambda clients, q: [
+        unlearn_neighbor(c.repo, q) for c in clients if q in c.repo])
+    assert verify_unlearning(tiny(rounds=3, unlearn_round=2,
+                                  unlearn_client=2)) == ([2], 0)
 
 
 # Each framework's round and unlearn functions, as the engine calls them:
@@ -372,8 +377,12 @@ def test_cli_validate_config(capsys):
                         ("--seed-tier", "large"), ("--blob-spread", "1e300")):
         assert run_cli("validate-config", flag, value) == 2
         assert f"config error: {flag[2:].replace('-', '_')}: " in capsys.readouterr().err
-    assert run_cli("validate-config", "--n-clients", "2", "--seed-tier", "medium") == 0
-    assert "config_hash" in capsys.readouterr().out
+    # Only hdus distills seeds: the seed tier bounds its mains alone.
+    for args in (("--n-clients", "2", "--seed-tier", "medium"),
+                 ("--framework", "dsgd", "--seed-tier", "medium"),
+                 ("--framework", "isgd", "--seed-tier", "large")):
+        assert run_cli("validate-config", *args) == 0, args
+        assert "config_hash" in capsys.readouterr().out
     assert run_cli("validate-config", "--combine", "logits", "--n-clients", "2",
                    "--tiers", '["small","large"]') == 0
     assert "config_hash" in capsys.readouterr().out
@@ -427,6 +436,19 @@ def test_cli_run_writes_metrics(tmp_path, capsys):
     assert (tmp_path / "out" / "timeline.csv").exists()
     assert (tmp_path / "out" / "eventlog.csv").exists()
     assert (tmp_path / "out" / "config.snapshot").exists()
+
+
+def test_cli_unlearn_demo_checks_every_framework_first(tmp_path, capsys):
+    """A seed tier that fits hdus's mains runs every framework; one that only
+    the named small-main framework allows fails before any run."""
+    assert run_cli("unlearn-demo", "--n-clients", "2", "--seed-tier", "medium",
+                   "--rounds", "2", "--output-path", str(tmp_path / "ok")) == 0
+    assert "sisa_a: final accuracy" in capsys.readouterr().out
+    assert run_cli("unlearn-demo", "--framework", "dsgd", "--seed-tier", "large",
+                   "--rounds", "2", "--output-path", str(tmp_path / "bad")) == 2
+    out, err = capsys.readouterr()
+    assert "config error: seed_tier: " in err and "final accuracy" not in out
+    assert not (tmp_path / "bad").exists()
 
 
 def test_cli_config_file_then_flag_overrides(tmp_path, capsys):

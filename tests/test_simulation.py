@@ -16,6 +16,7 @@ from hdus.ensemble import (EnsembleConfig, SeedRepository, add_neighbor_seed,
                            deserialize_seed, ensemble_predict, serialize_seed,
                            unlearn_neighbor)
 from hdus.errors import ConfigError, DivergenceError, NotFoundError, StateError
+from hdus.harness import survivor_state
 from hdus.numeric import (MlpModel, MlpSpec, accuracy, init_mlp, sgd_train,
                           tier_spec, training_step_count)
 from hdus.simulation import (ClientState, EventLog, SimConfig, Topology,
@@ -623,13 +624,6 @@ def _tiny_partition(n_clients):
     return partition_noniid(ds, n_clients, 80, 0.2, np.random.default_rng(41))
 
 
-def _survivor_state(c, cfg, test):
-    own = None if c.own_seed is None else _bits(c.own_seed)
-    return (_bits(c.main), own, c.repo.neighbor_ids(),
-            [_bits(seed) for _, seed in c.repo.entries],
-            ensemble_predict(c.main, c.repo, cfg.ensemble, test.features).tobytes())
-
-
 class ExactUnlearning(RuleBasedStateMachine):
     """Rounds and quits in any order, on a complete, path or star graph (a
     quit on a path can split it). After every step, each survivor is bitwise
@@ -657,8 +651,7 @@ class ExactUnlearning(RuleBasedStateMachine):
         self.control = self._network()
 
     def _network(self):
-        """A network whose quitters so far retired before round 0, after the
-        same rounds."""
+        """The same rounds on a network whose quitters so far retired first."""
         clients = init_network(self.part, self.specs, self.graph, self.cfg, 0)
         for q in self.quitters:
             retire_client(clients, q)
@@ -685,8 +678,8 @@ class ExactUnlearning(RuleBasedStateMachine):
     def survivors_match_control(self):
         test = self.part.test
         for c in active_clients(self.clients):
-            assert (_survivor_state(c, self.cfg, test)
-                    == _survivor_state(self.control[c.id], self.cfg, test)), c.id
+            assert (survivor_state(c, self.cfg, test)
+                    == survivor_state(self.control[c.id], self.cfg, test)), c.id
         assert (evaluate_all(self.clients, test, self.cfg)
                 == evaluate_all(self.control, test, self.cfg))
 
