@@ -8,9 +8,9 @@ from .distill import (DistillConfig, ReferenceSet, distill_fidelity,
 from .ensemble import (EnsembleConfig, SeedRepository, add_neighbor_seed,
                        deserialize_seed, ensemble_predict, serialize_seed,
                        unlearn_neighbor)
-from .errors import (CapacityError, ConfigError, ConflictError, DimensionError,
-                     DivergenceError, DomainError, HdusError, NotFoundError,
-                     ParseError, StateError, ValidationError)
+from .errors import (ConfigError, ConflictError, DimensionError, DivergenceError,
+                     DomainError, HdusError, NotFoundError, ParseError,
+                     StateError, ValidationError)
 from .harness import (ExperimentConfig, RunReport, emit_metrics, load_config,
                       run_experiment, sweep, unlearn_demo, verify_unlearning)
 from .numeric import (MlpModel, MlpSpec, accuracy, cross_entropy, init_mlp,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distill import ReferenceSet
-from .errors import CapacityError, ConfigError, ParseError
+from .errors import ConfigError, ParseError
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -139,6 +139,20 @@ def load_idx_files(image_path, label_path, class_count: int = 10) -> LabeledData
 # Synthetic blobs
 # ---------------------------------------------------------------------------
 
+def check_blobs(classes: int, features: int, components: int) -> None:
+    """gen_blobs' bounds: each cluster has its own cell of the axis grid."""
+    if classes < 2:
+        raise ConfigError("blob_classes: must be >= 2")
+    if features < 2:
+        raise ConfigError("blob_features: must be >= 2")
+    if components < 1:
+        raise ConfigError("blob_components: must be >= 1")
+    if components * classes > features * (features - 1):
+        raise ConfigError(f"blob_features: a grid of {features} features holds "
+                          f"{features * (features - 1)} clusters, but "
+                          f"blob_components x blob_classes = {components * classes}")
+
+
 def gen_blobs(n_per_class: int, class_count: int, feature_dim: int,
               spread: float, rng: np.random.Generator,
               components_per_class: int = 1) -> LabeledDataset:
@@ -147,10 +161,7 @@ def gen_blobs(n_per_class: int, class_count: int, feature_dim: int,
     (components_per_class > 1 gives a harder, non-linearly-separable task).
     Exactly n_per_class samples per class.
     """
-    if class_count < 2 or feature_dim < 2:
-        raise ConfigError("need class_count >= 2 and feature_dim >= 2")
-    if components_per_class * class_count > feature_dim * (feature_dim - 1):
-        raise ConfigError("too many clusters for the feature grid")
+    check_blobs(class_count, feature_dim, components_per_class)
 
     scale = 3.0
     feats, labs = [], []
@@ -182,31 +193,55 @@ def gen_blobs(n_per_class: int, class_count: int, feature_dim: int,
 # Partitioning
 # ---------------------------------------------------------------------------
 
+def check_clients(n_clients: int, class_count: int) -> None:
+    """Each client omits one distinct class and needs another client as donor."""
+    if n_clients < 2:
+        raise ConfigError(f"n_clients: {n_clients} < 2: a lone client has no donor")
+    if n_clients > class_count:
+        raise ConfigError(f"n_clients: {n_clients} exceeds the {class_count} classes")
+
+
+def check_split(rows: int, n_clients: int, ref_size: int, test_fraction: float) -> int:
+    """The test set's size: the rows left after the reference set must give
+    at least one test row and one training row per client."""
+    rest = rows - ref_size
+    if rest < 1 + n_clients:
+        raise ConfigError(f"ref_size: {ref_size} must leave a test row and "
+                          f"{n_clients} training rows of the {rows} samples")
+    test_n = int(round(test_fraction * rest))
+    if not 1 <= test_n <= rest - n_clients:
+        raise ConfigError(f"test_fraction: {test_fraction} of the {rest} samples "
+                          f"left after ref_size makes {test_n} test and "
+                          f"{rest - test_n} training rows; need >= 1 and >= {n_clients}")
+    return test_n
+
+
 def partition_noniid(data: LabeledDataset, n_clients: int, ref_size: int,
                      test_fraction: float, rng: np.random.Generator) -> PartitionedDataset:
     """Reference carve-out, test split, then non-IID client splits where
     client i never sees one distinct class (a seeded permutation decides which).
 
-    Splits are pairwise disjoint, equal-sized (+-1), and disjoint from both
-    the test set and the reference features. The test set's features are
-    read-only.
+    The training rows are dealt in a seeded shuffled order: each goes to the
+    client with the largest remaining need among those allowed its class,
+    the lowest id on ties, where needs start as equal split sizes (+-1). A
+    repair pass then fills a client left short by swapping rows through
+    donors. Splits are pairwise disjoint, equal-sized (+-1), and disjoint
+    from both the test set and the reference features. The test set's
+    features are read-only.
+
+    Raises ConfigError keyed `n_clients`, `ref_size` or `test_fraction` when
+    check_clients or check_split rejects the sizes, and keyed `n_clients`
+    when this seed's draws leave some split short even after the repair.
     """
     C = data.class_count
-    if n_clients > C:
-        raise ConfigError(f"n_clients {n_clients} > class count {C}")
-    if n_clients < 2:
-        raise ConfigError(f"n_clients {n_clients} < 2: a lone client has no donor")
+    check_clients(n_clients, C)
+    test_n = check_split(len(data), n_clients, ref_size, test_fraction)
 
-    if ref_size >= len(data):
-        raise CapacityError(f"ref_size {ref_size} >= dataset size {len(data)}")
     ref_idx = np.sort(rng.choice(len(data), size=ref_size, replace=False))
     mask = np.ones(len(data), dtype=bool)
     mask[ref_idx] = False
     pool = np.flatnonzero(mask)
 
-    test_n = int(round(test_fraction * pool.size))
-    if test_n >= pool.size:
-        raise CapacityError("test fraction leaves no training data")
     test_pick = rng.choice(pool.size, size=test_n, replace=False)
     test_mask = np.zeros(pool.size, dtype=bool)
     test_mask[test_pick] = True
@@ -216,25 +251,24 @@ def partition_noniid(data: LabeledDataset, n_clients: int, ref_size: int,
     sigma = rng.permutation(C)
     omitted = [int(sigma[i]) for i in range(n_clients)]
 
-    # Equal split sizes (+-1); deal shuffled rows to the most-needy allowed client.
+    # Python ints throughout: the deal is O(rows x clients) scalar steps.
     m = train_pool.size
-    need = np.full(n_clients, m // n_clients, dtype=np.int64)
-    need[: m % n_clients] += 1
+    need = [m // n_clients + (i < m % n_clients) for i in range(n_clients)]
     order = rng.permutation(m)
     assigned: list[list[int]] = [[] for _ in range(n_clients)]
     leftover: list[int] = []
-    labels = data.labels
-    for row in train_pool[order]:
+    labels = data.labels.tolist()
+    for row in train_pool[order].tolist():
         lab = labels[row]
         best, best_need = -1, 0
         for i in range(n_clients):
             if lab != omitted[i] and need[i] > best_need:
                 best, best_need = i, need[i]
         if best >= 0:
-            assigned[best].append(int(row))
+            assigned[best].append(row)
             need[best] -= 1
         else:
-            leftover.append(int(row))
+            leftover.append(row)
     # Repair pass. A row is left over only once every client allowed its class
     # is full, and each class is omitted by at most one client; so at most one
     # client ends short, and every leftover row is of that client's omitted
@@ -258,9 +292,9 @@ def partition_noniid(data: LabeledDataset, n_clients: int, ref_size: int,
                     leftover.remove(row)
                     need[i] -= 1
                     break
-    if need.sum() > 0:
-        raise CapacityError(f"could not fill client splits, short by "
-                            f"{int(need.sum())} samples")
+    if sum(need) > 0:
+        raise ConfigError(f"n_clients: could not fill client splits, short by "
+                          f"{sum(need)} samples")
 
     client_indices = [np.sort(np.asarray(rows, dtype=np.int64)) for rows in assigned]
     test = data.take(test_idx)

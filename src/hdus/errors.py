@@ -30,10 +30,6 @@ class ConfigError(HdusError):
     """An experiment or module configuration is invalid."""
 
 
-class CapacityError(HdusError):
-    """Not enough samples to satisfy a partitioning request."""
-
-
 class ParseError(HdusError):
     """Binary input could not be decoded; carries the failing byte offset."""
 

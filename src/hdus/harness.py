@@ -14,7 +14,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import baselines as bl
-from .data import LabeledDataset, PartitionedDataset, gen_blobs, load_idx_files, partition_noniid
+from .data import (LabeledDataset, PartitionedDataset, check_blobs, check_clients,
+                   check_split, gen_blobs, load_idx_files, partition_noniid)
 from .distill import DistillConfig
 from .ensemble import EnsembleConfig, ensemble_predict
 from .errors import ConfigError, HdusError
@@ -77,14 +78,7 @@ class ExperimentConfig:
         EnsembleConfig(lam=self.ensemble_lambda, combine=self.combine)
         if self.temperature <= 0:
             raise ConfigError(f"temperature: must be > 0, got {self.temperature}")
-        # A lone client omits one class and has no donor for its rows.
-        if self.n_clients < 2:
-            raise ConfigError("n_clients: must be >= 2")
-        # Each client never sees one distinct class, so classes bound clients.
-        class_count = self.blob_classes if self.dataset == "blobs" else 10
-        if self.n_clients > class_count:
-            raise ConfigError(f"n_clients: {self.n_clients} exceeds the "
-                              f"{class_count} classes of {self.dataset}")
+        check_clients(self.n_clients, self.blob_classes if self.dataset == "blobs" else 10)
         if self.rounds < 1:
             raise ConfigError("rounds: must be >= 1")
         if self.repeats < 1:
@@ -95,8 +89,10 @@ class ExperimentConfig:
             raise ConfigError("local_epochs: must be >= 0")
         if self.incubate_epochs < 1:
             raise ConfigError("incubate_epochs: must be >= 1")
-        if self.lr < 0 or self.incubate_lr < 0:
-            raise ConfigError("lr/incubate_lr: must be >= 0")
+        if self.lr < 0:
+            raise ConfigError("lr: must be >= 0")
+        if self.incubate_lr < 0:
+            raise ConfigError("incubate_lr: must be >= 0")
         if self.tiers is not None:
             if self.setting == "heterogeneous" and self.framework in _SMALL_TIER_FRAMEWORKS:
                 raise ConfigError(f"tiers: heterogeneous {self.framework} runs "
@@ -110,7 +106,7 @@ class ExperimentConfig:
                 raise ConfigError(f"tiers: {self.framework} needs one model spec, "
                                   f"got tiers {sorted(set(self.tiers))}")
         if (self.unlearn_round is None) != (self.unlearn_client is None):
-            raise ConfigError("unlearn_round and unlearn_client must be set together")
+            raise ConfigError("unlearn_round: must be set together with unlearn_client")
         if self.unlearn_round is not None:
             if not 0 <= self.unlearn_round < self.rounds:
                 raise ConfigError("unlearn_round: must be within [0, rounds)")
@@ -130,36 +126,12 @@ class ExperimentConfig:
         # finite for any pool that fits in memory.
         if not 0 <= self.blob_spread <= 1e100:
             raise ConfigError(f"blob_spread: must be in [0, 1e100], got {self.blob_spread}")
-        if self.blob_components < 1:
-            raise ConfigError("blob_components: must be >= 1")
+        # IDX pool sizes are known only once the files load, and
+        # partition_noniid checks them then.
         if self.dataset == "blobs":
-            # Bounds of gen_blobs and of the reference carve-out; IDX pool
-            # sizes are known only once the files load.
-            if self.blob_classes < 2:
-                raise ConfigError("blob_classes: must be >= 2")
-            if self.blob_features < 2:
-                raise ConfigError("blob_features: must be >= 2")
-            clusters = self.blob_components * self.blob_classes
-            grid = self.blob_features * (self.blob_features - 1)
-            if clusters > grid:
-                raise ConfigError(
-                    f"blob_features: a grid of {self.blob_features} features holds "
-                    f"{grid} clusters, but blob_components x blob_classes = {clusters}")
-            # partition_noniid's split: the rows left after the reference set
-            # give a test set of at least one row and one training row or
-            # more per client.
-            pool = self.blob_classes * self.blob_samples_per_class
-            rest = pool - self.ref_size
-            if rest < 1 + self.n_clients:
-                raise ConfigError(f"ref_size: {self.ref_size} must leave a test row "
-                                  f"and {self.n_clients} training rows of the {pool} "
-                                  f"blob samples")
-            test_n = round(self.test_fraction * rest)
-            if not 1 <= test_n <= rest - self.n_clients:
-                raise ConfigError(f"test_fraction: {self.test_fraction} of the {rest} "
-                                  f"samples left after ref_size makes {test_n} test "
-                                  f"and {rest - test_n} training rows; need >= 1 "
-                                  f"and >= {self.n_clients}")
+            check_blobs(self.blob_classes, self.blob_features, self.blob_components)
+            check_split(self.blob_classes * self.blob_samples_per_class,
+                        self.n_clients, self.ref_size, self.test_fraction)
         if self.incubate_every_rounds < 1:
             raise ConfigError("incubate_every_rounds: must be >= 1")
         if self.master_seed < 0:
@@ -351,8 +323,6 @@ def build_dataset(cfg: ExperimentConfig, seed: int) -> LabeledDataset:
 
 def build_partition(cfg: ExperimentConfig, seed: int) -> PartitionedDataset:
     data = build_dataset(cfg, seed)
-    if cfg.ref_size >= len(data):   # IDX only: `validate` checks blobs
-        raise ConfigError(f"ref_size: {cfg.ref_size} must be < the {len(data)} samples")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3,)))
     return partition_noniid(data, cfg.n_clients, cfg.ref_size,
                             cfg.test_fraction, rng)

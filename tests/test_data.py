@@ -4,12 +4,12 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from hdus.data import (LabeledDataset, export_manifest, gen_blobs,
                        load_idx_files, parse_idx, partition_noniid)
-from hdus.errors import CapacityError, ConfigError, ParseError
+from hdus.errors import ConfigError, ParseError
 
 
 def make_idx(images: np.ndarray, labels: np.ndarray) -> tuple[bytes, bytes]:
@@ -217,7 +217,7 @@ def test_partition_reference_unlabeled(partition):
 
 def test_partition_reference_too_large():
     ds = gen_blobs(5, 3, 5, 0.5, np.random.default_rng(6))
-    with pytest.raises(CapacityError, match="ref_size"):
+    with pytest.raises(ConfigError, match="^ref_size: "):
         partition_noniid(ds, 2, len(ds), 0.2, np.random.default_rng(0))
 
 
@@ -242,7 +242,7 @@ def test_partition_deterministic():
 
 def test_partition_more_clients_than_classes_rejected():
     ds = gen_blobs(30, 3, 5, 0.5, np.random.default_rng(8))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^n_clients: 4 exceeds the 3 classes$"):
         partition_noniid(ds, 4, 10, 0.2, np.random.default_rng(0))
 
 
@@ -277,6 +277,106 @@ def test_partition_repair_keeps_invariants(classes, clients, rows, seed):
     assert max(sizes) - min(sizes) <= 1
     for split, omitted in zip(part.client_splits, part.omitted_class):
         assert omitted not in split.labels
+
+
+def _numpy_scalar_deal(data, n_clients, ref_size, test_fraction, rng):
+    """partition_noniid's client splits as first written, dealing on numpy
+    scalars: the oracle for its plain-int deal. Returns the sorted splits and
+    whether the repair pass had rows to place, or None if splits stay short."""
+    ref_idx = np.sort(rng.choice(len(data), size=ref_size, replace=False))
+    mask = np.ones(len(data), dtype=bool)
+    mask[ref_idx] = False
+    pool = np.flatnonzero(mask)
+    test_n = int(round(test_fraction * pool.size))
+    test_mask = np.zeros(pool.size, dtype=bool)
+    test_mask[rng.choice(pool.size, size=test_n, replace=False)] = True
+    train_pool = pool[~test_mask]
+    sigma = rng.permutation(data.class_count)
+    omitted = [int(sigma[i]) for i in range(n_clients)]
+    m = train_pool.size
+    need = np.full(n_clients, m // n_clients, dtype=np.int64)
+    need[: m % n_clients] += 1
+    order = rng.permutation(m)
+    assigned = [[] for _ in range(n_clients)]
+    leftover = []
+    labels = data.labels
+    for row in train_pool[order]:
+        lab = labels[row]
+        best, best_need = -1, 0
+        for i in range(n_clients):
+            if lab != omitted[i] and need[i] > best_need:
+                best, best_need = i, need[i]
+        if best >= 0:
+            assigned[best].append(int(row))
+            need[best] -= 1
+        else:
+            leftover.append(int(row))
+    repaired = bool(leftover)
+    for i in range(n_clients):
+        if need[i] == 0:
+            continue
+        for row in list(leftover):
+            if need[i] == 0:
+                break
+            lab = labels[row]
+            for j in range(n_clients):
+                if j == i or lab == omitted[j]:
+                    continue
+                swap_pos = next((p for p, r in enumerate(assigned[j])
+                                 if labels[r] != omitted[i]), None)
+                if swap_pos is not None:
+                    assigned[i].append(assigned[j][swap_pos])
+                    assigned[j][swap_pos] = row
+                    leftover.remove(row)
+                    need[i] -= 1
+                    break
+    if need.sum() > 0:
+        return None
+    return [np.sort(np.asarray(a, dtype=np.int64)) for a in assigned], repaired
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+@example(data=None)
+def test_partition_deal_matches_numpy_scalar_oracle(data):
+    """Over drawn label arrays and client counts, the deal gives the oracle's
+    splits, or fails with the oracle, keyed to n_clients."""
+    if data is None:   # leaves two rows over for the repair pass (see above)
+        classes, clients, labels, ref, test_n, seed = 4, 2, np.arange(40) % 4, 4, 7, 4
+    else:
+        classes = data.draw(st.integers(2, 6), label="classes")
+        clients = data.draw(st.integers(2, classes), label="clients")
+        labels = np.array(data.draw(st.lists(st.integers(0, classes - 1),
+                                             min_size=clients + 2, max_size=80),
+                                    label="labels"))
+        ref = data.draw(st.integers(1, len(labels) - clients - 1), label="ref_size")
+        test_n = data.draw(st.integers(1, len(labels) - ref - clients), label="test_n")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    ds = LabeledDataset(np.zeros((len(labels), 1)), labels, classes)
+    fraction = test_n / (len(ds) - ref)
+    want = _numpy_scalar_deal(ds, clients, ref, fraction, np.random.default_rng(seed))
+    if want is None:
+        event("short")
+        with pytest.raises(ConfigError, match="^n_clients: could not fill client splits"):
+            partition_noniid(ds, clients, ref, fraction, np.random.default_rng(seed))
+        return
+    splits, repaired = want
+    event("repaired" if repaired else "dealt")
+    part = partition_noniid(ds, clients, ref, fraction, np.random.default_rng(seed))
+    assert len(part.test) == test_n
+    assert all(np.array_equal(a, b) for a, b in zip(part.client_indices, splits))
+    if data is None:
+        assert repaired
+
+
+@pytest.mark.parametrize("ref,fraction,key", [
+    (8, 0.5, "ref_size"), (2, 0.01, "test_fraction"), (2, 0.9, "test_fraction")])
+def test_partition_split_sizes_rejected_under_their_key(ref, fraction, key):
+    """Of 10 rows for 2 clients: 8 for reference leave 2, no test row beside
+    a training row each; of the 8 left by 2, a test set of 0 or of 7 rows."""
+    ds = LabeledDataset(np.zeros((10, 1)), np.arange(10) % 2, 2)
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        partition_noniid(ds, 2, ref, fraction, np.random.default_rng(0))
 
 
 def test_export_manifest_roundtrip(tmp_path, partition):

@@ -7,17 +7,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import hdus.harness as harness
 from hdus import baselines as bl
 from hdus.cli import main as cli_main
 from hdus.ensemble import add_neighbor_seed, unlearn_neighbor
-from hdus.errors import ConfigError, StateError
+from hdus.errors import ConfigError, DivergenceError, StateError
 from hdus.harness import (CONFIG_KEYS, FRAMEWORKS, ExperimentConfig,
                           build_dataset, build_partition, emit_metrics,
                           load_config, make_engine, run_experiment, sweep,
                           summary_csv_text, timeline_csv_text, unlearn_demo,
                           verify_unlearning)
+from hdus.numeric import TIERS
 from test_data import make_idx
 
 
@@ -32,6 +35,10 @@ def tiny(**kw) -> ExperimentConfig:
 
 
 # --- config -----------------------------------------------------------------
+
+def _key(e: ConfigError) -> str:
+    return str(e).partition(":")[0]
+
 
 def test_validate_catches_bad_fields():
     for bad in (dict(framework="sgd"), dict(dataset="cifar"),
@@ -52,15 +59,98 @@ def test_validate_catches_bad_fields():
                 dict(blob_classes=1, n_clients=1), dict(blob_features=1),
                 dict(blob_features=3), dict(ref_size=300),
                 dict(ref_size=100000),
-                dict(blob_classes=6, blob_features=4, ref_size=356)):
-        with pytest.raises(ConfigError):
+                dict(blob_classes=6, blob_features=4, ref_size=356),
+                dict(lr=-1.0), dict(incubate_lr=-1.0), dict(unlearn_client=1)):
+        with pytest.raises(ConfigError) as e:
             tiny(**bad).validate()
+        assert _key(e.value) in CONFIG_KEYS, e.value
     tiny().validate()
     # At both bounds: 12 clusters fill the grid of 4 features, and the 5 rows
     # left after the reference set make 1 test row and 1 training row per client.
     tiny(blob_classes=6, blob_features=4, ref_size=355).validate()
     # IDX pool sizes are checked at run time, once the files load.
     tiny(dataset="mnist", data_dir="idx", ref_size=100000).validate()
+
+
+# Extreme finite floats inside each field's domain ...
+_RATES = st.sampled_from([0.0, 5e-324, 1e-8, 0.05, 0.5, 1e8, 1e100, 1e300])
+_TEMPERATURES = st.sampled_from([5e-324, 1e-300, 0.5, 3.0, 1e8, 1e300])
+_LAMBDAS = st.sampled_from([0.0, 5e-324, 0.3, 0.6, 1 - 2**-53])
+_SPREADS = st.sampled_from([0.0, 5e-324, 0.5, 1e8, 1e100])
+_FRACTIONS = st.sampled_from([5e-324, 0.1, 0.2, 0.3, 0.5, 1 - 2**-53])
+# ... and values just outside it, one of which may replace a drawn value.
+_OUTSIDE = {"n_clients": [1, 0], "blob_classes": [1, 0], "blob_features": [1, 0],
+            "blob_components": [0, -1], "blob_samples_per_class": [0, -1],
+            "ref_size": [0, -1], "test_fraction": [0.0, 1.0], "rounds": [0],
+            "lr": [-5e-324, -1e300], "incubate_lr": [-5e-324],
+            "temperature": [0.0, -5e-324], "ensemble_lambda": [1.0, -5e-324],
+            "blob_spread": [1e300, -5e-324], "batch_size": [0],
+            "local_epochs": [-1], "incubate_epochs": [0],
+            "incubate_every_rounds": [0], "master_seed": [-1],
+            "unlearn_client": [None, -1]}
+# Sizes that may be drawn huge instead; only `validate` sees them, as a run
+# would not fit in memory.
+_HUGE = ("blob_samples_per_class", "blob_features", "n_clients")
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_blob_configs_validate_or_run_cleanly(data):
+    """Every blob config either fails `validate` with a keyed ConfigError, or
+    runs one round to finite accuracies, a DivergenceError or a keyed
+    ConfigError; no other exception and no warning."""
+    draw = data.draw
+    classes = draw(st.integers(2, 5), label="blob_classes")
+    n_clients = draw(st.integers(2, classes), label="n_clients")
+    quitter = draw(st.none() | st.integers(0, n_clients - 1), label="unlearn_client")
+    cfg = ExperimentConfig(
+        framework=draw(st.sampled_from(FRAMEWORKS)),
+        setting=draw(st.sampled_from(["homogeneous", "heterogeneous"])),
+        seed_tier=draw(st.sampled_from(sorted(TIERS))),
+        combine=draw(st.sampled_from(["proba", "logits"])),
+        n_clients=n_clients, blob_classes=classes,
+        blob_features=draw(st.integers(2, 6), label="blob_features"),
+        blob_components=draw(st.integers(1, 2), label="blob_components"),
+        blob_samples_per_class=draw(st.integers(1, 12), label="blob_samples_per_class"),
+        blob_spread=draw(_SPREADS, label="blob_spread"),
+        ref_size=draw(st.integers(1, 12), label="ref_size"),
+        test_fraction=draw(_FRACTIONS, label="test_fraction"),
+        lr=draw(_RATES, label="lr"), incubate_lr=draw(_RATES, label="incubate_lr"),
+        temperature=draw(_TEMPERATURES, label="temperature"),
+        ensemble_lambda=draw(_LAMBDAS, label="ensemble_lambda"),
+        batch_size=draw(st.integers(1, 40), label="batch_size"),
+        local_epochs=draw(st.integers(0, 2), label="local_epochs"),
+        incubate_epochs=draw(st.integers(1, 2), label="incubate_epochs"),
+        incubate_every_rounds=draw(st.integers(1, 2), label="incubate_every_rounds"),
+        rounds=1, unlearn_round=None if quitter is None else 0, unlearn_client=quitter,
+        master_seed=draw(st.sampled_from([0, 1, 2**32, 2**63 - 1]), label="master_seed"))
+    outside = draw(st.none() | st.sampled_from(sorted(_OUTSIDE)), label="outside")
+    huge = outside in _HUGE and draw(st.booleans(), label="huge")
+    if huge:
+        cfg = replace(cfg, **{outside: draw(st.integers(10**5, 10**15), label="size")})
+    elif outside is not None:
+        cfg = replace(cfg, **{outside: draw(st.sampled_from(_OUTSIDE[outside]), label="value")})
+    try:
+        cfg.validate()
+    except ConfigError as e:
+        event("rejected by validate")
+        assert _key(e) in CONFIG_KEYS, e
+        return
+    if huge:
+        return
+    try:
+        report = run_experiment(cfg)
+    except DivergenceError:
+        event("diverged")
+        return
+    except ConfigError as e:
+        event("rejected at build time")
+        assert _key(e) in CONFIG_KEYS, e
+        return
+    event("ran")
+    points = [p.mean_accuracy for r in report.repeats for p in r.timeline]
+    assert np.isfinite(points + report.final_accuracies()).all()
 
 
 def test_client_tiers_spread():
@@ -493,6 +583,21 @@ def test_cli_missing_idx_files_is_config_error(tmp_path, capsys):
     assert "config error: data_dir: IDX files not found" in capsys.readouterr().err
 
 
+def test_cli_unfillable_split_is_config_error(tmp_path, capsys):
+    """Two blob samples of each of two classes, one kept for reference and
+    one for test: at seed 0 both training rows share a class, so the client
+    that omits it gets nothing. Seed 1 deals one of each."""
+    argv = ("run", "--n-clients", "2", "--blob-classes", "2",
+            "--blob-samples-per-class", "2", "--blob-components", "1",
+            "--blob-features", "2", "--ref-size", "1", "--test-fraction", "0.34",
+            "--rounds", "1", "--output-path", str(tmp_path / "o"))
+    assert run_cli(*argv, "--master-seed", "0") == 2
+    assert "config error: n_clients: could not fill client splits, short by 1 " \
+        "samples" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    assert run_cli(*argv, "--master-seed", "1") == 0
+
+
 def test_cli_diverging_run_is_runtime_error(tmp_path, capsys):
     """Divergence is reported once, as a DivergenceError; no numpy warning
     escapes (pytest turns one into an error)."""
@@ -608,5 +713,22 @@ def test_idx_ref_size_must_leave_samples(idx_dir, capsys):
     assert run_cli("run", "--dataset", "mnist", "--data-dir", str(data_dir),
                    "--ref-size", "600", "--rounds", "1",
                    "--output-path", str(data_dir / "o")) == 2
-    assert "config error: ref_size: 600 must be < the 600 samples" \
+    assert "config error: ref_size: 600 must leave a test row and 5 training " \
+        "rows of the 600 samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ref_size, test_fraction", [
+    ("590", "0.9"), ("100", "0.9999"), ("100", "0.0001")])
+def test_idx_test_fraction_must_leave_rows(idx_dir, capsys, ref_size, test_fraction):
+    """A test_fraction that leaves no test row, or fewer training rows than
+    clients, of the 600 IDX samples is a config error found once they load."""
+    data_dir, _, _ = idx_dir
+    assert run_cli("validate-config", "--dataset", "mnist", "--data-dir",
+                   str(data_dir), "--ref-size", ref_size,
+                   "--test-fraction", test_fraction) == 0
+    capsys.readouterr()
+    assert run_cli("run", "--dataset", "mnist", "--data-dir", str(data_dir),
+                   "--ref-size", ref_size, "--test-fraction", test_fraction,
+                   "--rounds", "1", "--output-path", str(data_dir / "o")) == 2
+    assert f"config error: test_fraction: {test_fraction} of the " \
         in capsys.readouterr().err
