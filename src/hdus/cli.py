@@ -3,9 +3,10 @@
 Verbs: run, sweep, unlearn-demo, validate-config. Every config-file key is
 also a flag, with `_` written as `-` (`n_clients` is `--n-clients`, `lambda`
 is `--lambda`), and a flag value is read the same way as a file value: a JSON
-literal, or a bare word as a string (for example `--tiers '["small","large"]'`
-or `--framework dsgd`). A config file overrides built-in defaults and flags
-override the file.
+literal, or a bare word as a string (for example `--unlearn-round null` or
+`--framework dsgd`). Two flags for one field (`--lambda` and
+`--ensemble-lambda`) are a config error. A config file overrides built-in
+defaults and flags override the file.
 Exit codes: 0 success, 2 config error, 3 runtime error; a sweep with no good
 cell exits as its first cell's error does.
 """
@@ -29,8 +30,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    overrides = dict(parse_config_value(key, getattr(args, key))
-                     for key in CONFIG_KEYS if getattr(args, key) is not None)
+    given = [key for key in CONFIG_KEYS if getattr(args, key) is not None]
+    for name in dict.fromkeys(CONFIG_KEYS[key] for key in given):
+        flags = ["--" + key.replace("_", "-")
+                 for key in given if CONFIG_KEYS[key] == name]
+        if len(flags) > 1:
+            raise ConfigError(f"{name}: set twice, by {' and '.join(flags)}")
+    overrides = dict(parse_config_value(key, getattr(args, key)) for key in given)
     if overrides:
         cfg = replace(cfg, **overrides)
     cfg.validate()

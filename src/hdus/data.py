@@ -139,14 +139,24 @@ def load_idx_files(image_path, label_path, class_count: int = 10) -> LabeledData
 # Synthetic blobs
 # ---------------------------------------------------------------------------
 
-def check_blobs(classes: int, features: int, components: int) -> None:
-    """gen_blobs' bounds: each cluster has its own cell of the axis grid."""
+# The largest blob pool, in float64 entries (1 GiB): checked before any draw.
+MAX_BLOB_ENTRIES = 2**27
+
+
+def check_blobs(classes: int, per_class: int, features: int, components: int) -> None:
+    """gen_blobs' bounds: each cluster has its own cell of the axis grid, and
+    the pool fits in MAX_BLOB_ENTRIES."""
     if classes < 2:
         raise ConfigError("blob_classes: must be >= 2")
     if features < 2:
         raise ConfigError("blob_features: must be >= 2")
     if components < 1:
         raise ConfigError("blob_components: must be >= 1")
+    rows = classes * per_class
+    if rows * features > MAX_BLOB_ENTRIES:
+        raise ConfigError(f"blob_samples_per_class: a pool of {rows} rows x "
+                          f"{features} features exceeds the limit of "
+                          f"{MAX_BLOB_ENTRIES} float64 entries (1 GiB)")
     if components * classes > features * (features - 1):
         raise ConfigError(f"blob_features: a grid of {features} features holds "
                           f"{features * (features - 1)} clusters, but "
@@ -161,7 +171,7 @@ def gen_blobs(n_per_class: int, class_count: int, feature_dim: int,
     (components_per_class > 1 gives a harder, non-linearly-separable task).
     Exactly n_per_class samples per class.
     """
-    check_blobs(class_count, feature_dim, components_per_class)
+    check_blobs(class_count, n_per_class, feature_dim, components_per_class)
 
     scale = 3.0
     feats, labs = [], []

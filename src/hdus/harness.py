@@ -35,7 +35,6 @@ class ExperimentConfig:
     framework: str = "hdus"
     n_clients: int = 5
     setting: str = "heterogeneous"         # homogeneous | heterogeneous
-    tiers: list[str] | None = None         # explicit per-client override
     ensemble_lambda: float = 0.6
     temperature: float = 3.0
     local_epochs: int = 1
@@ -93,18 +92,6 @@ class ExperimentConfig:
             raise ConfigError("lr: must be >= 0")
         if self.incubate_lr < 0:
             raise ConfigError("incubate_lr: must be >= 0")
-        if self.tiers is not None:
-            if self.setting == "heterogeneous" and self.framework in _SMALL_TIER_FRAMEWORKS:
-                raise ConfigError(f"tiers: heterogeneous {self.framework} runs "
-                                  f"all-small mains; leave tiers unset")
-            if len(self.tiers) != self.n_clients:
-                raise ConfigError("tiers: length must equal n_clients")
-            for t in self.tiers:
-                if t not in TIERS:
-                    raise ConfigError(f"tiers: unknown tier {t!r}")
-            if self.framework in ("dsgd", "fedunl") and len(set(self.tiers)) > 1:
-                raise ConfigError(f"tiers: {self.framework} needs one model spec, "
-                                  f"got tiers {sorted(set(self.tiers))}")
         if (self.unlearn_round is None) != (self.unlearn_client is None):
             raise ConfigError("unlearn_round: must be set together with unlearn_client")
         if self.unlearn_round is not None:
@@ -129,7 +116,8 @@ class ExperimentConfig:
         # IDX pool sizes are known only once the files load, and
         # partition_noniid checks them then.
         if self.dataset == "blobs":
-            check_blobs(self.blob_classes, self.blob_features, self.blob_components)
+            check_blobs(self.blob_classes, self.blob_samples_per_class,
+                        self.blob_features, self.blob_components)
             check_split(self.blob_classes * self.blob_samples_per_class,
                         self.n_clients, self.ref_size, self.test_fraction)
         if self.incubate_every_rounds < 1:
@@ -146,16 +134,14 @@ class ExperimentConfig:
                                   f"the smallest main, {smallest!r}")
 
     def client_tiers(self) -> list[str]:
-        """Per-client size tiers, as the engine builds the mains. Heterogeneous
-        dsgd, fedunl and sisa_a need one spec: all small (they take no `tiers`).
-        Otherwise heterogeneous spreads clients over small/medium/large with
-        the remainder going to the larger tiers."""
-        if self.setting == "heterogeneous" and self.framework in _SMALL_TIER_FRAMEWORKS:
-            return ["small"] * self.n_clients
-        if self.tiers is not None:
-            return list(self.tiers)
+        """Per-client size tiers, as the engine builds the mains. Homogeneous
+        runs are all large. Heterogeneous hdus and isgd spread the clients over
+        small/medium/large, the remainder going to the larger tiers; dsgd,
+        fedunl and sisa_a need one spec and run all small."""
         if self.setting == "homogeneous":
             return ["large"] * self.n_clients
+        if self.framework in _SMALL_TIER_FRAMEWORKS:
+            return ["small"] * self.n_clients
         base, extra = divmod(self.n_clients, 3)
         counts = {"small": base, "medium": base + (1 if extra >= 2 else 0),
                   "large": base + (1 if extra >= 1 else 0)}
@@ -216,8 +202,7 @@ def parse_config_value(key: str, text: str, where: str | None = None) -> tuple[s
             pass
     if kind is float and type(value) is int:
         value = float(value)
-    if type(value) is kind or (kind == list[str] and isinstance(value, list)
-                               and all(isinstance(v, str) for v in value)):
+    if type(value) is kind:
         return name, value
     type_name = getattr(hint, "__name__", None) or str(hint)
     raise ConfigError(f"{prefix}{key}: expected {type_name}, got {text!r}")
@@ -559,9 +544,7 @@ def unlearn_demo(cfg: ExperimentConfig) -> list[RunReport]:
     if cfg.unlearn_round is None:
         cfg = replace(cfg, unlearn_round=cfg.rounds // 2,
                       unlearn_client=cfg.n_clients - 1)
-    small = cfg.setting == "heterogeneous"   # then tiers size hdus and isgd only
-    cfgs = [replace(cfg, framework=fw, tiers=None if small and
-                    fw in _SMALL_TIER_FRAMEWORKS else cfg.tiers) for fw in FRAMEWORKS]
+    cfgs = [replace(cfg, framework=fw) for fw in FRAMEWORKS]
     # Every framework's config is checked before the first run starts.
     for c in [cfg, *cfgs]:
         c.validate()

@@ -21,7 +21,8 @@ from hdus.distill import DistillConfig, incubate_seed
 from hdus.harness import (FRAMEWORKS, ExperimentConfig, build_partition,
                           make_engine, run_experiment, timeline_csv_text,
                           unlearn_demo, verify_unlearning)
-from hdus.numeric import (MlpSpec, init_mlp, mlp_backward, sgd_train,
+from hdus.numeric import (MlpModel, MlpSpec, _train_stack, init_mlp,
+                          kl_divergence, mlp_backward, mlp_forward, sgd_train,
                           softmax_temp, training_step_count)
 
 
@@ -105,9 +106,31 @@ def test_criterion_2_zero_retraining_step_counter():
            ", ".join(f"{k}={v}" for k, v in deltas.items()))
 
 
+def _central_differences(model, loss, h=1e-5) -> np.ndarray:
+    """d loss / d params of `model`, one central difference per parameter."""
+    theta = model.params
+    probe = model.copy()
+    fd = np.empty_like(theta)
+    for i in range(theta.size):
+        probe.params[i] = theta[i] + h
+        up = loss(probe)
+        probe.params[i] = theta[i] - h
+        fd[i] = (up - loss(probe)) / (2 * h)
+        probe.params[i] = theta[i]
+    return fd
+
+
+def _rel_err(g, fd) -> float:
+    return float(np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-12))
+
+
 def test_criterion_3_gradient_correctness():
     """Analytic CE and distillation gradients vs central finite differences,
-    relative error <= 1e-4, on >= 10 random small MLPs."""
+    relative error <= 1e-4, on >= 10 random small MLPs: `mlp_backward`'s, and
+    the step training runs, g = theta - theta' of one full-batch
+    `_train_stack` step at lr = 1 (T = 1 toward one-hot targets, then T = 2
+    toward the teacher), against losses built without `mlp_backward`:
+    cross-entropy from `softmax_temp` and a log, and T^2 * `kl_divergence`."""
     t0 = time.monotonic()
     rng = np.random.default_rng(123)
     worst = 0.0
@@ -121,21 +144,19 @@ def test_criterion_3_gradient_correctness():
         for kwargs in (dict(onehot=onehot),
                        dict(teacher_soft=teacher, temperature=2.0)):
             _, grads = mlp_backward(model, x, **kwargs)
-            flat_g = grads
-            theta = model.params.copy()
-            h = 1e-5
-            fd = np.empty_like(theta)
-            probe = model.copy()
-            for i in range(theta.size):
-                for sgn, slot in ((+1, 0), (-1, 1)):
-                    t = theta.copy()
-                    t[i] += sgn * h
-                    probe.params[...] = t
-                    loss, _ = mlp_backward(probe, x, **kwargs)
-                    fd[i] = loss if slot == 0 else (fd[i] - loss)
-                fd[i] /= 2 * h
-            denom = max(np.linalg.norm(fd), 1e-12)
-            worst = max(worst, float(np.linalg.norm(flat_g - fd) / denom))
+            fd = _central_differences(model, lambda m: mlp_backward(m, x, **kwargs)[0])
+            worst = max(worst, _rel_err(grads, fd))
+        losses = {   # temperature -> (targets, loss)
+            1.0: (onehot, lambda m: -np.log(
+                softmax_temp(mlp_forward(m, x), 1.0)[onehot == 1]).mean()),
+            2.0: (teacher, lambda m: 4.0 * kl_divergence(
+                teacher, softmax_temp(mlp_forward(m, x), 2.0)))}
+        for T, (targets, loss) in losses.items():
+            stack = MlpModel(model.spec, model.params[np.newaxis].copy())
+            _train_stack(stack, x[np.newaxis], targets[np.newaxis], T, epochs=1,
+                         lr=1.0, batch_size=5, rngs=[np.random.default_rng(trial)])
+            worst = max(worst, _rel_err(model.params - stack.params[0],
+                                        _central_differences(model, loss)))
     elapsed = time.monotonic() - t0
     report(3, "analytic gradients match finite differences",
            worst <= 1e-4 and elapsed <= 30.0,

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from hdus.data import (LabeledDataset, export_manifest, gen_blobs,
-                       load_idx_files, parse_idx, partition_noniid)
+from hdus.data import (MAX_BLOB_ENTRIES, LabeledDataset, check_blobs,
+                       export_manifest, gen_blobs, load_idx_files, parse_idx,
+                       partition_noniid)
 from hdus.errors import ConfigError, ParseError
 
 
@@ -177,6 +178,20 @@ def test_gen_blobs_multi_component_counts():
 def test_gen_blobs_rejects_overfull_grid():
     with pytest.raises(ConfigError):
         gen_blobs(10, 4, 2, 0.5, np.random.default_rng(0), components_per_class=2)
+
+
+def test_blob_pool_bound():
+    """A pool of at most MAX_BLOB_ENTRIES float64 entries passes; one row
+    more is keyed blob_samples_per_class, and gen_blobs raises it before it
+    draws anything."""
+    check_blobs(2, MAX_BLOB_ENTRIES // 8, 4, 1)
+    for per_class in (MAX_BLOB_ENTRIES // 8 + 1, 10**12):
+        with pytest.raises(ConfigError, match="^blob_samples_per_class: "):
+            check_blobs(2, per_class, 4, 1)
+    with pytest.raises(ConfigError, match=f"^blob_samples_per_class: a pool of "
+                       f"20 rows x {MAX_BLOB_ENTRIES} features exceeds the limit "
+                       f"of {MAX_BLOB_ENTRIES} float64 entries"):
+        gen_blobs(10, 2, MAX_BLOB_ENTRIES, 0.5, np.random.default_rng(0))
 
 
 # --- non-IID partition ------------------------------------------------------

@@ -2,6 +2,8 @@ import csv
 import gzip
 import io
 import json
+import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,7 +14,9 @@ from hypothesis import strategies as st
 
 import hdus.harness as harness
 from hdus import baselines as bl
+from hdus import cli
 from hdus.cli import main as cli_main
+from hdus.data import MAX_BLOB_ENTRIES
 from hdus.ensemble import add_neighbor_seed, unlearn_neighbor
 from hdus.errors import ConfigError, DivergenceError, StateError
 from hdus.harness import (CONFIG_KEYS, FRAMEWORKS, ExperimentConfig,
@@ -47,8 +51,6 @@ def test_validate_catches_bad_fields():
                 dict(unlearn_round=5, unlearn_client=0, rounds=3),
                 dict(unlearn_round=1, unlearn_client=9),
                 dict(setting="mixed"), dict(dataset="mnist"),
-                dict(tiers=["small"], n_clients=2),
-                dict(tiers=["small", "huge"], n_clients=2),
                 dict(ref_size=0), dict(ref_size=-1), dict(test_fraction=-0.5),
                 dict(test_fraction=1.0), dict(blob_samples_per_class=-3),
                 dict(blob_spread=-1.0), dict(blob_components=-1),
@@ -88,8 +90,8 @@ _OUTSIDE = {"n_clients": [1, 0], "blob_classes": [1, 0], "blob_features": [1, 0]
             "local_epochs": [-1], "incubate_epochs": [0],
             "incubate_every_rounds": [0], "master_seed": [-1],
             "unlearn_client": [None, -1]}
-# Sizes that may be drawn huge instead; only `validate` sees them, as a run
-# would not fit in memory.
+# Sizes that may be drawn huge instead. `validate` rejects a blob pool over
+# MAX_BLOB_ENTRIES; one under it that passes is not run, as it would be slow.
 _HUGE = ("blob_samples_per_class", "blob_features", "n_clients")
 
 
@@ -138,6 +140,8 @@ def test_blob_configs_validate_or_run_cleanly(data):
         assert _key(e) in CONFIG_KEYS, e
         return
     if huge:
+        assert cfg.blob_classes * cfg.blob_samples_per_class * cfg.blob_features \
+            <= MAX_BLOB_ENTRIES
         return
     try:
         report = run_experiment(cfg)
@@ -153,36 +157,32 @@ def test_blob_configs_validate_or_run_cleanly(data):
     assert np.isfinite(points + report.final_accuracies()).all()
 
 
+def _sized_by_setting(cfg: ExperimentConfig) -> list[str]:
+    """The mains' tiers by `setting` alone: homogeneous runs are all large;
+    heterogeneous hdus and isgd spread the clients over the three tiers, the
+    remainder to the larger ones, and dsgd, fedunl and sisa_a are all small."""
+    n = cfg.n_clients
+    if cfg.setting == "homogeneous":
+        return ["large"] * n
+    if cfg.framework in ("dsgd", "fedunl", "sisa_a"):
+        return ["small"] * n
+    base, extra = divmod(n, 3)
+    return (["small"] * base + ["medium"] * (base + (extra == 2))
+            + ["large"] * (base + (extra >= 1)))
+
+
 def test_client_tiers_spread():
     assert tiny(n_clients=5, setting="heterogeneous").client_tiers() == \
         ["small", "medium", "medium", "large", "large"]
     assert tiny(n_clients=6, setting="heterogeneous").client_tiers() == \
         ["small", "small", "medium", "medium", "large", "large"]
     assert tiny(n_clients=3, setting="homogeneous").client_tiers() == ["large"] * 3
-    assert tiny(n_clients=2, tiers=["small", "large"]).client_tiers() == \
-        ["small", "large"]
-    # Heterogeneous dsgd, fedunl and sisa_a are all small and take no tiers.
     for fw in FRAMEWORKS:
-        cfg = tiny(framework=fw, n_clients=3, setting="heterogeneous",
-                   tiers=["large", "medium", "small"])
-        if fw in ("dsgd", "fedunl", "sisa_a"):
-            with pytest.raises(ConfigError, match="^tiers: "):
+        for setting in ("homogeneous", "heterogeneous"):
+            for n in range(2, 6):
+                cfg = tiny(framework=fw, setting=setting, n_clients=n)
                 cfg.validate()
-            assert replace(cfg, tiers=None).client_tiers() == ["small"] * 3
-        else:
-            cfg.validate()
-            assert cfg.client_tiers() == cfg.tiers
-    # Homogeneous dsgd and fedunl need one spec, so at most one distinct tier.
-    for fw in FRAMEWORKS:
-        cfg = tiny(framework=fw, n_clients=3, setting="homogeneous",
-                   tiers=["small", "large", "large"])
-        if fw in ("dsgd", "fedunl"):
-            with pytest.raises(ConfigError, match="^tiers: "):
-                cfg.validate()
-            replace(cfg, tiers=["medium"] * 3).validate()
-        else:
-            cfg.validate()
-            assert cfg.client_tiers() == cfg.tiers
+                assert cfg.client_tiers() == _sized_by_setting(cfg), (fw, setting, n)
 
 
 def test_config_hash_stable_and_sensitive():
@@ -209,7 +209,8 @@ def test_load_config_file(tmp_path):
 
 
 def test_load_config_rejects_junk(tmp_path):
-    for text in ("nonsense\n", "unknown_key = 3\n", "rounds = 2\nrounds = 3\n"):
+    for text in ("nonsense\n", "unknown_key = 3\n", "rounds = 2\nrounds = 3\n",
+                 "rounds = 2\ntiers = null\n"):
         p = tmp_path / "bad.conf"
         p.write_text(text)
         with pytest.raises(ConfigError):
@@ -226,8 +227,7 @@ def test_load_config_rejects_non_utf8(tmp_path):
 
 def test_load_config_rejects_wrong_types(tmp_path):
     p = tmp_path / "bad.conf"
-    for line in ("n_clients = five", 'rounds = "3"', "lr = true",
-                 "tiers = small", 'tiers = ["small", 3]'):
+    for line in ("n_clients = five", 'rounds = "3"', "lr = true"):
         p.write_text(f"# comment\n{line}\n")
         key = line.split()[0]
         with pytest.raises(ConfigError, match=f"bad.conf:2: {key}: expected"):
@@ -439,11 +439,11 @@ def test_unlearn_demo_covers_all_frameworks():
         assert r.config.unlearn_client == 3
 
 
-def test_unlearn_demo_tiers_size_only_hdus_and_isgd():
-    tiers = ["large", "large", "medium", "small"]
-    reports = unlearn_demo(tiny(rounds=2, tiers=tiers))
-    assert {r.config.framework: r.config.tiers for r in reports} == {
-        "hdus": tiers, "isgd": tiers, "dsgd": None, "fedunl": None, "sisa_a": None}
+def test_unlearn_demo_sizes_mains_by_setting():
+    for setting in ("homogeneous", "heterogeneous"):
+        for r in unlearn_demo(tiny(rounds=2, setting=setting)):
+            assert r.config.client_tiers() == _sized_by_setting(r.config), \
+                (setting, r.config.framework)
 
 
 # --- CLI ----------------------------------------------------------------------
@@ -473,16 +473,13 @@ def test_cli_validate_config(capsys):
                  ("--framework", "isgd", "--seed-tier", "large")):
         assert run_cli("validate-config", *args) == 0, args
         assert "config_hash" in capsys.readouterr().out
-    assert run_cli("validate-config", "--combine", "logits", "--n-clients", "2",
-                   "--tiers", '["small","large"]') == 0
+    assert run_cli("validate-config", "--combine", "logits", "--n-clients", "2") == 0
     assert "config_hash" in capsys.readouterr().out
-    assert run_cli("validate-config", "--framework", "dsgd",
-                   "--tiers", '["large","large","large","large","large"]') == 2
-    assert "config error: tiers: " in capsys.readouterr().err
-    assert run_cli("validate-config", "--framework", "dsgd", "--setting",
-                   "homogeneous", "--tiers",
-                   '["small","large","large","large","large"]') == 2
-    assert "config error: tiers: dsgd needs one model spec" in capsys.readouterr().err
+    # `setting` alone sizes the mains: there is no per-client tier list.
+    with pytest.raises(SystemExit) as e:
+        run_cli("validate-config", "--tiers", '["small","large"]')
+    assert e.value.code == 2
+    assert "unrecognized arguments: --tiers" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -513,6 +510,83 @@ def test_cli_flags_keep_their_hash(capsys):
     want = ExperimentConfig(lr=1.0, ensemble_lambda=0.3, rounds=7,
                             output_path="123").config_hash()
     assert f"config_hash={want})" in capsys.readouterr().out
+
+
+def test_cli_one_field_takes_one_flag(capsys):
+    """`--lambda` is `--ensemble-lambda` by another name. Both at once, in
+    either order, is a config error naming both flags; either alone sets the
+    field, as a config file sets it."""
+    for argv in (("--lambda", "0.2", "--ensemble-lambda", "0.3"),
+                 ("--ensemble-lambda", "0.3", "--lambda", "0.2")):
+        assert run_cli("validate-config", *argv) == 2
+        assert capsys.readouterr().err == ("config error: ensemble_lambda: set "
+                                           "twice, by --ensemble-lambda and --lambda\n")
+    want = ExperimentConfig(ensemble_lambda=0.2).config_hash()
+    for flag in ("--lambda", "--ensemble-lambda"):
+        assert run_cli("validate-config", flag, "0.2") == 0
+        assert f"config_hash={want})" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag, value", [("--blob-samples-per-class", "1000000000000"),
+                                         ("--blob-features", "1000000")])
+@pytest.mark.parametrize("verb", [("validate-config",), ("run", "--rounds", "1")])
+def test_cli_oversized_blob_pool_is_config_error(flag, value, verb, tmp_path, capsys):
+    """A blob pool over 2**27 float64 entries (here 24 TiB and 38 GB) is a
+    config error found before any array is made: the command traces under
+    1 MiB of allocations and writes nothing."""
+    tracemalloc.start()
+    try:
+        code = run_cli(*verb, flag, value, "--output-path", str(tmp_path / "o"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "config error: blob_samples_per_class: a pool of " in capsys.readouterr().err
+    assert peak < 2**20, peak
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_run_snapshot_is_a_config(tmp_path, capsys):
+    """A run's config.snapshot is a config file that loads back to the hash it
+    records, by load_config and by validate-config --config. A snapshot that
+    still holds a `tiers` line fails on that key and its line."""
+    out = tmp_path / "o"
+    argv = ("--framework", "isgd", "--setting", "homogeneous", "--rounds", "2",
+            "--n-clients", "3", "--ref-size", "40", "--unlearn-round", "1",
+            "--unlearn-client", "2")
+    assert run_cli("run", *argv, "--output-path", str(out)) == 0
+    capsys.readouterr()
+    assert run_cli("validate-config", *argv) == 0
+    want = re.search(r"config_hash=(\w+)\)", capsys.readouterr().out).group(1)
+    snap = out / "config.snapshot"
+    lines = snap.read_text().splitlines()
+    assert lines[0] == f"# config_hash = {want}"
+    assert load_config(snap).config_hash() == want
+    assert run_cli("validate-config", "--config", str(snap)) == 0
+    assert f"config_hash={want})" in capsys.readouterr().out
+    at = next(i for i, line in enumerate(lines) if line.startswith("unlearn_client"))
+    old = tmp_path / "old.snapshot"
+    old.write_text("\n".join(lines[:at] + ["tiers = null"] + lines[at:]) + "\n")
+    assert run_cli("validate-config", "--config", str(old)) == 2
+    assert capsys.readouterr().err == \
+        f"config error: {old}:{at + 1}: unknown key 'tiers'\n"
+
+
+def test_docs_name_only_real_flags(capsys):
+    """Every `--flag` that README's CLI section or cli.py's docstring names is
+    a flag of some hdus verb, as the verbs' --help lists them."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section + cli.__doc__))
+
+    def help_text(*argv) -> str:
+        with pytest.raises(SystemExit):
+            run_cli(*argv, "--help")
+        return capsys.readouterr().out
+
+    verbs = re.search(r"\{([a-z,-]+)\}", help_text()).group(1).split(",")
+    flags = {f for verb in verbs for f in re.findall(r"--[a-z][a-z-]*", help_text(verb))}
+    assert named and not named - flags, sorted(named - flags)
 
 
 def test_cli_run_writes_metrics(tmp_path, capsys):
