@@ -1,8 +1,8 @@
 """Decentralized learning/unlearning simulator with seed-model distillation
 and erasable neighbor ensembles."""
 
-from .data import (LabeledDataset, PartitionedDataset, export_manifest,
-                   gen_blobs, load_idx_files, parse_idx, partition_noniid)
+from .data import (LabeledDataset, PartitionedDataset, gen_blobs,
+                   load_idx_files, parse_idx, partition_noniid)
 from .distill import (DistillConfig, ReferenceSet, distill_fidelity,
                       incubate_seed, incubate_seeds)
 from .ensemble import (EnsembleConfig, SeedRepository, add_neighbor_seed,

@@ -320,14 +320,3 @@ def partition_noniid(data: LabeledDataset, n_clients: int, ref_size: int,
         reference_indices=ref_idx,
     )
 
-
-def export_manifest(part: PartitionedDataset, path) -> None:
-    """Audit table of row assignments: one `client_id<TAB>indices` line per
-    client, plus test and reference rows."""
-    lines = []
-    for i, idx in enumerate(part.client_indices):
-        lines.append(f"client_{i}\t{' '.join(map(str, idx))}")
-    lines.append(f"test\t{' '.join(map(str, part.test_indices))}")
-    lines.append(f"reference\t{' '.join(map(str, part.reference_indices))}")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")

@@ -25,18 +25,19 @@ class DistillConfig:
     batch_size: int = 32
 
     def __post_init__(self):
-        for name in ("temperature", "lr"):
-            value = getattr(self, name)
+        # Errors name the experiment config's keys: `epochs` and `lr` are its
+        # `incubate_epochs` and `incubate_lr`.
+        for key, value in (("temperature", self.temperature), ("incubate_lr", self.lr)):
             if not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
+                raise ConfigError(f"{key}: must be finite, got {value}")
         if self.temperature <= 0:
-            raise ConfigError(f"temperature must be > 0, got {self.temperature}")
+            raise ConfigError(f"temperature: must be > 0, got {self.temperature}")
         if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+            raise ConfigError(f"incubate_epochs: must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+            raise ConfigError(f"batch_size: must be >= 1, got {self.batch_size}")
         if self.lr < 0:
-            raise ConfigError(f"lr must be >= 0, got {self.lr}")
+            raise ConfigError(f"incubate_lr: must be >= 0, got {self.lr}")
 
 
 @dataclass

@@ -75,23 +75,17 @@ class ExperimentConfig:
         if self.setting not in ("homogeneous", "heterogeneous"):
             raise ConfigError(f"setting: must be homogeneous or heterogeneous")
         EnsembleConfig(lam=self.ensemble_lambda, combine=self.combine)
-        if self.temperature <= 0:
-            raise ConfigError(f"temperature: must be > 0, got {self.temperature}")
+        DistillConfig(temperature=self.temperature, epochs=self.incubate_epochs,
+                      lr=self.incubate_lr, batch_size=self.batch_size)
         check_clients(self.n_clients, self.blob_classes if self.dataset == "blobs" else 10)
         if self.rounds < 1:
             raise ConfigError("rounds: must be >= 1")
         if self.repeats < 1:
             raise ConfigError("repeats: must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size: must be >= 1")
         if self.local_epochs < 0:
             raise ConfigError("local_epochs: must be >= 0")
-        if self.incubate_epochs < 1:
-            raise ConfigError("incubate_epochs: must be >= 1")
         if self.lr < 0:
             raise ConfigError("lr: must be >= 0")
-        if self.incubate_lr < 0:
-            raise ConfigError("incubate_lr: must be >= 0")
         if (self.unlearn_round is None) != (self.unlearn_client is None):
             raise ConfigError("unlearn_round: must be set together with unlearn_client")
         if self.unlearn_round is not None:

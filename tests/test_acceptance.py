@@ -86,10 +86,10 @@ def test_criterion_1_exact_unlearning_equivalence():
 
 
 def test_criterion_2_zero_retraining_step_counter():
-    """Step-counter delta during unlearning: exactly 0 for HDUS and SISA-A,
-    > 0 for DSGD and FedUnl recovery."""
+    """Step-counter delta during unlearning: exactly 0 for HDUS, ISGD and
+    SISA-A, > 0 for DSGD and FedUnl recovery."""
     deltas = {}
-    for fw in ("hdus", "sisa_a", "dsgd", "fedunl"):
+    for fw in ("hdus", "isgd", "sisa_a", "dsgd", "fedunl"):
         cfg = tiny_experiment(framework=fw)
         part = build_partition(cfg, 0)
         eng = make_engine(cfg, part, 0)
@@ -100,9 +100,9 @@ def test_criterion_2_zero_retraining_step_counter():
         if fw in ("dsgd", "fedunl"):
             eng.round(2)      # recovery is where these retrain
         deltas[fw] = training_step_count() - before
-    ok = (deltas["hdus"] == 0 and deltas["sisa_a"] == 0
+    ok = (deltas["hdus"] == 0 and deltas["isgd"] == 0 and deltas["sisa_a"] == 0
           and deltas["dsgd"] > 0 and deltas["fedunl"] > 0)
-    report(2, "unlearning performs zero training steps (HDUS, SISA-A)", ok,
+    report(2, "unlearning performs zero training steps (HDUS, ISGD, SISA-A)", ok,
            ", ".join(f"{k}={v}" for k, v in deltas.items()))
 
 

@@ -8,8 +8,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from hdus.data import (MAX_BLOB_ENTRIES, LabeledDataset, check_blobs,
-                       export_manifest, gen_blobs, load_idx_files, parse_idx,
-                       partition_noniid)
+                       gen_blobs, load_idx_files, parse_idx, partition_noniid)
 from hdus.errors import ConfigError, ParseError
 
 
@@ -392,19 +391,6 @@ def test_partition_split_sizes_rejected_under_their_key(ref, fraction, key):
     ds = LabeledDataset(np.zeros((10, 1)), np.arange(10) % 2, 2)
     with pytest.raises(ConfigError, match=f"^{key}: "):
         partition_noniid(ds, 2, ref, fraction, np.random.default_rng(0))
-
-
-def test_export_manifest_roundtrip(tmp_path, partition):
-    _, part = partition
-    path = tmp_path / "manifest.tsv"
-    export_manifest(part, path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == part.n_clients + 2
-    tag, rows = lines[0].split("\t")
-    assert tag == "client_0"
-    assert np.array_equal(np.array(list(map(int, rows.split()))),
-                          part.client_indices[0])
-    assert lines[-1].startswith("reference\t")
 
 
 def test_labeled_dataset_validation():

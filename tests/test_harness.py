@@ -106,17 +106,24 @@ def test_blob_configs_validate_or_run_cleanly(data):
     classes = draw(st.integers(2, 5), label="blob_classes")
     n_clients = draw(st.integers(2, classes), label="n_clients")
     quitter = draw(st.none() | st.integers(0, n_clients - 1), label="unlearn_client")
+    components = draw(st.integers(1, 2), label="blob_components")
+    # The smallest grid that holds every cluster, and the fewest rows per
+    # class that leave a test row and a training row per client.
+    grid = next(f for f in range(2, 7) if f * (f - 1) >= components * classes)
+    ref_size = draw(st.integers(1, 12), label="ref_size")
+    per_class = -(-(ref_size + 1 + n_clients) // classes)
     cfg = ExperimentConfig(
         framework=draw(st.sampled_from(FRAMEWORKS)),
         setting=draw(st.sampled_from(["homogeneous", "heterogeneous"])),
         seed_tier=draw(st.sampled_from(sorted(TIERS))),
         combine=draw(st.sampled_from(["proba", "logits"])),
         n_clients=n_clients, blob_classes=classes,
-        blob_features=draw(st.integers(2, 6), label="blob_features"),
-        blob_components=draw(st.integers(1, 2), label="blob_components"),
-        blob_samples_per_class=draw(st.integers(1, 12), label="blob_samples_per_class"),
+        blob_features=draw(st.integers(grid, 6), label="blob_features"),
+        blob_components=components,
+        blob_samples_per_class=draw(st.integers(per_class, per_class + 8),
+                                    label="blob_samples_per_class"),
         blob_spread=draw(_SPREADS, label="blob_spread"),
-        ref_size=draw(st.integers(1, 12), label="ref_size"),
+        ref_size=ref_size,
         test_fraction=draw(_FRACTIONS, label="test_fraction"),
         lr=draw(_RATES, label="lr"), incubate_lr=draw(_RATES, label="incubate_lr"),
         temperature=draw(_TEMPERATURES, label="temperature"),
@@ -127,7 +134,9 @@ def test_blob_configs_validate_or_run_cleanly(data):
         incubate_every_rounds=draw(st.integers(1, 2), label="incubate_every_rounds"),
         rounds=1, unlearn_round=None if quitter is None else 0, unlearn_client=quitter,
         master_seed=draw(st.sampled_from([0, 1, 2**32, 2**63 - 1]), label="master_seed"))
-    outside = draw(st.none() | st.sampled_from(sorted(_OUTSIDE)), label="outside")
+    # About one draw in four puts one field out of its domain.
+    outside = (draw(st.sampled_from(sorted(_OUTSIDE)), label="outside")
+               if draw(st.integers(0, 3), label="out of domain") == 0 else None)
     huge = outside in _HUGE and draw(st.booleans(), label="huge")
     if huge:
         cfg = replace(cfg, **{outside: draw(st.integers(10**5, 10**15), label="size")})

@@ -16,7 +16,8 @@ from hdus.ensemble import (EnsembleConfig, SeedRepository, add_neighbor_seed,
                            deserialize_seed, ensemble_predict, serialize_seed,
                            unlearn_neighbor)
 from hdus.errors import ConfigError, DivergenceError, NotFoundError, StateError
-from hdus.harness import survivor_state
+from hdus.harness import (ExperimentConfig, build_partition, make_engine,
+                          survivor_state)
 from hdus.numeric import (MlpModel, MlpSpec, accuracy, init_mlp, sgd_train,
                           tier_spec, training_step_count)
 from hdus.simulation import (ClientState, EventLog, SimConfig, Topology,
@@ -97,18 +98,6 @@ def test_own_seed_warm_starts_while_received_seeds_are_read_only(partition):
     assert not np.array_equal(clients[1].own_seed.params, before)
 
 
-def test_rounds_deterministic(partition):
-    cfg = small_cfg()
-    a, topo = fresh_network(partition, cfg, master_seed=7)
-    b, _ = fresh_network(partition, cfg, master_seed=7)
-    for r in range(2):
-        run_round(a, topo, cfg, r)
-        run_round(b, topo, cfg, r)
-    for ca, cb in zip(a, b):
-        assert np.array_equal(ca.main.params, cb.main.params)
-        assert np.array_equal(ca.own_seed.params, cb.own_seed.params)
-
-
 def test_rng_streams_independent():
     """Training and distillation draw from separate streams, and streams are
     stable under adding more clients."""
@@ -149,20 +138,6 @@ def test_unlearn_unknown_or_repeated_rejected(partition):
     handle_unlearn_request(clients, 1)
     with pytest.raises(NotFoundError):
         handle_unlearn_request(clients, 1)
-
-
-def test_rounds_continue_after_quit(partition):
-    cfg = small_cfg()
-    clients, topo = fresh_network(partition, cfg)
-    run_round(clients, topo, cfg, 0)
-    handle_unlearn_request(clients, 0)
-    topo = topo.without(0)
-    run_round(clients, topo, cfg, 1)
-    for c in clients:
-        if c.id == 0:
-            continue
-        assert 0 not in c.repo
-        assert sorted(c.repo.neighbor_ids()) == sorted(topo.neighbors(c.id))
 
 
 def test_all_quit_raises(partition):
@@ -409,7 +384,7 @@ def test_evaluate_all_across_calls_equals_ensemble_predict(monkeypatch, topology
     leave every client's ensemble output bitwise what ensemble_predict gives
     it, call after call, across a quit, a single re-sent seed, a round, and
     another seed under a shared id at a shared position."""
-    part = _tiny_partition(5)
+    part = _partition(5)
     topo = _TOPOLOGIES[topology]
     cfg = small_cfg(lam)
     cfg.ensemble = EnsembleConfig(lam=lam, combine=combine)
@@ -618,70 +593,81 @@ def test_local_training_names_lowest_diverging_client_across_groups():
 
 # --- exact unlearning as a stateful property --------------------------------
 
+def _experiment(**kw) -> ExperimentConfig:
+    return ExperimentConfig(blob_classes=C, blob_features=F, blob_samples_per_class=140,
+                            ref_size=80, incubate_epochs=2, **kw)
+
+
 @functools.lru_cache(maxsize=None)
-def _tiny_partition(n_clients):
-    ds = gen_blobs(140, C, F, 0.5, np.random.default_rng(40))
-    return partition_noniid(ds, n_clients, 80, 0.2, np.random.default_rng(41))
+def _partition(n_clients):
+    return build_partition(_experiment(n_clients=n_clients), 0)
 
 
 class ExactUnlearning(RuleBasedStateMachine):
-    """Rounds and quits in any order, on a complete, path or star graph (a
-    quit on a path can split it). After every step, each survivor is bitwise
-    the same client in a control network on the same graph where every
-    quitter so far was retired before round 0 and the same rounds ran: main,
-    own seed, repository ids in order, repository seeds and ensemble
-    predictions; and `evaluate_all` gives the same accuracies and mean."""
+    """Rounds and quits in any order, under hdus, isgd or sisa_a, on a
+    complete, path or star graph (a quit on a path can split it). An unlearn
+    takes no SGD step. After every step the run and a control engine have the
+    same active clients, each survivor's `survivor_state` is equal in both,
+    and so are the logged evaluation rows. The control is a fresh
+    `make_engine` on the same graph whose quitters so far retired before
+    round 0, through the same rounds."""
 
-    @initialize(n=st.integers(2, 5), shape=st.sampled_from(_SHAPES),
+    @initialize(framework=st.sampled_from(["hdus", "isgd", "sisa_a"]),
+                n=st.integers(2, 5), shape=st.sampled_from(_SHAPES),
+                setting=st.sampled_from(["homogeneous", "heterogeneous"]),
                 every=st.integers(1, 3), combine=st.sampled_from(["proba", "logits"]),
-                lam=st.sampled_from([0.0, 0.5]), data=st.data())
-    def build(self, n, shape, every, combine, lam, data):
-        tiers = data.draw(st.lists(st.sampled_from(_TIERS), min_size=n, max_size=n),
-                          label="tiers")
-        self.part = _tiny_partition(n)
+                lam=st.sampled_from([0.0, 0.5]))
+    def build(self, framework, n, shape, setting, every, combine, lam):
+        self.cfg = _experiment(framework=framework, n_clients=n, setting=setting,
+                               incubate_every_rounds=every, combine=combine,
+                               ensemble_lambda=lam)
+        self.cfg.validate()
         self.graph = _graph(shape, n)
-        self.specs = [tier_spec(t, F, C) for t in tiers]
-        self.cfg = SimConfig(local_epochs=1, lr=0.05, batch_size=32,
-                             distill=DistillConfig(epochs=2, lr=0.1),
-                             ensemble=EnsembleConfig(lam=lam, combine=combine),
-                             seed_spec=MlpSpec((F, 8, C)), incubate_every_rounds=every)
         self.rounds = 0
         self.quitters = []
-        self.clients = self._network()
-        self.control = self._network()
+        self.run = self._engine()
+        self.control = self._engine()
 
-    def _network(self):
-        """The same rounds on a network whose quitters so far retired first."""
-        clients = init_network(self.part, self.specs, self.graph, self.cfg, 0)
+    def _engine(self):
+        """The rounds so far on an engine whose quitters so far retired first."""
+        engine = make_engine(self.cfg, _partition(self.cfg.n_clients), 0)
+        engine.topology = self.graph
         for q in self.quitters:
-            retire_client(clients, q)
+            retire_client(engine.clients, q)
         for r in range(self.rounds):
-            run_round(clients, self.graph, self.cfg, r)
-        return clients
+            engine.round(r)
+        return engine
 
     @rule()
     def run_a_round(self):
-        run_round(self.clients, self.graph, self.cfg, self.rounds)
-        run_round(self.control, self.graph, self.cfg, self.rounds)
+        self.run.round(self.rounds)
+        self.control.round(self.rounds)
         self.rounds += 1
 
-    @precondition(lambda self: len(active_clients(self.clients)) >= 2)
+    @precondition(lambda self: len(active_clients(self.run.clients)) >= 2)
     @rule(data=st.data())
     def quit(self, data):
-        ids = [c.id for c in active_clients(self.clients)]
+        ids = [c.id for c in active_clients(self.run.clients)]
         quitter = data.draw(st.sampled_from(ids), label="quitter")
-        handle_unlearn_request(self.clients, quitter)
+        steps = training_step_count()
+        self.run.unlearn(quitter)
+        assert training_step_count() == steps
         self.quitters.append(quitter)
-        self.control = self._network()
+        self.control = self._engine()
 
     @invariant()
     def survivors_match_control(self):
-        test = self.part.test
-        for c in active_clients(self.clients):
-            assert (survivor_state(c, self.cfg, test)
-                    == survivor_state(self.control[c.id], self.cfg, test)), c.id
-        assert (evaluate_all(self.clients, test, self.cfg)
-                == evaluate_all(self.control, test, self.cfg))
+        engines = (self.run, self.control)
+        ids = [[c.id for c in active_clients(e.clients)] for e in engines]
+        assert ids[0] == ids[1]
+        test = self.run.part.test
+        for cid in ids[0]:
+            assert (survivor_state(self.run.clients[cid], self.run.sim, test)
+                    == survivor_state(self.control.clients[cid], self.control.sim, test)), cid
+        logs = [EventLog() for _ in engines]
+        for engine, log in zip(engines, logs):
+            engine.evaluate(log, self.rounds)
+        assert logs[0].records == logs[1].records
 
 
 ExactUnlearning.TestCase.settings = settings(max_examples=25, stateful_step_count=8,
