@@ -21,8 +21,7 @@ print("round  " + "".join(f"{fw:>9}" for fw in [r.config.framework for r in repo
 for r in window:
     row = ""
     for rep in reports:
-        p = rep.repeats[0].timeline[r]
-        row += f"{p.mean_accuracy:9.3f}"
+        row += f"{rep.repeats[0].mean_accuracies()[r]:9.3f}"
     t = r - cfg.unlearn_round
     marker = "  <- client 4 quits" if t == 0 else ""
     print(f"t={t:+3d}  {row}{marker}")

@@ -232,31 +232,23 @@ def load_config(path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class TimelinePoint:
-    repeat: int
-    round: int
-    t: int | None            # round offset relative to the unlearn event
-    framework: str
-    mean_accuracy: float
-
-
-@dataclass
 class RepeatResult:
     repeat: int
     seed: int
     event_log: EventLog
-    timeline: list[TimelinePoint]
-    final_accuracy: float
+
+    def mean_accuracies(self) -> list[float]:
+        """The mean accuracy of each round: the log's `mean` rows, in round order."""
+        return [rec[4] for rec in self.event_log.records if rec[1] == "mean"]
 
 
 @dataclass
 class RunReport:
     config: ExperimentConfig
-    config_hash: str
     repeats: list[RepeatResult]
 
     def final_accuracies(self) -> list[float]:
-        return [r.final_accuracy for r in self.repeats]
+        return [r.mean_accuracies()[-1] for r in self.repeats]
 
     def mean(self) -> float:
         return float(np.mean(self.final_accuracies()))
@@ -368,7 +360,7 @@ class _Engine:
     def unlearn(self, quitting_id: int) -> None:
         _STEPS[self.name][1](self, quitting_id)
 
-    def evaluate(self, log: EventLog, r: int) -> float:
+    def evaluate(self, log: EventLog, r: int) -> None:
         if self.name == "sisa_a":
             # One ensemble of every shard; logged per client for schema uniformity.
             out = bl.sisa_predict(self.clients, self.part.test.features)
@@ -376,10 +368,9 @@ class _Engine:
             for c in active_clients(self.clients):
                 log.log(r, c.id, self.name, "accuracy", acc)
             log.log(r, "mean", self.name, "mean_accuracy", acc)
-            return acc
-        _, mean = evaluate_all(self.clients, self.part.test, self.sim,
-                               framework=self.name, log=log, round_index=r)
-        return mean
+            return
+        evaluate_all(self.clients, self.part.test, self.sim,
+                     framework=self.name, log=log, round_index=r)
 
 
 def make_engine(cfg: ExperimentConfig, part: PartitionedDataset, seed: int) -> _Engine:
@@ -396,18 +387,23 @@ def _tick(engine: _Engine, cfg: ExperimentConfig, r: int, unlearn: bool = True) 
         engine.unlearn(cfg.unlearn_client)
 
 
+def _play(engine: _Engine, cfg: ExperimentConfig,
+          unlearn: bool = True) -> tuple[EventLog, int]:
+    """Every round of `cfg` on `engine`, each ticked and then evaluated into a
+    fresh log. Returns the log and the SGD steps the unlearn tick took."""
+    log, steps = EventLog(), 0
+    for r in range(cfg.rounds):
+        before = training_step_count()
+        _tick(engine, cfg, r, unlearn)
+        if r == cfg.unlearn_round:
+            steps = training_step_count() - before
+        engine.evaluate(log, r)
+    return log, steps
+
+
 def _single_run(cfg: ExperimentConfig, repeat: int, seed: int) -> RepeatResult:
     engine = make_engine(cfg, build_partition(cfg, seed), seed)
-    log = EventLog()
-    timeline: list[TimelinePoint] = []
-    u = cfg.unlearn_round
-    final_acc = 0.0
-    for r in range(cfg.rounds):
-        _tick(engine, cfg, r)
-        final_acc = engine.evaluate(log, r)
-        timeline.append(TimelinePoint(repeat, r, None if u is None else r - u,
-                                      engine.name, final_acc))
-    return RepeatResult(repeat, seed, log, timeline, final_acc)
+    return RepeatResult(repeat, seed, _play(engine, cfg)[0])
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
@@ -415,7 +411,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     cfg.validate()
     results = [_single_run(cfg, k, cfg.master_seed + k)
                for k in range(cfg.repeats)]
-    return RunReport(cfg, cfg.config_hash(), results)
+    return RunReport(cfg, results)
 
 
 def survivor_state(c: ClientState, sim: SimConfig, test: LabeledDataset) -> tuple:
@@ -439,26 +435,21 @@ def verify_unlearning(cfg: ExperimentConfig) -> tuple[list[int], int]:
         raise ConfigError("unlearn_round: verify_unlearning needs a quit")
     seed, u = cfg.master_seed, cfg.unlearn_round
     part = build_partition(cfg, seed)
-    run, control = make_engine(cfg, part, seed), make_engine(cfg, part, seed)
+    # The engines share only the read-only partition, so they run in turn.
+    run = make_engine(cfg, part, seed)
+    run_log, steps = _play(run, cfg)
+    control = make_engine(cfg, part, seed)
     retire_client(control.clients, cfg.unlearn_client)
-    logs = {run: EventLog(), control: EventLog()}
-    steps = 0
-    for r in range(cfg.rounds):
-        before = training_step_count()
-        _tick(run, cfg, r)
-        if r == u:
-            steps = training_step_count() - before
-        _tick(control, cfg, r, unlearn=False)
-        for engine, log in logs.items():
-            engine.evaluate(log, r)
+    control_log, _ = _play(control, cfg, unlearn=False)
 
-    def state(engine: _Engine, cid: int) -> tuple:
+    def state(engine: _Engine, log: EventLog, cid: int) -> tuple:
         return (survivor_state(engine.clients[cid], engine.sim, part.test),
-                [rec for rec in logs[engine].records if rec[0] >= u and rec[1] == str(cid)])
+                [rec for rec in log.records if rec[0] >= u and rec[1] == str(cid)])
 
     run_ids, control_ids = ({c.id for c in active_clients(e.clients)}
                             for e in (run, control))
-    differ = {cid for cid in run_ids & control_ids if state(run, cid) != state(control, cid)}
+    differ = {cid for cid in run_ids & control_ids
+              if state(run, run_log, cid) != state(control, control_log, cid)}
     return sorted((run_ids ^ control_ids) | differ), steps
 
 
@@ -487,7 +478,7 @@ def _atomic_write(path: str, text: str) -> None:
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", newline="") as f:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as f:
             f.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -500,15 +491,19 @@ def summary_csv_text(reports: list[RunReport]) -> str:
     return csv_text(["framework", "repeats", "final_accuracy_mean",
                      "final_accuracy_std", "config_hash"],
                     ([rep.config.framework, len(rep.repeats), repr(rep.mean()),
-                      repr(rep.std()), rep.config_hash] for rep in reports))
+                      repr(rep.std()), rep.config.config_hash()] for rep in reports))
 
 
 def timeline_csv_text(reports: list[RunReport]) -> str:
+    """One row per repeat and round, read from the event log's `mean` rows;
+    `t` is the round's offset from the unlearn round, blank without one."""
+    rows = []
+    for rep in reports:
+        cfg, h, u = rep.config, rep.config.config_hash(), rep.config.unlearn_round
+        rows += ([rr.repeat, r, "" if u is None else r - u, cfg.framework, repr(acc), h]
+                 for rr in rep.repeats for r, acc in enumerate(rr.mean_accuracies()))
     return csv_text(["repeat", "round", "t", "framework", "mean_accuracy",
-                     "config_hash"],
-                    ([p.repeat, p.round, "" if p.t is None else p.t, p.framework,
-                      repr(p.mean_accuracy), rep.config_hash]
-                     for rep in reports for rr in rep.repeats for p in rr.timeline))
+                     "config_hash"], rows)
 
 
 def emit_metrics(report: RunReport | list[RunReport], out_dir: str) -> dict[str, str]:

@@ -338,8 +338,9 @@ def _train_stack(stack: MlpModel, features: np.ndarray, targets: np.ndarray,
     slice has the same row count n: `features` is S x n x F (a broadcast
     view when the slices share rows), `targets` S x n x C, and each step
     gathers one minibatch per slice. No loss is computed: the softened
-    outputs are checked to be finite at every step, and `sgd_step` checks
-    the gradients.
+    outputs are checked to be finite at every step, `sgd_step` checks the
+    gradients, and once a step has run the parameters are checked at the end,
+    since a finite gradient can overflow them in the last step.
 
     All or nothing: if any slice diverges, DivergenceError's `index` is the
     lowest diverging position. A diverging slice stops those after it; those
@@ -383,6 +384,11 @@ def _train_stack(stack: MlpModel, features: np.ndarray, targets: np.ndarray,
                 orders, rows = orders[:live], rows[:live]
                 continue
             start += batch_size
+    if live > 0 and lr > 0 and epochs > 0:
+        bad = _first_nonfinite(stack.params)
+        if bad < live:
+            failure = DivergenceError(f"non-finite parameters after epoch {epochs - 1}",
+                                      index=bad)
     if failure is not None:
         raise failure
 

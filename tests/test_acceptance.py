@@ -250,7 +250,7 @@ def test_criterion_8_byte_identical_event_logs():
         b = run_experiment(cfg)
         ta = "".join(r.event_log.to_csv_text() for r in a.repeats)
         tb = "".join(r.event_log.to_csv_text() for r in b.repeats)
-        ok &= (ta == tb) and a.config_hash == b.config_hash
+        ok &= (ta == tb) and a.config.config_hash() == b.config.config_hash()
     report(8, "identical config + seed give byte-identical event logs", ok)
 
 
