@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError
-from .numeric import (MlpModel, MlpSpec, _first_nonfinite, _train_stack,
+from .errors import ConfigError
+from .numeric import (MlpModel, MlpSpec, _divergence, _train_stack,
                       init_mlp, kl_divergence, mlp_forward, softmax_temp)
 
 
@@ -76,9 +76,12 @@ def incubate_seeds(mains: list[MlpModel], seed_spec: MlpSpec, ref: ReferenceSet,
 
     Seed k is bitwise the seed `mains[k]` gets alone with `rngs[k]` and
     `inits[k]`: it draws its init, then its permutations, from its own
-    generator. A non-finite teacher output at position p is raised only after
-    the seeds before p have trained, so a lower seed that diverges is named first.
+    generator. All teachers are checked before any step: a non-finite one
+    raises DivergenceError, `index` the lowest such position.
     """
+    if not len(mains) == len(rngs) == len(inits):
+        raise ConfigError(f"need one rng and one init per main, got {len(mains)} "
+                          f"mains, {len(rngs)} rngs and {len(inits)} inits")
     for main in mains:
         if (seed_spec.in_dim, seed_spec.out_dim) != (main.spec.in_dim, main.spec.out_dim):
             raise ConfigError(
@@ -101,15 +104,14 @@ def incubate_seeds(mains: list[MlpModel], seed_spec: MlpSpec, ref: ReferenceSet,
     stack = np.stack([(init if init is not None else init_mlp(seed_spec, rng)).params
                       for init, rng in zip(inits, rngs)])
     targets = np.empty((len(mains), len(ref), seed_spec.out_dim))
-    with np.errstate(over="ignore", invalid="ignore"):   # `live` finds a diverged main
+    with np.errstate(over="ignore", invalid="ignore"):   # checked just below
         for k, main in enumerate(mains):   # one at a time: no second copy of the stack
             targets[k] = softmax_temp(mlp_forward(main, ref.features), cfg.temperature)
-    live = _first_nonfinite(targets)   # position of a non-finite teacher
-    features = np.broadcast_to(ref.features, (live, *ref.features.shape))  # no copy
-    _train_stack(MlpModel(seed_spec, stack[:live]), features, targets[:live],
+    if not np.isfinite(targets).all():
+        raise _divergence(targets, "non-finite teacher output")
+    features = np.broadcast_to(ref.features, (len(mains), *ref.features.shape))  # no copy
+    _train_stack(MlpModel(seed_spec, stack), features, targets,
                  cfg.temperature, cfg.epochs, cfg.lr, cfg.batch_size, rngs)
-    if live < len(mains):
-        raise DivergenceError("non-finite teacher output", index=live)
     return [MlpModel(seed_spec, row.copy()) for row in stack]
 
 

@@ -18,8 +18,8 @@ class ValidationError(HdusError):
 
 
 class DivergenceError(HdusError):
-    """Training produced a non-finite output, loss or gradient; `index` is the
-    position of the diverging model in a stack, when one was trained."""
+    """Training stopped at a non-finite output, gradient or parameter; `index`
+    is the lowest position at fault in a stack, when one was trained."""
 
     def __init__(self, message, index=None):
         super().__init__(message)

@@ -315,13 +315,11 @@ def onehot_labels(labels: np.ndarray, class_count: int) -> np.ndarray:
     return out
 
 
-def _first_nonfinite(*stacks: np.ndarray) -> int:
-    """Lowest stack position with a non-finite entry in any of the arrays,
-    or the stack size if every entry is finite."""
-    finite = np.logical_and.reduce(
-        [np.isfinite(a).reshape(a.shape[0], -1).all(axis=1) for a in stacks])
-    bad = np.flatnonzero(~finite)
-    return int(bad[0]) if bad.size else finite.size
+def _divergence(stack: np.ndarray, message: str) -> DivergenceError:
+    """The error for a stack holding a non-finite entry: its `index` is the
+    lowest stack position holding one."""
+    finite = np.isfinite(stack).reshape(len(stack), -1).all(axis=1)
+    return DivergenceError(message, index=int(np.argmin(finite)))
 
 
 # Divergence overflows to inf and NaN; the finiteness checks below detect it,
@@ -337,60 +335,40 @@ def _train_stack(stack: MlpModel, features: np.ndarray, targets: np.ndarray,
     permutation from `rngs[k]`, so it ends bitwise as it would alone. Every
     slice has the same row count n: `features` is S x n x F (a broadcast
     view when the slices share rows), `targets` S x n x C, and each step
-    gathers one minibatch per slice. No loss is computed: the softened
-    outputs are checked to be finite at every step, `sgd_step` checks the
-    gradients, and once a step has run the parameters are checked at the end,
-    since a finite gradient can overflow them in the last step.
+    gathers one minibatch per slice. No loss is computed.
 
-    All or nothing: if any slice diverges, DivergenceError's `index` is the
-    lowest diverging position. A diverging slice stops those after it; those
-    before it keep training, in case one of them diverges later.
+    Fail fast: the first step at which any slice's softened output or
+    gradient (`sgd_step`'s check) is not finite raises DivergenceError, whose
+    `index` is the lowest slice at fault in that step, and nothing trains
+    after it. Once a step has run the parameters are checked at the end too,
+    since a finite gradient can overflow them in the last step.
     """
-    live = len(stack.params)         # slices [0, live) are still training
+    if batch_size < 1:
+        raise DomainError(f"batch_size must be >= 1, got {batch_size}")
     grad = MlpModel(stack.spec, np.empty(stack.params.shape))   # reused every step
     n = features.shape[1]
-    rows = np.arange(live)[:, np.newaxis]
-    failure = None
+    rows = np.arange(len(stack.params))[:, np.newaxis]
     for epoch in range(epochs):
-        if live == 0:
-            break
-        orders = np.stack([rng.permutation(n) for rng in rngs[:live]])
-        start = 0
-        while start < n:
+        orders = np.stack([rng.permutation(n) for rng in rngs])
+        for start in range(0, n, batch_size):
             idx = orders[:, start:start + batch_size]
             inputs = _forward_cached(stack, features[rows, idx])
             student = softmax_temp(inputs[-1], temperature)
-            checked = [student]
-            try:
-                if not np.isfinite(student).all():
-                    raise DivergenceError("non-finite student output")
-                if lr > 0:
-                    # The logit gradient overwrites `student`, now checked.
-                    dlogits = student
-                    dlogits -= targets[rows, idx]
-                    dlogits *= temperature
-                    dlogits /= idx.shape[1]
-                    checked.append(_backprop(stack, inputs, dlogits, grad))
+            if not np.isfinite(student).all():
+                raise _divergence(student, f"non-finite student output at epoch {epoch}")
+            if lr > 0:
+                # The logit gradient overwrites `student`, now checked.
+                dlogits = student
+                dlogits -= targets[rows, idx]
+                dlogits *= temperature
+                dlogits /= idx.shape[1]
+                _backprop(stack, inputs, dlogits, grad)
+                try:
                     sgd_step(stack, grad.params, lr)
-            except DivergenceError as e:
-                live = _first_nonfinite(*checked)
-                failure = DivergenceError(f"{e} at epoch {epoch}", index=live)
-                if live == 0:
-                    break
-                # Redo this step without the diverged slice and those after it.
-                stack = MlpModel(stack.spec, stack.params[:live])
-                grad = MlpModel(stack.spec, grad.params[:live])
-                features, targets = features[:live], targets[:live]
-                orders, rows = orders[:live], rows[:live]
-                continue
-            start += batch_size
-    if live > 0 and lr > 0 and epochs > 0:
-        bad = _first_nonfinite(stack.params)
-        if bad < live:
-            failure = DivergenceError(f"non-finite parameters after epoch {epochs - 1}",
-                                      index=bad)
-    if failure is not None:
-        raise failure
+                except DivergenceError as e:
+                    raise _divergence(grad.params, f"{e} at epoch {epoch}") from None
+    if lr > 0 and epochs > 0 and not np.isfinite(stack.params).all():
+        raise _divergence(stack.params, f"non-finite parameters after epoch {epochs - 1}")
 
 
 def sgd_train(model: MlpModel, features: np.ndarray, labels: np.ndarray,

@@ -151,13 +151,13 @@ def local_training_phase(clients: list[ClientState], cfg: SimConfig) -> None:
     one. Each client draws from its own `train_rng`, so its main ends bitwise
     as `sgd_train` alone would leave it.
 
-    All or nothing: every group runs even if one diverges; then the lowest
-    diverging client id is raised as `client N: ...`.
+    Fail fast: the first group to diverge raises `client N: ...`, N its
+    lowest client at fault; its mains keep their pre-round parameters, and
+    later groups do not train.
     """
     groups: dict[tuple[MlpSpec, int], list[ClientState]] = {}
     for c in active_clients(clients):
         groups.setdefault((c.main.spec, len(c.local_data)), []).append(c)
-    failures = []
     for (spec, _), group in groups.items():
         stack = np.stack([c.main.params for c in group])
         splits = [c.local_data for c in group]
@@ -168,12 +168,9 @@ def local_training_phase(clients: list[ClientState], cfg: SimConfig) -> None:
                          cfg.local_epochs, cfg.lr, cfg.batch_size,
                          [c.train_rng for c in group])
         except DivergenceError as e:
-            failures.append((group[e.index].id, e))
+            raise DivergenceError(f"client {group[e.index].id}: {e}") from e
         for c, row in zip(group, stack):
             c.main.params[...] = row
-    if failures:
-        cid, e = min(failures, key=lambda f: f[0])
-        raise DivergenceError(f"client {cid}: {e}") from e
 
 
 def run_round(clients: list[ClientState], topology: Topology, cfg: SimConfig,
@@ -183,12 +180,13 @@ def run_round(clients: list[ClientState], topology: Topology, cfg: SimConfig,
     active neighbor's repository; an unchanged seed is not re-sent.
 
     The due clients' seeds are incubated as one stack (`incubate_seeds`),
-    each bitwise what it would be alone. If one diverges, DivergenceError
-    names the lowest diverging client and no client's seed is stored or
-    sent. A sent seed is serialized and decoded once, and every active
-    receiver stores that same read-only seed object, remove-then-add. Every
-    active client holds a seed after its first round, so the due clients
-    are all active clients or none, and repositories stay in sender-id order.
+    each bitwise what it would be alone. The first failing divergence check
+    raises DivergenceError naming its lowest client at fault, and no
+    client's seed is stored or sent. A sent seed is serialized and decoded
+    once, and every active receiver stores that same read-only seed object,
+    remove-then-add. Every active client holds a seed after its first round,
+    so the due clients are all active clients or none, and repositories stay
+    in sender-id order.
     """
     active = active_clients(clients)
     if not active:

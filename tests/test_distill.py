@@ -247,6 +247,9 @@ def _poisoned(model):
 
 
 def test_stacked_divergence_names_lowest_position(blob_task):
+    """Incubation stops at the first failing check, and `index` is the
+    lowest position at fault there: every teacher is checked before any
+    draw or step, then each step checks every seed."""
     main, ref = blob_task
     spec = MlpSpec((6, 8, 4))
     cfg = DistillConfig(epochs=2)
@@ -256,18 +259,38 @@ def test_stacked_divergence_names_lowest_position(blob_task):
                               [np.random.default_rng(k) for k in range(len(mains))],
                               inits)
 
-    # a teacher holding an inf weight: its targets are not finite
-    with pytest.raises(DivergenceError, match="teacher") as e:
-        run([main, main, _poisoned(main), main], [None] * 4)
-    assert e.value.index == 2
-    # a warm start holding an inf weight diverges at the first step, after
-    # a higher position's teacher was already found diverging
+    # a teacher holding an inf weight: its targets are not finite, and the
+    # warm start poisoned at position 1 never takes a step
     good = init_mlp(spec, np.random.default_rng(9))
-    with pytest.raises(DivergenceError, match="student output at epoch 0") as e:
-        run([main, main, main, _poisoned(main)],
-            [good, _poisoned(good), good, None])
+    steps = training_step_count()
+    with pytest.raises(DivergenceError, match="^non-finite teacher output$") as e:
+        run([main, main, _poisoned(main), main], [good, _poisoned(good), good, None])
+    assert e.value.index == 2
+    assert training_step_count() == steps
+    # with every teacher finite, warm starts holding an inf weight at 1 and 3
+    # both diverge at the first step, and the lower is named
+    with pytest.raises(DivergenceError, match="^non-finite student output at epoch 0$") as e:
+        run([main] * 4, [good, _poisoned(good), good, _poisoned(good)])
     assert e.value.index == 1
+    assert training_step_count() == steps
     # alone, the error is the same, at position 0
-    with pytest.raises(DivergenceError) as e:
+    with pytest.raises(DivergenceError, match="^non-finite teacher output$") as e:
         incubate_seed(_poisoned(main), spec, ref, cfg, np.random.default_rng(0))
     assert e.value.index == 0
+
+
+def test_incubate_seeds_rejects_mismatched_lists(blob_task):
+    """One generator and one init (or None) per main, checked before any
+    draw: `zip` would otherwise drop the extras and return fewer seeds."""
+    main, ref = blob_task
+    spec = MlpSpec((6, 8, 4))
+    cfg = DistillConfig(epochs=1)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    for mains, rngs, inits in (([main, main], [rng], [None, None]),
+                               ([main, main], [rng, rng], [None]),
+                               ([main], [rng, rng], [None])):
+        with pytest.raises(ConfigError, match=f"got {len(mains)} mains, {len(rngs)} "
+                                              f"rngs and {len(inits)} inits$"):
+            incubate_seeds(mains, spec, ref, cfg, rngs, inits)
+    assert rng.bit_generator.state == state

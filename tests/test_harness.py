@@ -79,11 +79,12 @@ _RATES = st.sampled_from([0.0, 5e-324, 1e-8, 0.05, 0.5, 1e8, 1e100, 1e300])
 _TEMPERATURES = st.sampled_from([5e-324, 1e-300, 0.5, 3.0, 1e8, 1e300])
 _LAMBDAS = st.sampled_from([0.0, 5e-324, 0.3, 0.6, 1 - 2**-53])
 _SPREADS = st.sampled_from([0.0, 5e-324, 0.5, 1e8, 1e100])
-_FRACTIONS = st.sampled_from([5e-324, 0.1, 0.2, 0.3, 0.5, 1 - 2**-53])
-# ... and values just outside it, one of which may replace a drawn value.
+# ... and values just outside it, one of which may replace a drawn value. The
+# extreme test fractions leave no test row or no training row in any pool.
 _OUTSIDE = {"n_clients": [1, 0], "blob_classes": [1, 0], "blob_features": [1, 0],
             "blob_components": [0, -1], "blob_samples_per_class": [0, -1],
-            "ref_size": [0, -1], "test_fraction": [0.0, 1.0], "rounds": [0],
+            "ref_size": [0, -1], "test_fraction": [0.0, 5e-324, 1 - 2**-53, 1.0],
+            "rounds": [0],
             "lr": [-5e-324, -1e300], "incubate_lr": [-5e-324],
             "temperature": [0.0, -5e-324], "ensemble_lambda": [1.0, -5e-324],
             "blob_spread": [1e300, -5e-324], "batch_size": [0],
@@ -106,11 +107,15 @@ def test_blob_configs_validate_or_run_cleanly(data):
     n_clients = draw(st.integers(2, classes), label="n_clients")
     quitter = draw(st.none() | st.integers(0, n_clients - 1), label="unlearn_client")
     components = draw(st.integers(1, 2), label="blob_components")
-    # The smallest grid that holds every cluster, and the fewest rows per
-    # class that leave a test row and a training row per client.
+    # The smallest grid that holds every cluster, at least the fewest rows
+    # per class that leave a test row and a training row per client, and a
+    # test fraction that leaves them.
     grid = next(f for f in range(2, 7) if f * (f - 1) >= components * classes)
     ref_size = draw(st.integers(1, 12), label="ref_size")
-    per_class = -(-(ref_size + 1 + n_clients) // classes)
+    fewest = -(-(ref_size + 1 + n_clients) // classes)
+    per_class = draw(st.integers(fewest, fewest + 8), label="blob_samples_per_class")
+    rest = classes * per_class - ref_size
+    test_rows = draw(st.integers(1, rest - n_clients), label="test rows")
     cfg = ExperimentConfig(
         framework=draw(st.sampled_from(FRAMEWORKS)),
         setting=draw(st.sampled_from(["homogeneous", "heterogeneous"])),
@@ -119,11 +124,10 @@ def test_blob_configs_validate_or_run_cleanly(data):
         n_clients=n_clients, blob_classes=classes,
         blob_features=draw(st.integers(grid, 6), label="blob_features"),
         blob_components=components,
-        blob_samples_per_class=draw(st.integers(per_class, per_class + 8),
-                                    label="blob_samples_per_class"),
+        blob_samples_per_class=per_class,
         blob_spread=draw(_SPREADS, label="blob_spread"),
         ref_size=ref_size,
-        test_fraction=draw(_FRACTIONS, label="test_fraction"),
+        test_fraction=test_rows / rest,
         lr=draw(_RATES, label="lr"), incubate_lr=draw(_RATES, label="incubate_lr"),
         temperature=draw(_TEMPERATURES, label="temperature"),
         ensemble_lambda=draw(_LAMBDAS, label="ensemble_lambda"),

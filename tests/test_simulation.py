@@ -15,7 +15,8 @@ from hdus.distill import DistillConfig, ReferenceSet
 from hdus.ensemble import (EnsembleConfig, SeedRepository, add_neighbor_seed,
                            deserialize_seed, ensemble_predict, serialize_seed,
                            unlearn_neighbor)
-from hdus.errors import ConfigError, DivergenceError, NotFoundError, StateError
+from hdus.errors import (ConfigError, DivergenceError, DomainError, NotFoundError,
+                         StateError)
 from hdus.harness import (ExperimentConfig, build_partition, make_engine,
                           survivor_state)
 from hdus.numeric import (MlpModel, MlpSpec, accuracy, init_mlp, sgd_train,
@@ -263,10 +264,10 @@ def _poison(model):
 
 
 def test_incubation_divergence_is_all_or_nothing(partition):
-    """A diverging seed stops the round before any seed is replaced, and the
-    error names the lowest diverging client, even when a higher one is
-    found first (client 3's teacher fails before any step, client 1's warm
-    start at the first step)."""
+    """A diverging seed stops the round before any seed is replaced. Every
+    teacher is checked before any step, so with client 3's teacher poisoned
+    the error names client 3 even when client 1's warm start would diverge
+    at the first step."""
     cfg = small_cfg()
     clients, topo = fresh_network(partition, cfg)
     run_round(clients, topo, cfg, 0)
@@ -277,7 +278,7 @@ def test_incubation_divergence_is_all_or_nothing(partition):
     _poison(clients[1].own_seed)
     seeds = [c.own_seed for c in clients]
     bits = [_bits(s) for s in seeds]
-    with pytest.raises(DivergenceError, match="^client 1: non-finite student"):
+    with pytest.raises(DivergenceError, match="^client 3: non-finite teacher"):
         run_round(clients, topo, cfg, 2)
     assert all(c.own_seed is s for c, s in zip(clients, seeds))
     assert [_bits(c.own_seed) for c in clients] == bits
@@ -571,24 +572,40 @@ def test_local_training_equals_per_client_sgd_train(first, rest, batch_size,
         assert c.train_rng.bit_generator.state == want.train_rng.bit_generator.state
 
 
-def test_local_training_names_lowest_diverging_client_across_groups():
+def test_local_training_stops_at_first_diverging_group():
     """Clients 0 and 2 (large) train as the first group, client 1 (small) as
     the second and client 3 (small, one row more) as the third. With 2 and 1
-    poisoned, client 2 diverges first, yet the error names client 1, and
-    every group still trained: clients 0 and 3 end as `sgd_train` leaves
-    them alone, though 3 comes after the named client."""
+    poisoned, the first group diverges first and its error names client 2,
+    though client 1 has the lower id. The failing group keeps its pre-round
+    parameters, and the later groups do not train."""
     cfg = SimConfig(local_epochs=1, lr=0.05, batch_size=4)
     clients = _clients_with_splits(["large", "small", "large", "small"],
                                    [10, 10, 10, 11])
-    oracle = copy.deepcopy(clients)
     _poison(clients[2].main)
     _poison(clients[1].main)
+    bits = [_bits(c.main) for c in clients]
     with pytest.raises(DivergenceError,
-                       match="^client 1: non-finite student output at epoch 0"):
+                       match="^client 2: non-finite student output at epoch 0$"):
         local_training_phase(clients, cfg)
-    for k in (0, 3):
-        _sgd_train_alone(oracle[k], cfg)
-        assert _bits(clients[k].main) == _bits(oracle[k].main)
+    assert [_bits(c.main) for c in clients] == bits
+
+
+@pytest.mark.parametrize("batch_size", [0, -5])
+def test_batch_size_below_one_is_rejected(batch_size):
+    """A batch size below 1 never advances the minibatch loop, so training
+    rejects it once per call, before any step, rather than hanging."""
+    clients = _clients_with_splits(["small", "small"], [10, 10])
+    model = clients[0].main
+    d = clients[0].local_data
+    bits = [_bits(c.main) for c in clients]
+    message = f"^batch_size must be >= 1, got {batch_size}$"
+    with pytest.raises(DomainError, match=message):
+        sgd_train(model, d.features, d.labels, C, 3, 0.1, batch_size,
+                  np.random.default_rng(0))
+    with pytest.raises(DomainError, match=message):
+        local_training_phase(clients, SimConfig(local_epochs=1, lr=0.05,
+                                                batch_size=batch_size))
+    assert [_bits(c.main) for c in clients] == bits
 
 
 # --- exact unlearning as a stateful property --------------------------------
