@@ -37,10 +37,7 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         if len(flags) > 1:
             raise ConfigError(f"{name}: set twice, by {' and '.join(flags)}")
     overrides = dict(parse_config_value(key, getattr(args, key)) for key in given)
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    cfg.validate()
-    return cfg
+    return replace(cfg, **overrides)
 
 
 def main(argv=None) -> int:

@@ -28,8 +28,10 @@ _SMALL_TIER_FRAMEWORKS = ("dsgd", "fedunl", "sisa_a")
 SCHEMA_VERSION = 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """Checked on construction (a file, flags, `replace` or code) and frozen."""
+
     schema_version: int = SCHEMA_VERSION
     dataset: str = "blobs"                 # blobs | mnist | fmnist
     framework: str = "hdus"
@@ -60,7 +62,7 @@ class ExperimentConfig:
     combine: str = "proba"
     seed_tier: str = "small"
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.schema_version != SCHEMA_VERSION:
             raise ConfigError(f"schema_version: unsupported value {self.schema_version}")
         # NaN passes every `x < 0` bound below, and inf overflows at run time.
@@ -207,8 +209,9 @@ def load_config(path) -> ExperimentConfig:
     `parse_config_value`. Unknown and duplicate keys are rejected."""
     values: dict[str, object] = {}
     try:
+        # Drop a leading byte-order mark after decoding, so offsets count it.
         with open(path, encoding="utf-8") as f:
-            lines = f.read().split("\n")
+            lines = f.read().removeprefix("\ufeff").split("\n")
     except UnicodeDecodeError as e:
         raise ConfigError(f"{path}: not UTF-8 text (byte offset {e.start})") from None
     for lineno, raw in enumerate(lines, start=1):
@@ -222,9 +225,7 @@ def load_config(path) -> ExperimentConfig:
         if name in values:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key.strip()!r}")
         values[name] = value
-    cfg = ExperimentConfig(**values)
-    cfg.validate()
-    return cfg
+    return ExperimentConfig(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +409,6 @@ def _single_run(cfg: ExperimentConfig, repeat: int, seed: int) -> RepeatResult:
 
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
     """`repeats` independent runs (seed = master_seed + repeat index)."""
-    cfg.validate()
     results = [_single_run(cfg, k, cfg.master_seed + k)
                for k in range(cfg.repeats)]
     return RunReport(cfg, results)
@@ -430,7 +430,6 @@ def verify_unlearning(cfg: ExperimentConfig) -> tuple[list[int], int]:
     unlearn tick does nothing. Returns, in id order, the clients active in one
     engine only and the survivors whose `survivor_state` or event-log rows
     from the unlearn round on differ, and the SGD steps the unlearn took."""
-    cfg.validate()
     if cfg.unlearn_round is None:
         raise ConfigError("unlearn_round: verify_unlearning needs a quit")
     seed, u = cfg.master_seed, cfg.unlearn_round
@@ -455,9 +454,13 @@ def verify_unlearning(cfg: ExperimentConfig) -> tuple[list[int], int]:
 
 def sweep(cfg: ExperimentConfig, param: str, values) -> dict[object, RunReport | HdusError]:
     """One run_experiment per grid value; a bad cell records its error and the
-    sweep continues."""
+    sweep continues. A value equal to an earlier one fails before any run."""
     if param not in ("lambda", "temperature"):
         raise ConfigError(f"sweep param must be 'lambda' or 'temperature', got {param!r}")
+    values = list(values)
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ConfigError(f"{param}: grid value {v!r} repeats an earlier one")
     field_name = CONFIG_KEYS[param]
     grid: dict[object, RunReport | HdusError] = {}
     for v in values:
@@ -533,8 +536,6 @@ def unlearn_demo(cfg: ExperimentConfig) -> list[RunReport]:
     if cfg.unlearn_round is None:
         cfg = replace(cfg, unlearn_round=cfg.rounds // 2,
                       unlearn_client=cfg.n_clients - 1)
+    # Building every framework's config checks each before the first run.
     cfgs = [replace(cfg, framework=fw) for fw in FRAMEWORKS]
-    # Every framework's config is checked before the first run starts.
-    for c in [cfg, *cfgs]:
-        c.validate()
     return [run_experiment(c) for c in cfgs]

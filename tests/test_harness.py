@@ -4,7 +4,7 @@ import io
 import json
 import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -64,14 +64,35 @@ def test_validate_catches_bad_fields():
                 dict(blob_classes=6, blob_features=4, ref_size=356),
                 dict(lr=-1.0), dict(incubate_lr=-1.0), dict(unlearn_client=1)):
         with pytest.raises(ConfigError) as e:
-            tiny(**bad).validate()
+            tiny(**bad)
         assert _key(e.value) in CONFIG_KEYS, e.value
-    tiny().validate()
+    tiny()
     # At both bounds: 12 clusters fill the grid of 4 features, and the 5 rows
     # left after the reference set make 1 test row and 1 training row per client.
-    tiny(blob_classes=6, blob_features=4, ref_size=355).validate()
+    tiny(blob_classes=6, blob_features=4, ref_size=355)
     # IDX pool sizes are checked at run time, once the files load.
-    tiny(dataset="mnist", data_dir="idx", ref_size=100000).validate()
+    tiny(dataset="mnist", data_dir="idx", ref_size=100000)
+
+
+@pytest.mark.parametrize("kw", [dict(setting="bogus"), dict(framework="bogus"),
+                                dict(unlearn_round=1), dict(n_clients=1)],
+                         ids=lambda kw: next(iter(kw)))
+def test_config_is_checked_when_built(kw):
+    """Building a config checks it, from code as from `replace` (which the
+    file and flag readers use too); the error names the bad key."""
+    (key,) = kw
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        ExperimentConfig(**kw)
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        replace(tiny(), **kw)
+
+
+def test_config_fields_cannot_change():
+    valid = tiny()
+    for f in fields(ExperimentConfig):
+        with pytest.raises(FrozenInstanceError):
+            setattr(valid, f.name, getattr(valid, f.name))
+    assert valid == tiny()
 
 
 # Extreme finite floats inside each field's domain ...
@@ -91,7 +112,7 @@ _OUTSIDE = {"n_clients": [1, 0], "blob_classes": [1, 0], "blob_features": [1, 0]
             "local_epochs": [-1], "incubate_epochs": [0],
             "incubate_every_rounds": [0], "master_seed": [-1],
             "unlearn_client": [None, -1]}
-# Sizes that may be drawn huge instead. `validate` rejects a blob pool over
+# Sizes that may be drawn huge instead. Building rejects a blob pool over
 # MAX_BLOB_ENTRIES; one under it that passes is not run, as it would be slow.
 _HUGE = ("blob_samples_per_class", "blob_features", "n_clients")
 
@@ -99,7 +120,7 @@ _HUGE = ("blob_samples_per_class", "blob_features", "n_clients")
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_blob_configs_validate_or_run_cleanly(data):
-    """Every blob config either fails `validate` with a keyed ConfigError, or
+    """Every blob config either fails to build with a keyed ConfigError, or
     runs one round to finite accuracies, a DivergenceError or a keyed
     ConfigError; no other exception and no warning."""
     draw = data.draw
@@ -116,7 +137,7 @@ def test_blob_configs_validate_or_run_cleanly(data):
     per_class = draw(st.integers(fewest, fewest + 8), label="blob_samples_per_class")
     rest = classes * per_class - ref_size
     test_rows = draw(st.integers(1, rest - n_clients), label="test rows")
-    cfg = ExperimentConfig(
+    kw = dict(
         framework=draw(st.sampled_from(FRAMEWORKS)),
         setting=draw(st.sampled_from(["homogeneous", "heterogeneous"])),
         seed_tier=draw(st.sampled_from(sorted(TIERS))),
@@ -142,13 +163,13 @@ def test_blob_configs_validate_or_run_cleanly(data):
                if draw(st.integers(0, 3), label="out of domain") == 0 else None)
     huge = outside in _HUGE and draw(st.booleans(), label="huge")
     if huge:
-        cfg = replace(cfg, **{outside: draw(st.integers(10**5, 10**15), label="size")})
+        kw[outside] = draw(st.integers(10**5, 10**15), label="size")
     elif outside is not None:
-        cfg = replace(cfg, **{outside: draw(st.sampled_from(_OUTSIDE[outside]), label="value")})
+        kw[outside] = draw(st.sampled_from(_OUTSIDE[outside]), label="value")
     try:
-        cfg.validate()
+        cfg = ExperimentConfig(**kw)
     except ConfigError as e:
-        event("rejected by validate")
+        event("rejected when built")
         assert _key(e) in CONFIG_KEYS, e
         return
     if huge:
@@ -186,14 +207,13 @@ def _sized_by_setting(cfg: ExperimentConfig) -> list[str]:
 def test_client_tiers_spread():
     assert tiny(n_clients=5, setting="heterogeneous").client_tiers() == \
         ["small", "medium", "medium", "large", "large"]
-    assert tiny(n_clients=6, setting="heterogeneous").client_tiers() == \
+    assert tiny(n_clients=6, blob_classes=6, setting="heterogeneous").client_tiers() == \
         ["small", "small", "medium", "medium", "large", "large"]
     assert tiny(n_clients=3, setting="homogeneous").client_tiers() == ["large"] * 3
     for fw in FRAMEWORKS:
         for setting in ("homogeneous", "heterogeneous"):
             for n in range(2, 6):
                 cfg = tiny(framework=fw, setting=setting, n_clients=n)
-                cfg.validate()
                 assert cfg.client_tiers() == _sized_by_setting(cfg), (fw, setting, n)
 
 
@@ -235,6 +255,20 @@ def test_load_config_rejects_non_utf8(tmp_path):
     with pytest.raises(ConfigError,
                        match=r"latin1.conf: not UTF-8 text \(byte offset 23\)"):
         load_config(p)
+
+
+def test_load_config_skips_a_byte_order_mark(tmp_path):
+    text = "n_clients = 4\nframework = dsgd\nrounds = 3\n"
+    plain, marked = tmp_path / "plain.conf", tmp_path / "marked.conf"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
+    assert load_config(marked).config_hash() == load_config(plain).config_hash()
+    # The offset of a bad byte counts the mark's three bytes.
+    marked.write_bytes(b"\xef\xbb\xbfrounds = 3\nframework = \xe9sgd\n")
+    with pytest.raises(ConfigError,
+                       match=r"marked.conf: not UTF-8 text \(byte offset 26\)"):
+        load_config(marked)
 
 
 def test_load_config_rejects_wrong_types(tmp_path):
@@ -405,6 +439,17 @@ def test_sweep_grid_and_error_cells():
     assert isinstance(grid[1.5], ConfigError)   # bad cell recorded, sweep survives
     with pytest.raises(ConfigError):
         sweep(tiny(), "learning_rate", [0.1])
+
+
+def test_sweep_rejects_a_repeated_value_before_any_run(monkeypatch):
+    runs = []
+    monkeypatch.setattr(harness, "run_experiment", runs.append)
+    for values, repeated in (([0, 0.0, 0.2], "0.0"), ([0.1, 0.2, 0.3, 0.2], "0.2")):
+        with pytest.raises(ConfigError, match=f"^lambda: grid value {repeated} "):
+            sweep(tiny(), "lambda", values)
+    assert runs == []
+    sweep(tiny(), "lambda", [0.0, 0.2])   # the spy sees the runs of a clean grid
+    assert [c.ensemble_lambda for c in runs] == [0.0, 0.2]
 
 
 # --- metric emission ----------------------------------------------------------
@@ -661,10 +706,17 @@ def test_cli_sweep(tmp_path, capsys):
     assert "lambda=0.0:" in out and "lambda=0.4:" in out
 
 
-def test_cli_sweep_rejects_bad_values(capsys):
+def test_cli_sweep_rejects_bad_values(tmp_path, capsys):
     assert run_cli("sweep", "--param", "lambda", "--values", "0.2,abc") == 2
     assert "config error: --values: lambda: expected float, got 'abc'" \
         in capsys.readouterr().err
+    # Parsed, 0 and 0.0 are one value: the grid fails before any cell runs.
+    out = tmp_path / "s"
+    assert run_cli("sweep", "--param", "lambda", "--values", "0,0.0,0.2,0.2",
+                   "--output-path", str(out)) == 2
+    captured = capsys.readouterr()
+    assert "config error: lambda: grid value 0.0 " in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def test_cli_missing_config_file_is_config_error(capsys):

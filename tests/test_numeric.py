@@ -149,6 +149,18 @@ class TestSoftmaxTemp:
         assert np.isfinite(p).all() and abs(p.sum() - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("t", [1.0, 3.0])
+    @pytest.mark.parametrize("shape", [(10,), (40, 10), (3, 7, 10)])
+    def test_bits_of_the_written_out_ops(self, shape, t):
+        """Every output digest rests on these bits: divide by T unless T is 1,
+        subtract the row max, exp, then divide by the row sum."""
+        d = np.random.default_rng(10).normal(scale=5, size=shape)
+        z = d / t if t != 1.0 else d
+        z = z - z.max(axis=-1, keepdims=True)
+        e = np.exp(z)
+        want = e / e.sum(axis=-1, keepdims=True)
+        assert softmax_temp(d, t).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("t", [1.0, 3.0])
     def test_input_is_never_written(self, t):
         d = np.random.default_rng(9).normal(scale=5, size=(40, 10))
         before = d.copy()

@@ -638,7 +638,6 @@ class ExactUnlearning(RuleBasedStateMachine):
         self.cfg = _experiment(framework=framework, n_clients=n, setting=setting,
                                incubate_every_rounds=every, combine=combine,
                                ensemble_lambda=lam)
-        self.cfg.validate()
         self.graph = _graph(shape, n)
         self.rounds = 0
         self.quitters = []
