@@ -14,6 +14,8 @@ cell exits as its first cell's error does.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 from dataclasses import replace
 
@@ -40,6 +42,27 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     return replace(cfg, **overrides)
 
 
+@contextlib.contextmanager
+def _output_dir(path: str):
+    """Make `path` and its missing parents before any run, so an unmakeable
+    path fails first. If the body fails, remove the ones made that are still
+    empty, so a failed command leaves no new directory behind."""
+    made, d = [], os.path.abspath(path)
+    while not os.path.lexists(d):
+        made.append(d)
+        d = os.path.dirname(d)
+    os.makedirs(path, exist_ok=True)
+    try:
+        yield
+    except BaseException:
+        for d in made:   # deepest first
+            try:
+                os.rmdir(d)
+            except OSError:
+                break
+        raise
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="hdus",
                                      description="decentralized unlearning simulator")
@@ -55,6 +78,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _build_config(args)
+        if args.verb == "sweep":
+            values = [parse_config_value(args.param, v, "--values")[1]
+                      for v in args.values.split(",")]
     except (ConfigError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
@@ -64,30 +90,29 @@ def main(argv=None) -> int:
         if args.verb == "validate-config":
             print(f"ok (config_hash={cfg.config_hash()})")
             return 0
-        if args.verb == "run":
-            report = run_experiment(cfg)
-            paths = emit_metrics(report, out)
-            print(f"{cfg.framework}: final accuracy "
-                  f"{report.mean():.4f} +- {report.std():.4f} "
-                  f"({len(report.repeats)} repeats)")
-        elif args.verb == "sweep":
-            values = [parse_config_value(args.param, v, "--values")[1]
-                      for v in args.values.split(",")]
-            grid = sweep(cfg, args.param, values)
-            for v, rep in grid.items():
-                if isinstance(rep, Exception):
-                    print(f"{args.param}={v}: error: {rep}")
-                else:
-                    print(f"{args.param}={v}: {rep.mean():.4f} +- {rep.std():.4f}")
-            reports = [r for r in grid.values() if not isinstance(r, Exception)]
-            if not reports:   # nothing to write: fail as the first cell did
-                raise next(iter(grid.values()))
-            paths = emit_metrics(reports, out)
-        else:  # unlearn-demo
-            reports = unlearn_demo(cfg)
-            paths = emit_metrics(reports, out)
-            for rep in reports:
-                print(f"{rep.config.framework}: final accuracy {rep.mean():.4f}")
+        with _output_dir(out):
+            if args.verb == "run":
+                report = run_experiment(cfg)
+                paths = emit_metrics(report, out)
+                print(f"{cfg.framework}: final accuracy "
+                      f"{report.mean():.4f} +- {report.std():.4f} "
+                      f"({len(report.repeats)} repeats)")
+            elif args.verb == "sweep":
+                grid = sweep(cfg, args.param, values)
+                for v, rep in grid.items():
+                    if isinstance(rep, Exception):
+                        print(f"{args.param}={v}: error: {rep}")
+                    else:
+                        print(f"{args.param}={v}: {rep.mean():.4f} +- {rep.std():.4f}")
+                reports = [r for r in grid.values() if not isinstance(r, Exception)]
+                if not reports:   # nothing to write: fail as the first cell did
+                    raise next(iter(grid.values()))
+                paths = emit_metrics(reports, out)
+            else:  # unlearn-demo
+                reports = unlearn_demo(cfg)
+                paths = emit_metrics(reports, out)
+                for rep in reports:
+                    print(f"{rep.config.framework}: final accuracy {rep.mean():.4f}")
         print(f"wrote {', '.join(sorted(paths.values()))}")
         return 0
     except ConfigError as e:

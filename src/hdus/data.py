@@ -154,7 +154,9 @@ def check_blobs(classes: int, per_class: int, features: int, components: int) ->
         raise ConfigError("blob_components: must be >= 1")
     rows = classes * per_class
     if rows * features > MAX_BLOB_ENTRIES:
-        raise ConfigError(f"blob_samples_per_class: a pool of {rows} rows x "
+        # Two 4,300-digit factors make a row count too long for int -> str.
+        shown = rows if rows <= MAX_BLOB_ENTRIES else f"over {MAX_BLOB_ENTRIES}"
+        raise ConfigError(f"blob_samples_per_class: a pool of {shown} rows x "
                           f"{features} features exceeds the limit of "
                           f"{MAX_BLOB_ENTRIES} float64 entries (1 GiB)")
     if components * classes > features * (features - 1):

@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import os
 import tempfile
 import typing
@@ -63,13 +64,16 @@ class ExperimentConfig:
     seed_tier: str = "small"
 
     def __post_init__(self):
+        for f in fields(self):
+            value = _typed(f.name, getattr(self, f.name))
+            object.__setattr__(self, f.name, value)
+            # NaN passes every `x < 0` bound below, and inf overflows at run time.
+            if type(value) is float and not math.isfinite(value):
+                raise ConfigError(f"{f.name}: must be finite, got {value}")
         if self.schema_version != SCHEMA_VERSION:
             raise ConfigError(f"schema_version: unsupported value {self.schema_version}")
-        # NaN passes every `x < 0` bound below, and inf overflows at run time.
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if _FIELD_TYPES[f.name] is float and not math.isfinite(value):
-                raise ConfigError(f"{f.name}: must be finite, got {value}")
+        if self.output_path is not None and "\0" in self.output_path:
+            raise ConfigError("output_path: must not hold a NUL character")
         if self.dataset not in ("blobs", "mnist", "fmnist"):
             raise ConfigError(f"dataset: unknown dataset {self.dataset!r}")
         if self.framework not in FRAMEWORKS:
@@ -165,43 +169,72 @@ class ExperimentConfig:
 # every field under its own name, plus these aliases.
 _KEY_ALIASES = {"lambda": "ensemble_lambda"}
 CONFIG_KEYS = {**{f.name: f.name for f in fields(ExperimentConfig)}, **_KEY_ALIASES}
-_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
+# Field name -> (type, whether None is allowed); every field is int, float or str.
+_FIELD_KINDS = {name: (typing.get_args(hint)[0], True) if typing.get_args(hint)
+                else (hint, False)
+                for name, hint in typing.get_type_hints(ExperimentConfig).items()}
+
+
+def _type_name(name: str) -> str:
+    kind, nullable = _FIELD_KINDS[name]
+    return kind.__name__ + (" | None" if nullable else "")
+
+
+def _typed(name: str, value: object) -> object:
+    """`value` as field `name` stores it, by the one type rule of every config
+    route (files, flags, `replace`, code): a nullable field takes None, an int
+    field any integral number but a bool, stored as a Python int, a float
+    field any real number but a bool, stored as a Python float, and a str
+    field only a str. Anything else raises ConfigError naming the field."""
+    kind, nullable = _FIELD_KINDS[name]
+    if type(value) is kind or (value is None and nullable):
+        return value
+    if not isinstance(value, (bool, np.bool_)):
+        if kind is str and isinstance(value, str):
+            return str(value)
+        if kind is int and isinstance(value, numbers.Integral):
+            return int(value)
+        if kind is float and isinstance(value, numbers.Real):
+            try:
+                return float(value)
+            except OverflowError:   # an int past float's range, as infinite as 1e999
+                return math.inf if value > 0 else -math.inf
+    raise ConfigError(f"{name}: expected {_type_name(name)}, got {value!r}")
 
 
 def parse_config_value(key: str, text: str, where: str | None = None) -> tuple[str, object]:
     """Read the text of a config value: a JSON literal, or a bare word as a
-    string. Returns (field name, value) once the value fits the field's type:
-    an int field takes no bool, a float field turns an int into a float, a
-    number field also reads a bare word by Python's int()/float(), and a
-    string field keeps the raw text of a literal that is not a string.
-    Raises ConfigError naming the key, after `where` (e.g. "file:line")."""
+    string. A number field also reads a bare word by Python's int()/float(),
+    and a string field keeps the raw text of a literal that is not a string
+    (or null, for a nullable one). Returns (field name, value) once
+    `_typed` takes the value. Raises ConfigError naming the key, after
+    `where` (e.g. "file:line"), for a value of the wrong type and for JSON
+    past Python's limits on int digits or nesting depth."""
     prefix = f"{where}: " if where else ""
     name = CONFIG_KEYS.get(key)
     if name is None:
         raise ConfigError(f"{prefix}unknown key {key!r}")
-    hint = _FIELD_TYPES[name]
-    nullable = type(None) in typing.get_args(hint)
-    kind = typing.get_args(hint)[0] if nullable else hint
+    kind, nullable = _FIELD_KINDS[name]
     text = text.strip()
     try:
-        value, bare = json.loads(text), False
+        value = json.loads(text)
     except json.JSONDecodeError:
-        value, bare = text, True
-    if value is None and nullable:
-        return name, None
-    if kind is str:
-        return name, value if isinstance(value, str) else text
-    if bare and kind in (int, float):
-        try:
-            value = kind(text)
-        except ValueError:
-            pass
-    if kind is float and type(value) is int:
-        value = float(value)
-    if type(value) is kind:
-        return name, value
-    type_name = getattr(hint, "__name__", None) or str(hint)
-    raise ConfigError(f"{prefix}{key}: expected {type_name}, got {text!r}")
+        value = text
+        if kind in (int, float):
+            try:
+                value = kind(text)
+            except ValueError:
+                pass
+    except (ValueError, RecursionError):   # JSON that Python will not read
+        raise ConfigError(f"{prefix}{key}: past Python's limits on int digits "
+                          f"or nesting depth") from None
+    if kind is str and not isinstance(value, str) and not (value is None and nullable):
+        value = text
+    try:
+        return name, _typed(name, value)
+    except ConfigError:
+        raise ConfigError(f"{prefix}{key}: expected {_type_name(name)}, "
+                          f"got {text!r}") from None
 
 
 def load_config(path) -> ExperimentConfig:

@@ -75,16 +75,41 @@ def test_validate_catches_bad_fields():
 
 
 @pytest.mark.parametrize("kw", [dict(setting="bogus"), dict(framework="bogus"),
-                                dict(unlearn_round=1), dict(n_clients=1)],
+                                dict(unlearn_round=1), dict(n_clients=1),
+                                *(pytest.param(kw, id=f"{k}={v!r}")
+                                  for kw in (dict(rounds=2.5), dict(n_clients=4.0),
+                                             dict(lr="0.1"), dict(ensemble_lambda=None),
+                                             dict(master_seed=True), dict(incubate_lr=True),
+                                             dict(output_path=5), dict(output_path="o\0x"))
+                                  for k, v in kw.items())],
                          ids=lambda kw: next(iter(kw)))
 def test_config_is_checked_when_built(kw):
     """Building a config checks it, from code as from `replace` (which the
-    file and flag readers use too); the error names the bad key."""
+    file and flag readers use too); the error names the bad key. A value of
+    the wrong type is one: an int field takes no float and a float field no
+    str, neither takes a bool, and only a nullable field takes None."""
     (key,) = kw
     with pytest.raises(ConfigError, match=f"^{key}: "):
         ExperimentConfig(**kw)
     with pytest.raises(ConfigError, match=f"^{key}: "):
         replace(tiny(), **kw)
+
+
+def test_config_stores_one_type_per_field():
+    """Every route stores a number field as a Python number: an int read
+    into a float field is that float, and a numpy scalar a Python one, so
+    equal configs hash equally and the snapshot and hash never fail."""
+    assert ExperimentConfig(lr=1).config_hash() == \
+        ExperimentConfig(lr=1.0).config_hash() == "0806c41a5dbec310"
+    cfg = ExperimentConfig(n_clients=np.int64(5), lr=np.float32(0.5),
+                           rounds=np.uint8(30), framework=np.str_("hdus"))
+    assert [type(cfg.n_clients), type(cfg.lr), type(cfg.rounds), type(cfg.framework)] \
+        == [int, float, int, str]
+    assert replace(cfg, lr=0.05).config_hash() == "50d045603789bd50"
+    assert type(replace(cfg, ensemble_lambda=0).ensemble_lambda) is float
+    for bad in (np.bool_(True), np.float64(5.0), 5 + 0j):
+        with pytest.raises(ConfigError, match="^n_clients: expected int, got "):
+            ExperimentConfig(n_clients=bad)
 
 
 def test_config_fields_cannot_change():
@@ -278,6 +303,129 @@ def test_load_config_rejects_wrong_types(tmp_path):
         key = line.split()[0]
         with pytest.raises(ConfigError, match=f"bad.conf:2: {key}: expected"):
             load_config(p)
+
+
+@pytest.mark.parametrize("digits", [4301, 5000])
+def test_an_int_past_the_digit_limit_is_a_config_error(digits, tmp_path, capsys):
+    """Python reads no int of over 4,300 digits from text; such a value in a
+    file, a flag or a sweep grid is a config error naming the key."""
+    huge = "9" * digits
+    conf = tmp_path / "bad.conf"
+    conf.write_text(f"rounds = {huge}\n", encoding="utf-8")
+    limits = "past Python's limits on int digits or nesting depth\n"
+    assert run_cli("validate-config", "--config", str(conf)) == 2
+    assert capsys.readouterr().err == f"config error: {conf}:1: rounds: {limits}"
+    assert run_cli("validate-config", "--rounds", huge) == 2
+    assert capsys.readouterr().err == f"config error: rounds: {limits}"
+    out = tmp_path / "s"
+    assert run_cli("sweep", "--param", "lambda", "--values", f"0.1,{huge}",
+                   "--output-path", str(out)) == 2
+    assert capsys.readouterr().err == f"config error: --values: lambda: {limits}"
+    assert not out.exists()
+    # 4,300 digits still read, and the pool's bound holds at that size.
+    assert run_cli("validate-config", "--blob-classes", huge[:4300],
+                   "--blob-samples-per-class", huge[:4300]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: blob_samples_per_class: a pool of over 134217728 rows x 20 ")
+
+
+def _never_run(cfg):
+    raise AssertionError("run_experiment was called")
+
+
+def test_a_nul_in_output_path_is_a_config_error(tmp_path, capsys, monkeypatch):
+    """`output_path` cannot name a file with a NUL in it: that fails when
+    the config is built, before any run."""
+    monkeypatch.setattr(harness, "run_experiment", _never_run)
+    monkeypatch.setattr(cli, "run_experiment", _never_run)
+    conf = tmp_path / "nul.conf"
+    conf.write_text('rounds = 2\noutput_path = "out\\u0000x"\n', encoding="utf-8")
+    for verb in ("validate-config", "run"):
+        assert run_cli(verb, "--config", str(conf)) == 2
+        assert capsys.readouterr().err == \
+            "config error: output_path: must not hold a NUL character\n"
+
+
+@pytest.mark.parametrize("verb", [("run",), ("unlearn-demo",),
+                                  ("sweep", "--param", "lambda", "--values", "0.1,0.2")],
+                         ids=lambda verb: verb[0])
+def test_cli_makes_the_output_directory_before_any_run(verb, tmp_path, capsys,
+                                                       monkeypatch):
+    """An output directory that cannot be made (here, under a regular file)
+    is a runtime error before any run. A command that fails after making
+    the directory removes the ones it made; validate-config makes none."""
+    monkeypatch.setattr(harness, "run_experiment", _never_run)
+    monkeypatch.setattr(cli, "run_experiment", _never_run)
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    assert run_cli(*verb, "--output-path", str(blocker / "out")) == 3
+    assert capsys.readouterr().err.startswith("runtime error: ")
+    with pytest.raises(AssertionError, match="run_experiment was called"):
+        run_cli(*verb, "--output-path", str(tmp_path / "a" / "b"))
+    assert not (tmp_path / "a").exists()
+    assert run_cli("validate-config", "--output-path", str(tmp_path / "a" / "b")) == 0
+    assert not (tmp_path / "a").exists()
+
+
+# --- config file fuzzing: one documented error -------------------------------
+
+_CONF_LINES = ExperimentConfig().snapshot_text().splitlines()
+_CONF_VALUES = st.one_of(
+    st.sampled_from(["null", "true", "false", "NaN", "-Infinity", "1e999", "[]",
+                     "[1]", "{}", '"3"', '""', '"out\\u0000x"', "0", "-1", "2.5",
+                     "5e-324", "-0.0", "1_000", "[" * 10**5, *FRAMEWORKS, "mnist",
+                     "homogeneous", "logits", *TIERS]),
+    st.integers(-2**70, 2**70).map(str),
+    st.floats().map(json.dumps), st.floats().map(repr),
+    # Around Python's limit of 4,300 digits in an int read from text.
+    st.integers(4295, 4305).map(lambda n: "9" * n),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n"),
+            max_size=6),
+    st.text(max_size=6).map(json.dumps))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzz_config_file(tmp_path_factory, data):
+    """A config file with drawn values, dropped and repeated lines, a flipped
+    byte or a cut loads to a config whose snapshot loads back to the same
+    hash, or fails with a ConfigError; validate-config exits 0 or 2."""
+    draw = data.draw
+    lines = list(_CONF_LINES)
+    for _ in range(draw(st.integers(0, 4), label="values")):
+        key = draw(st.sampled_from(sorted(CONFIG_KEYS)), label="key")
+        line = f"{key} = {draw(_CONF_VALUES, label='value')}"
+        at = [i for i, text in enumerate(lines)
+              if text.startswith(f"{CONFIG_KEYS[key]} = ")]
+        if at:
+            lines[at[0]] = line
+        else:
+            lines.append(line)
+    for _ in range(draw(st.integers(0, 2), label="line edits")):
+        i = draw(st.integers(0, len(lines) - 1), label="line")
+        if draw(st.booleans(), label="drop"):
+            del lines[i]
+        else:
+            lines.insert(i, lines[i])
+    raw = bytearray("\n".join(lines).encode("utf-8"))
+    edit = draw(st.sampled_from(["none", "flip", "cut"]), label="byte edit")
+    pos = draw(st.integers(0, len(raw) - 1), label="pos")
+    if edit == "flip":
+        raw[pos] ^= draw(st.integers(1, 255), label="flip")
+    elif edit == "cut":
+        del raw[pos:]
+    path = tmp_path_factory.mktemp("fuzz") / "exp.conf"
+    path.write_bytes(bytes(raw))
+    try:
+        cfg = load_config(path)
+    except ConfigError:
+        event("rejected")
+    else:
+        event("loaded")
+        snap = path.with_name("config.snapshot")
+        snap.write_text(cfg.snapshot_text(), encoding="utf-8")
+        assert load_config(snap).config_hash() == cfg.config_hash()
+    assert cli_main(["validate-config", "--config", str(path)]) in (0, 2)
 
 
 # --- experiment loop ---------------------------------------------------------
