@@ -13,10 +13,9 @@ from .errors import (ConfigError, ConflictError, DimensionError, DivergenceError
                      StateError, ValidationError)
 from .harness import (ExperimentConfig, RunReport, emit_metrics, load_config,
                       run_experiment, sweep, unlearn_demo, verify_unlearning)
-from .numeric import (MlpModel, MlpSpec, accuracy, cross_entropy, init_mlp,
-                      kl_divergence, mlp_backward, mlp_forward, onehot_labels,
-                      sgd_step, sgd_train, softmax_temp, tier_spec,
-                      training_step_count)
+from .numeric import (MlpModel, MlpSpec, accuracy, init_mlp, kl_divergence,
+                      mlp_backward, mlp_forward, onehot_labels, sgd_step,
+                      sgd_train, softmax_temp, tier_spec, training_step_count)
 from .simulation import (ClientState, EventLog, SimConfig, Topology,
                          evaluate_all, handle_unlearn_request, init_network,
                          run_round)

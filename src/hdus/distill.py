@@ -20,7 +20,7 @@ from .numeric import (MlpModel, MlpSpec, _divergence, _train_stack,
 @dataclass
 class DistillConfig:
     temperature: float = 3.0
-    epochs: int = 4
+    epochs: int = 8
     lr: float = 0.1
     batch_size: int = 32
 

@@ -20,7 +20,7 @@ SEED_FORMAT_VERSION = 1
 
 @dataclass
 class EnsembleConfig:
-    lam: float = 0.3            # weight on the neighbor-seed ensemble
+    lam: float = 0.6            # weight on the neighbor-seed ensemble
     combine: str = "proba"      # "proba" (default) or "logits"
 
     def __post_init__(self):

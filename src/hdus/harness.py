@@ -8,6 +8,7 @@ import json
 import math
 import numbers
 import os
+import sys
 import tempfile
 import typing
 from dataclasses import dataclass, fields, replace
@@ -185,8 +186,16 @@ def _typed(name: str, value: object) -> object:
     route (files, flags, `replace`, code): a nullable field takes None, an int
     field any integral number but a bool, stored as a Python int, a float
     field any real number but a bool, stored as a Python float, and a str
-    field only a str. Anything else raises ConfigError naming the field."""
+    field only a str. Anything else raises ConfigError naming the field, as
+    does an int past Python's limit on int digits, which neither `json.dumps`
+    (the hash and snapshot) nor an error message could write."""
     kind, nullable = _FIELD_KINDS[name]
+    if isinstance(value, int):
+        try:
+            repr(value)
+        except ValueError:
+            raise ConfigError(f"{name}: past Python's limit of "
+                              f"{sys.get_int_max_str_digits()} int digits") from None
     if type(value) is kind or (value is None and nullable):
         return value
     if not isinstance(value, (bool, np.bool_)):

@@ -1,5 +1,8 @@
 """Dense numeric substrate: ReLU MLPs with hand-derived gradients, plain SGD,
-temperature softmax, KL divergence and cross-entropy.
+temperature softmax and KL divergence. There is one loss, the distillation
+loss T^2 * mean KL(targets || softmax(logits / T)); cross-entropy is that loss
+at T = 1 with one-hot targets, in training (`_train_stack`) and in
+`mlp_backward`.
 
 All arrays are float64 numpy arrays. Every operation is a deterministic
 function of its inputs plus an explicit numpy Generator where randomness is
@@ -195,28 +198,6 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     return float(terms.sum(axis=-1).mean())
 
 
-def _check_onehot(onehot: np.ndarray, class_count: int) -> np.ndarray:
-    onehot = np.asarray(onehot, dtype=np.float64)
-    if onehot.ndim != 2 or onehot.shape[1] != class_count:
-        raise DimensionError(
-            f"one-hot matrix shape {onehot.shape} incompatible with C={class_count}")
-    ok = (np.abs(onehot.sum(axis=1) - 1.0) < 1e-12) & \
-         ((onehot == 1.0).sum(axis=1) == 1) & ((onehot == 0.0).sum(axis=1) == class_count - 1)
-    if not ok.all():
-        raise ValidationError(f"malformed one-hot row at index {int(np.argmin(ok))}")
-    return onehot
-
-
-def cross_entropy(logits: np.ndarray, onehot: np.ndarray) -> float:
-    """Batch-mean -ln softmax(logits)[true class], log-sum-exp stabilized."""
-    logits = np.asarray(logits, dtype=np.float64)
-    onehot = _check_onehot(onehot, logits.shape[1])
-    zmax = logits.max(axis=1, keepdims=True)
-    lse = zmax[:, 0] + np.log(np.exp(logits - zmax).sum(axis=1))
-    true_logit = (logits * onehot).sum(axis=1)
-    return float((lse - true_logit).mean())
-
-
 def _forward_cached(model: MlpModel, batch: np.ndarray):
     """Forward pass keeping per-layer inputs for backprop. A stacked model
     takes a stacked batch, one B x F slice per model."""
@@ -257,37 +238,32 @@ def mlp_backward(model: MlpModel, batch: np.ndarray, *,
                  onehot: np.ndarray | None = None,
                  teacher_soft: np.ndarray | None = None,
                  temperature: float | None = None) -> tuple[float, np.ndarray]:
-    """Loss and exact analytic gradients for one of two loss branches.
+    """Loss and exact analytic gradients of the one loss,
+    T^2 * mean KL(targets || softmax(logits / T)). The student logits are
+    softened with the same temperature as the targets, and T^2 compensates
+    the usual 1/T gradient attenuation; the returned gradient is the exact
+    gradient of the returned loss.
 
-    Cross-entropy branch (pass `onehot`): batch-mean softmax cross-entropy
-    against one-hot labels.
-
-    Distillation branch (pass `teacher_soft` and `temperature`): the student
-    logits are softened with the same temperature as the teacher targets and
-    the loss is T^2 * mean KL(teacher || student_soft), so the usual 1/T
-    gradient attenuation is compensated and the returned gradient is the
-    exact gradient of the returned loss.
+    Distillation: pass `teacher_soft` and `temperature`. Cross-entropy: pass
+    `onehot`, the targets at T = 1; KL against a one-hot row is -ln of the
+    true class's probability.
 
     The gradient is one array shaped like `model.params`, in the same order.
     """
     if (onehot is None) == (teacher_soft is None):
         raise ValidationError("pass exactly one of onehot / teacher_soft")
+    if onehot is not None:
+        teacher_soft, temperature = onehot, 1.0
+    elif temperature is None:
+        raise ValidationError("distillation branch requires a temperature")
     inputs = _forward_cached(model, batch)
     logits = inputs[-1]
-    n = logits.shape[0]
-    if onehot is not None:
-        loss = cross_entropy(logits, onehot)
-        dlogits = (softmax_temp(logits, 1.0) - onehot) / n
-    else:
-        if temperature is None:
-            raise ValidationError("distillation branch requires a temperature")
-        teacher_soft = np.asarray(teacher_soft, dtype=np.float64)
-        if teacher_soft.shape != logits.shape:
-            raise DimensionError(
-                f"teacher targets shape {teacher_soft.shape} != logits {logits.shape}")
-        student_soft = softmax_temp(logits, temperature)
-        loss = temperature ** 2 * kl_divergence(teacher_soft, student_soft)
-        dlogits = temperature * (student_soft - teacher_soft) / n
+    targets = np.asarray(teacher_soft, dtype=np.float64)
+    if targets.shape != logits.shape:
+        raise DimensionError(f"targets shape {targets.shape} != logits {logits.shape}")
+    student_soft = softmax_temp(logits, temperature)
+    loss = temperature ** 2 * kl_divergence(targets, student_soft)
+    dlogits = temperature * (student_soft - targets) / logits.shape[0]
     return loss, _backprop(model, inputs, dlogits,
                            MlpModel(model.spec, np.empty(model.params.shape)))
 

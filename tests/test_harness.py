@@ -25,6 +25,7 @@ from hdus.harness import (CONFIG_KEYS, FRAMEWORKS, ExperimentConfig,
                           summary_csv_text, timeline_csv_text, unlearn_demo,
                           verify_unlearning)
 from hdus.numeric import TIERS
+from hdus.simulation import SimConfig
 from test_data import make_idx
 
 
@@ -81,18 +82,33 @@ def test_validate_catches_bad_fields():
                                              dict(lr="0.1"), dict(ensemble_lambda=None),
                                              dict(master_seed=True), dict(incubate_lr=True),
                                              dict(output_path=5), dict(output_path="o\0x"))
-                                  for k, v in kw.items())],
+                                  for k, v in kw.items()),
+                                *(pytest.param({k: 10**5000}, id=f"{k}=10**5000")
+                                  for k in ("master_seed", "rounds", "repeats", "n_clients",
+                                            "ref_size", "blob_features", "framework"))],
                          ids=lambda kw: next(iter(kw)))
 def test_config_is_checked_when_built(kw):
     """Building a config checks it, from code as from `replace` (which the
     file and flag readers use too); the error names the bad key. A value of
     the wrong type is one: an int field takes no float and a float field no
-    str, neither takes a bool, and only a nullable field takes None."""
+    str, neither takes a bool, and only a nullable field takes None. So is an
+    int too long for Python to write as text, which no hash, snapshot or
+    message could hold."""
     (key,) = kw
     with pytest.raises(ConfigError, match=f"^{key}: "):
         ExperimentConfig(**kw)
     with pytest.raises(ConfigError, match=f"^{key}: "):
         replace(tiny(), **kw)
+
+
+def test_module_config_defaults_are_the_experiments():
+    """A library caller who composes the module configs' defaults trains,
+    incubates and ensembles as a default run does."""
+    sim = SimConfig()
+    built = harness._sim_config(ExperimentConfig(), 20, 10)
+    for name in ("distill", "ensemble", "local_epochs", "lr", "batch_size",
+                 "incubate_every_rounds"):
+        assert getattr(sim, name) == getattr(built, name), name
 
 
 def test_config_stores_one_type_per_field():
