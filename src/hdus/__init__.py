@@ -14,8 +14,8 @@ from .errors import (ConfigError, ConflictError, DimensionError, DivergenceError
 from .harness import (ExperimentConfig, RunReport, emit_metrics, load_config,
                       run_experiment, sweep, unlearn_demo, verify_unlearning)
 from .numeric import (MlpModel, MlpSpec, accuracy, init_mlp, kl_divergence,
-                      mlp_backward, mlp_forward, onehot_labels, sgd_step,
-                      sgd_train, softmax_temp, tier_spec, training_step_count)
+                      mlp_forward, onehot_labels, sgd_train, softmax_temp,
+                      tier_spec)
 from .simulation import (ClientState, EventLog, SimConfig, Topology,
                          evaluate_all, handle_unlearn_request, init_network,
                          run_round)

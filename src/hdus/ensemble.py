@@ -35,16 +35,12 @@ class SeedRepository:
     """Ordered collection of neighbor seed models. Never holds an entry for
     the owning client itself.
 
-    `entries` is the (neighbor id, seed) list in arrival order. Callers read
-    it; `add_neighbor_seed` and `unlearn_neighbor` write it, and keep the id
-    set that answers `in` in step."""
+    `entries` is the (neighbor id, seed) list in arrival order and the one
+    record: `in` scans it. `add_neighbor_seed` and `unlearn_neighbor` write
+    it."""
 
     owner_id: int
     entries: list[tuple[int, MlpModel]] = field(default_factory=list)
-    _ids: set[int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._ids = {nid for nid, _ in self.entries}
 
     def neighbor_ids(self) -> list[int]:
         return [nid for nid, _ in self.entries]
@@ -53,7 +49,7 @@ class SeedRepository:
         return len(self.entries)
 
     def __contains__(self, neighbor_id: int) -> bool:
-        return neighbor_id in self._ids
+        return neighbor_id in self.neighbor_ids()
 
 
 def add_neighbor_seed(repo: SeedRepository, neighbor_id: int,
@@ -71,7 +67,6 @@ def add_neighbor_seed(repo: SeedRepository, neighbor_id: int,
                 f"({seed.spec.in_dim}, {seed.spec.out_dim}), repository holds "
                 f"({ref_spec.in_dim}, {ref_spec.out_dim})")
     repo.entries.append((neighbor_id, seed))
-    repo._ids.add(neighbor_id)
     return repo
 
 
@@ -81,7 +76,6 @@ def unlearn_neighbor(repo: SeedRepository, neighbor_id: int) -> SeedRepository:
         raise NotFoundError(f"neighbor {neighbor_id} not in repository of "
                             f"client {repo.owner_id}")
     del repo.entries[repo.neighbor_ids().index(neighbor_id)]
-    repo._ids.remove(neighbor_id)
     return repo
 
 

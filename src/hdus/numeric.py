@@ -198,12 +198,6 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     return float(terms.sum(axis=-1).mean())
 
 
-def _forward_cached(model: MlpModel, batch: np.ndarray):
-    """Forward pass keeping per-layer inputs for backprop. A stacked model
-    takes a stacked batch, one B x F slice per model."""
-    return _layers(model, _check_batch(model, batch))
-
-
 def _layers(model: MlpModel, x: np.ndarray) -> list[np.ndarray]:
     """The layer loop: the input, then each layer's output. `x` is a checked
     batch, or for one model any stack of batches, which share its weights.
@@ -234,35 +228,32 @@ def _backprop(model: MlpModel, inputs: list[np.ndarray], dlogits: np.ndarray,
     return grad.params
 
 
-def mlp_backward(model: MlpModel, batch: np.ndarray, *,
-                 onehot: np.ndarray | None = None,
-                 teacher_soft: np.ndarray | None = None,
-                 temperature: float | None = None) -> tuple[float, np.ndarray]:
+def mlp_backward(model: MlpModel, batch: np.ndarray, targets: np.ndarray,
+                 temperature: float) -> tuple[float, np.ndarray]:
     """Loss and exact analytic gradients of the one loss,
-    T^2 * mean KL(targets || softmax(logits / T)). The student logits are
-    softened with the same temperature as the targets, and T^2 compensates
-    the usual 1/T gradient attenuation; the returned gradient is the exact
-    gradient of the returned loss.
+    T^2 * mean KL(targets || softmax(logits / T)), toward probability rows
+    `targets`; one-hot rows at T = 1 give cross-entropy. The student logits
+    are softened with the same temperature as the targets, and T^2
+    compensates the usual 1/T gradient attenuation.
 
-    Distillation: pass `teacher_soft` and `temperature`. Cross-entropy: pass
-    `onehot`, the targets at T = 1; KL against a one-hot row is -ln of the
-    true class's probability.
-
-    The gradient is one array shaped like `model.params`, in the same order.
+    The loss is computed from the log-softmax of logits / T, with
+    0 * ln 0 = 0, so it is the exact loss whose gradient is returned even
+    where a probability underflows. The gradient is one array shaped like
+    `model.params`, in the same order.
     """
-    if (onehot is None) == (teacher_soft is None):
-        raise ValidationError("pass exactly one of onehot / teacher_soft")
-    if onehot is not None:
-        teacher_soft, temperature = onehot, 1.0
-    elif temperature is None:
-        raise ValidationError("distillation branch requires a temperature")
-    inputs = _forward_cached(model, batch)
+    inputs = _layers(model, _check_batch(model, batch))
     logits = inputs[-1]
-    targets = np.asarray(teacher_soft, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
     if targets.shape != logits.shape:
         raise DimensionError(f"targets shape {targets.shape} != logits {logits.shape}")
     student_soft = softmax_temp(logits, temperature)
-    loss = temperature ** 2 * kl_divergence(targets, student_soft)
+    if (np.abs(targets.sum(axis=-1) - 1.0) > 1e-9).any():
+        raise DomainError("target rows must each sum to 1 within 1e-9")
+    z = logits / temperature
+    z -= z.max(axis=-1, keepdims=True)
+    z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))   # ln softmax(logits / T)
+    terms = targets * (np.log(np.where(targets > 0, targets, 1.0)) - z)
+    loss = temperature ** 2 * float(terms.sum(axis=-1).mean())
     dlogits = temperature * (student_soft - targets) / logits.shape[0]
     return loss, _backprop(model, inputs, dlogits,
                            MlpModel(model.spec, np.empty(model.params.shape)))
@@ -321,6 +312,7 @@ def _train_stack(stack: MlpModel, features: np.ndarray, targets: np.ndarray,
     """
     if batch_size < 1:
         raise DomainError(f"batch_size must be >= 1, got {batch_size}")
+    features = _check_batch(stack, features)
     grad = MlpModel(stack.spec, np.empty(stack.params.shape))   # reused every step
     n = features.shape[1]
     rows = np.arange(len(stack.params))[:, np.newaxis]
@@ -328,7 +320,7 @@ def _train_stack(stack: MlpModel, features: np.ndarray, targets: np.ndarray,
         orders = np.stack([rng.permutation(n) for rng in rngs])
         for start in range(0, n, batch_size):
             idx = orders[:, start:start + batch_size]
-            inputs = _forward_cached(stack, features[rows, idx])
+            inputs = _layers(stack, features[rows, idx])
             student = softmax_temp(inputs[-1], temperature)
             if not np.isfinite(student).all():
                 raise _divergence(student, f"non-finite student output at epoch {epoch}")

@@ -117,9 +117,11 @@ def init_network(partition: PartitionedDataset, specs: list[MlpSpec],
     n = partition.n_clients
     if len(specs) != n:
         raise ConfigError(f"{len(specs)} specs for {n} clients")
-    dims = {(s.in_dim, s.out_dim) for s in specs}
-    if len(dims) != 1:
-        raise ConfigError(f"all specs must share (F, C), got {sorted(dims)}")
+    dims = (partition.test.features.shape[1], partition.test.class_count)
+    for i, s in enumerate(specs):
+        if (s.in_dim, s.out_dim) != dims:
+            raise ConfigError(f"client {i}: spec (F, C) = ({s.in_dim}, {s.out_dim}), "
+                              f"partition has {dims}")
     clients = []
     for i in range(n):
         train_rng, distill_rng = client_rng_streams(master_seed, i)

@@ -24,6 +24,7 @@ from hdus.harness import (FRAMEWORKS, ExperimentConfig, build_partition,
 from hdus.numeric import (MlpModel, MlpSpec, _train_stack, init_mlp,
                           kl_divergence, mlp_backward, mlp_forward, sgd_train,
                           softmax_temp, training_step_count)
+from oracles import central_differences
 
 
 _CAPMAN = None
@@ -106,20 +107,6 @@ def test_criterion_2_zero_retraining_step_counter():
            ", ".join(f"{k}={v}" for k, v in deltas.items()))
 
 
-def _central_differences(model, loss, h=1e-5) -> np.ndarray:
-    """d loss / d params of `model`, one central difference per parameter."""
-    theta = model.params
-    probe = model.copy()
-    fd = np.empty_like(theta)
-    for i in range(theta.size):
-        probe.params[i] = theta[i] + h
-        up = loss(probe)
-        probe.params[i] = theta[i] - h
-        fd[i] = (up - loss(probe)) / (2 * h)
-        probe.params[i] = theta[i]
-    return fd
-
-
 def _rel_err(g, fd) -> float:
     return float(np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-12))
 
@@ -141,10 +128,9 @@ def test_criterion_3_gradient_correctness():
         x = rng.normal(size=(5, dims[0]))
         onehot = np.eye(dims[-1])[rng.integers(0, dims[-1], size=5)]
         teacher = softmax_temp(rng.normal(size=(5, dims[-1])), 2.0)
-        for kwargs in (dict(onehot=onehot),
-                       dict(teacher_soft=teacher, temperature=2.0)):
-            _, grads = mlp_backward(model, x, **kwargs)
-            fd = _central_differences(model, lambda m: mlp_backward(m, x, **kwargs)[0])
+        for targets, T in ((onehot, 1.0), (teacher, 2.0)):
+            _, grads = mlp_backward(model, x, targets, T)
+            fd = central_differences(model, lambda m: mlp_backward(m, x, targets, T)[0])
             worst = max(worst, _rel_err(grads, fd))
         losses = {   # temperature -> (targets, loss)
             1.0: (onehot, lambda m: -np.log(
@@ -156,7 +142,7 @@ def test_criterion_3_gradient_correctness():
             _train_stack(stack, x[np.newaxis], targets[np.newaxis], T, epochs=1,
                          lr=1.0, batch_size=5, rngs=[np.random.default_rng(trial)])
             worst = max(worst, _rel_err(model.params - stack.params[0],
-                                        _central_differences(model, loss)))
+                                        central_differences(model, loss)))
     elapsed = time.monotonic() - t0
     report(3, "analytic gradients match finite differences",
            worst <= 1e-4 and elapsed <= 30.0,

@@ -7,9 +7,9 @@ from hdus.data import gen_blobs
 from hdus.distill import (DistillConfig, ReferenceSet, distill_fidelity,
                           incubate_seed, incubate_seeds)
 from hdus.errors import ConfigError, DivergenceError
-from hdus.numeric import (MlpSpec, init_mlp, mlp_backward, mlp_forward,
-                          sgd_step, sgd_train, softmax_temp,
-                          training_step_count)
+from hdus.numeric import (MlpSpec, init_mlp, mlp_forward, sgd_train,
+                          softmax_temp, training_step_count)
+from oracles import sgd_2d
 
 
 @pytest.fixture(scope="module")
@@ -150,21 +150,12 @@ def test_init_spec_must_match_seed_spec(blob_task):
 # --- one stack for many clients ---------------------------------------------
 
 def _incubate_2d(main, seed_spec, ref, cfg, rng, init=None):
-    """Oracle: one client's incubation as a loop over the 2-D public
-    functions, the way it ran before incubation was stacked."""
+    """Oracle: one client's incubation as the 2-D loop `sgd_2d`, the way it
+    ran before incubation was stacked."""
     seed = init.copy() if init is not None else init_mlp(seed_spec, rng)
     targets = softmax_temp(mlp_forward(main, ref.features), cfg.temperature)
-    n = len(ref)
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            _, grads = mlp_backward(seed, ref.features[idx],
-                                    teacher_soft=targets[idx],
-                                    temperature=cfg.temperature)
-            if cfg.lr > 0:
-                sgd_step(seed, grads, cfg.lr)
-    return seed
+    return sgd_2d(seed, ref.features, targets, cfg.temperature, cfg.epochs,
+                  cfg.lr, cfg.batch_size, rng)
 
 
 def _bits(model):

@@ -25,6 +25,17 @@ def setup():
     return main, repo, batch
 
 
+def test_membership_reads_entries(setup):
+    """`entries` is the repository's one record: after a caller edits it
+    directly, `in` answers from it and a re-add succeeds."""
+    _, repo, _ = setup
+    nid, seed = repo.entries[0]
+    repo.entries.clear()
+    assert nid not in repo
+    add_neighbor_seed(repo, nid, seed)
+    assert repo.neighbor_ids() == [nid] and nid in repo
+
+
 def test_ensemble_is_convex_combination(setup):
     """Oracle: recompute (1 - lam) * p_main + lam/K * sum p_k by hand."""
     main, repo, batch = setup

@@ -6,31 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hdus.numeric
 from hdus.errors import (DimensionError, DivergenceError, DomainError,
                          ValidationError)
-from hdus.numeric import (MlpModel, MlpSpec, _backprop, _forward_cached,
-                          accuracy, init_mlp, kl_divergence,
-                          mlp_backward, mlp_forward, onehot_labels, sgd_step,
-                          sgd_train, softmax_temp, tier_spec,
-                          training_step_count)
-
-
-def finite_diff_grad(model, loss_fn, step=1e-5):
-    """Central finite differences over the flattened parameter vector."""
-    flat = model.params.copy()
-    grad = np.zeros_like(flat)
-    for i in range(flat.size):
-        for sign in (+1, -1):
-            bumped = flat.copy()
-            bumped[i] += sign * step
-            model.params[...] = bumped
-            if sign > 0:
-                plus = loss_fn(model)
-            else:
-                minus = loss_fn(model)
-        grad[i] = (plus - minus) / (2 * step)
-    model.params[...] = flat
-    return grad
+from hdus.numeric import (MlpModel, MlpSpec, _backprop, _layers, accuracy,
+                          init_mlp, kl_divergence, mlp_backward, mlp_forward,
+                          onehot_labels, sgd_step, sgd_train, softmax_temp,
+                          tier_spec, training_step_count)
+from oracles import central_differences, sgd_2d
 
 
 def zero_model(dims):
@@ -215,7 +198,7 @@ def ce_loss(logits, onehot):
     are its batch."""
     m = zero_model((logits.shape[1],) * 2)
     m.weights[0][...] = np.eye(logits.shape[1])
-    return mlp_backward(m, logits, onehot=onehot)[0]
+    return mlp_backward(m, logits, onehot, 1.0)[0]
 
 
 class TestCrossEntropy:
@@ -246,8 +229,8 @@ class TestBackward:
         m = init_mlp(MlpSpec((4, 8, 3)), rng)
         x = rng.normal(size=(6, 4))
         onehot = onehot_labels(rng.integers(0, 3, size=6), 3)
-        loss, grads = mlp_backward(m, x, onehot=onehot)
-        fd = finite_diff_grad(m, lambda mm: mlp_backward(mm, x, onehot=onehot)[0])
+        loss, grads = mlp_backward(m, x, onehot, 1.0)
+        fd = central_differences(m, lambda mm: mlp_backward(mm, x, onehot, 1.0)[0])
         g = grads
         rel = np.abs(g - fd) / np.maximum(1e-8, np.abs(g) + np.abs(fd))
         assert rel.max() <= 1e-4
@@ -259,10 +242,8 @@ class TestBackward:
         m = init_mlp(MlpSpec((4, 8, 3)), rng)
         x = rng.normal(size=(5, 4))
         teacher = softmax_temp(rng.normal(size=(5, 3)), 2.5)
-        _, grads = mlp_backward(m, x, teacher_soft=teacher, temperature=2.5)
-        fd = finite_diff_grad(
-            m, lambda mm: mlp_backward(mm, x, teacher_soft=teacher,
-                                       temperature=2.5)[0])
+        _, grads = mlp_backward(m, x, teacher, 2.5)
+        fd = central_differences(m, lambda mm: mlp_backward(mm, x, teacher, 2.5)[0])
         g = grads
         rel = np.abs(g - fd) / np.maximum(1e-8, np.abs(g) + np.abs(fd))
         assert rel.max() <= 1e-4
@@ -272,7 +253,7 @@ class TestBackward:
         m = init_mlp(MlpSpec((3, 5, 4)), rng)
         x = rng.normal(size=(7, 3))
         teacher = softmax_temp(mlp_forward(m, x), 3.0)
-        loss, grads = mlp_backward(m, x, teacher_soft=teacher, temperature=3.0)
+        loss, grads = mlp_backward(m, x, teacher, 3.0)
         assert abs(loss) <= 1e-10
         assert np.abs(grads).max() <= 1e-10
 
@@ -282,14 +263,29 @@ class TestBackward:
         m.weights[0][...] = np.eye(3)
         x = np.array([[0.5, -1.0, 2.0]])
         onehot = onehot_labels(np.array([2]), 3)
-        _, grads = mlp_backward(m, x, onehot=onehot)
+        _, grads = mlp_backward(m, x, onehot, 1.0)
         expected = x.T @ (softmax_temp(mlp_forward(m, x), 1.0) - onehot)
         assert np.allclose(MlpModel(m.spec, grads).weights[0], expected, atol=1e-14)
 
-    def test_requires_exactly_one_branch(self):
+    def test_loss_is_exact_where_a_probability_underflows(self):
+        """Logits [0, -50] toward class 1: the loss is 50, not capped where
+        the probability underflows a clamp, and its central differences are
+        the returned gradient."""
         m = zero_model((2, 2))
-        with pytest.raises(ValidationError):
-            mlp_backward(m, np.ones((1, 2)))
+        m.weights[0][...] = np.eye(2)
+        x = np.array([[0.0, -50.0]])
+        onehot = onehot_labels(np.array([1]), 2)
+        loss, grads = mlp_backward(m, x, onehot, 1.0)
+        assert loss == 50.0
+        fd = central_differences(m, lambda mm: mlp_backward(mm, x, onehot, 1.0)[0])
+        assert np.allclose(MlpModel(m.spec, fd).biases[0], [1.0, -1.0], atol=1e-6)
+        rel = np.abs(grads - fd) / np.maximum(1e-8, np.abs(grads) + np.abs(fd))
+        assert rel.max() <= 1e-4
+
+    def test_target_rows_must_sum_to_one(self):
+        m = zero_model((2, 2))
+        with pytest.raises(DomainError):
+            mlp_backward(m, np.ones((1, 2)), np.array([[0.5, 0.6]]), 1.0)
 
 
 class TestSgdStep:
@@ -396,14 +392,14 @@ class TestStack:
         batch = rng.normal(size=(3, 9, 4))
         dlogits = rng.normal(size=(3, 9, 3))
         stack = MlpModel(models[0].spec, np.stack([m.params for m in models]))
-        inputs = _forward_cached(stack, batch)
+        inputs = _layers(stack, batch)
         grads = _backprop(stack, inputs, dlogits,
                           MlpModel(stack.spec, np.empty(stack.params.shape)))
         before = training_step_count()
         sgd_step(stack, grads, 0.1)
         assert training_step_count() - before == 3
         for k, model in enumerate(models):
-            alone = _forward_cached(model, batch[k])
+            alone = _layers(model, batch[k])
             assert all(np.array_equal(s[k], a) for s, a in zip(inputs, alone))
             g = _backprop(model, alone, dlogits[k],
                           MlpModel(model.spec, np.empty(model.params.shape)))
@@ -415,8 +411,8 @@ class TestStack:
     def test_stack_needs_a_stacked_batch(self):
         a = init_mlp(MlpSpec((4, 6, 3)), np.random.default_rng(1))
         with pytest.raises(DimensionError, match="3-D"):
-            _forward_cached(MlpModel(a.spec, np.stack([a.params, a.params])),
-                            np.zeros((5, 4)))
+            mlp_forward(MlpModel(a.spec, np.stack([a.params, a.params])),
+                        np.zeros((5, 4)))
         with pytest.raises(DimensionError, match="2-D"):
             mlp_forward(a, np.zeros((2, 5, 4)))
 
@@ -456,20 +452,6 @@ class TestFlatParams:
 
 # --- one minibatch loop: sgd_train is the stack of one ----------------------
 
-def _sgd_train_2d(model, features, labels, class_count, epochs, lr, batch_size, rng):
-    """Oracle: minibatch cross-entropy SGD as a loop over the 2-D public
-    functions, the way `sgd_train` ran before it became a stack of one."""
-    onehot = onehot_labels(labels, class_count)
-    n = features.shape[0]
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
-            _, grads = mlp_backward(model, features[idx], onehot=onehot[idx])
-            if lr > 0:
-                sgd_step(model, grads, lr)
-
-
 @settings(max_examples=20, deadline=None)
 @given(tier=st.sampled_from(["small", "medium", "large"]),
        dims=st.tuples(st.integers(2, 7), st.integers(2, 5)),
@@ -479,7 +461,7 @@ def _sgd_train_2d(model, features, labels, class_count, epochs, lr, batch_size, 
 def test_sgd_train_equals_2d_oracle(tier, dims, batch_size, full_batches,
                                     epochs, lr, data):
     """`sgd_train` leaves the model's own arrays bitwise where the 2-D loop
-    leaves a copy, from the same rng, with a partial last minibatch, and
+    `sgd_2d` leaves a copy, from the same rng, with a partial last minibatch, and
     counts the same steps (none at lr = 0)."""
     F, C = dims
     n = full_batches * batch_size + data.draw(st.integers(1, batch_size - 1),
@@ -493,9 +475,16 @@ def test_sgd_train_equals_2d_oracle(tier, dims, batch_size, full_batches,
                      np.random.default_rng(7)) is None
     steps = training_step_count() - before
     before = training_step_count()
-    _sgd_train_2d(oracle, features, labels, C, epochs, lr, batch_size,
-                  np.random.default_rng(7))
+    sgd_2d(oracle, features, onehot_labels(labels, C), 1.0, epochs, lr,
+           batch_size, np.random.default_rng(7))
     assert steps == training_step_count() - before \
         == (epochs * (full_batches + 1) if lr > 0 else 0)
     assert model.params.tobytes() == oracle.params.tobytes()
     assert all(a is b for a, b in zip(model.weights + model.biases, arrays))
+
+
+def test_oracle_names_are_not_exported():
+    """The test oracles and the step counter are read from `hdus.numeric`;
+    the package does not export them."""
+    for name in ("mlp_backward", "sgd_step", "training_step_count"):
+        assert not hasattr(hdus, name) and hasattr(hdus.numeric, name)

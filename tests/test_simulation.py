@@ -48,6 +48,18 @@ def fresh_network(partition, cfg, master_seed=0, specs=None):
     return init_network(partition, specs, topo, cfg, master_seed), topo
 
 
+def test_init_network_checks_each_spec_against_the_partition(partition):
+    """Specs that agree with each other but not with the partition's (F, C)
+    fail in `init_network`, naming the first client at fault, not in the
+    first training step."""
+    n = partition.n_clients
+    for specs, client in (([MlpSpec((F, 8, C + 2))] * n, 0),
+                          ([MlpSpec((F, 16, C))] * (n - 1) + [MlpSpec((F + 1, 16, C))],
+                           n - 1)):
+        with pytest.raises(ConfigError, match=f"client {client}: "):
+            fresh_network(partition, small_cfg(), specs=specs)
+
+
 def test_topology_invariants():
     topo = Topology.complete(range(4))
     assert topo.neighbors(0) == frozenset({1, 2, 3})
