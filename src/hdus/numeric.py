@@ -64,10 +64,11 @@ def tier_spec(tier: str, feature_dim: int, class_count: int) -> MlpSpec:
     return MlpSpec((feature_dim, *TIERS[tier], class_count))
 
 
-@dataclass
+@dataclass(eq=False)
 class MlpModel:
     """A ReLU MLP whose parameters are one float64 vector, `params`, in wire
-    order: for each layer, the weights row-major, then the biases.
+    order: for each layer, the weights row-major, then the biases. Models
+    compare and hash by identity, like the seed objects repositories share.
 
     `weights[i]` (fan_in x fan_out) and `biases[i]` are views into `params`,
     built once at construction, so writing `params` moves the layers and
@@ -86,8 +87,7 @@ class MlpModel:
     params: np.ndarray
     weights: list[np.ndarray] = field(init=False, repr=False)
     biases: list[np.ndarray] = field(init=False, repr=False)
-    _test_output: tuple | None = field(default=None, init=False, repr=False,
-                                       compare=False)
+    _test_output: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         p = self.params
@@ -168,7 +168,7 @@ def mlp_forward(model: MlpModel, batch: np.ndarray) -> np.ndarray:
 
 def softmax_temp(logits: np.ndarray, temperature: float) -> np.ndarray:
     """Temperature softmax with max-subtraction; row-wise on 2-D input."""
-    if temperature <= 0:
+    if not temperature > 0:      # NaN fails too
         raise DomainError(f"temperature must be > 0, got {temperature}")
     z = np.asarray(logits, dtype=np.float64)
     # One new array, never the input; every later pass writes it in place.
@@ -183,18 +183,20 @@ def softmax_temp(logits: np.ndarray, temperature: float) -> np.ndarray:
 
 
 def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
-    """Sum_i p_i ln(p_i / q_i) with q clamped below by 1e-12. 1-D inputs are
-    one distribution; 2-D inputs are rows of them, and the result is the mean
-    over rows."""
+    """Sum_i p_i (ln p_i - ln q_i), exactly: 0 ln 0 = 0, and the result is
+    +inf where p_i > 0 = q_i. 1-D inputs are one distribution; 2-D inputs are
+    rows of them, and the result is the mean over rows."""
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
         raise DimensionError(f"length mismatch: {p.shape} vs {q.shape}")
-    if (np.abs(p.sum(axis=-1) - 1.0) > 1e-9).any() or \
-            (np.abs(q.sum(axis=-1) - 1.0) > 1e-9).any():
-        raise DomainError("inputs must each sum to 1 within 1e-9")
-    q = np.maximum(q, 1e-12)
-    terms = np.where(p > 0, p * (np.log(np.maximum(p, 1e-300)) - np.log(q)), 0.0)
+    for x in (p, q):    # written so that a NaN fails both tests
+        if not ((x >= 0).all() and (np.abs(x.sum(axis=-1) - 1.0) <= 1e-9).all()):
+            raise DomainError("inputs must be rows of entries >= 0, each "
+                              "summing to 1 within 1e-9")
+    # ln 0 = -inf, and 0 * inf = NaN in the branch `where` discards.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(p > 0, p * (np.log(p) - np.log(q)), 0.0)
     return float(terms.sum(axis=-1).mean())
 
 
@@ -236,24 +238,18 @@ def mlp_backward(model: MlpModel, batch: np.ndarray, targets: np.ndarray,
     are softened with the same temperature as the targets, and T^2
     compensates the usual 1/T gradient attenuation.
 
-    The loss is computed from the log-softmax of logits / T, with
-    0 * ln 0 = 0, so it is the exact loss whose gradient is returned even
-    where a probability underflows. The gradient is one array shaped like
+    The loss is `kl_divergence` of the softened student output, so it is
+    exact while each softened probability a target weights stays normal in
+    float64: at T = 1 it reads 50.0, 700.0 and 708.0 at logit gaps of 50,
+    700 and 708, 720.000000000003 at 720, and +inf past a gap of about
+    745 * T. The gradient is exact at every gap. It is one array shaped like
     `model.params`, in the same order.
     """
     inputs = _layers(model, _check_batch(model, batch))
     logits = inputs[-1]
     targets = np.asarray(targets, dtype=np.float64)
-    if targets.shape != logits.shape:
-        raise DimensionError(f"targets shape {targets.shape} != logits {logits.shape}")
     student_soft = softmax_temp(logits, temperature)
-    if (np.abs(targets.sum(axis=-1) - 1.0) > 1e-9).any():
-        raise DomainError("target rows must each sum to 1 within 1e-9")
-    z = logits / temperature
-    z -= z.max(axis=-1, keepdims=True)
-    z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))   # ln softmax(logits / T)
-    terms = targets * (np.log(np.where(targets > 0, targets, 1.0)) - z)
-    loss = temperature ** 2 * float(terms.sum(axis=-1).mean())
+    loss = temperature ** 2 * kl_divergence(targets, student_soft)
     dlogits = temperature * (student_soft - targets) / logits.shape[0]
     return loss, _backprop(model, inputs, dlogits,
                            MlpModel(model.spec, np.empty(model.params.shape)))
@@ -264,7 +260,7 @@ def sgd_step(model: MlpModel, grad: np.ndarray, lr: float) -> MlpModel:
     `model.params`. Counts as one training step per model (N for a stack of
     N). The gradient is checked before any parameter changes."""
     global _TRAINING_STEPS
-    if lr < 0:
+    if not lr >= 0:     # NaN fails too
         raise DomainError(f"learning rate must be >= 0, got {lr}")
     if grad.shape != model.params.shape:
         raise DimensionError(f"gradient shape {grad.shape} != params {model.params.shape}")
@@ -277,6 +273,9 @@ def sgd_step(model: MlpModel, grad: np.ndarray, lr: float) -> MlpModel:
 
 def onehot_labels(labels: np.ndarray, class_count: int) -> np.ndarray:
     labels = np.asarray(labels)
+    if labels.size and not (labels.min() >= 0 and labels.max() < class_count):
+        raise DomainError(f"labels must lie in [0, {class_count}), got "
+                          f"{labels.min()} to {labels.max()}")
     out = np.zeros((labels.shape[0], class_count))
     out[np.arange(labels.shape[0]), labels] = 1.0
     return out
@@ -304,15 +303,24 @@ def _train_stack(stack: MlpModel, features: np.ndarray, targets: np.ndarray,
     view when the slices share rows), `targets` S x n x C, and each step
     gathers one minibatch per slice. No loss is computed.
 
-    Fail fast: the first step at which any slice's softened output or
-    gradient (`sgd_step`'s check) is not finite raises DivergenceError, whose
-    `index` is the lowest slice at fault in that step, and nothing trains
-    after it. Once a step has run the parameters are checked at the end too,
-    since a finite gradient can overflow them in the last step.
+    A bad batch size, learning rate or epoch count, or targets whose rows
+    do not match the features, fail before any step. Fail fast: the first
+    step at which any slice's softened output or gradient (`sgd_step`'s
+    check) is not finite raises DivergenceError, whose `index` is the lowest
+    slice at fault in that step, and nothing trains after it. Once a step
+    has run the parameters are checked at the end too, since a finite
+    gradient can overflow them in the last step.
     """
     if batch_size < 1:
         raise DomainError(f"batch_size must be >= 1, got {batch_size}")
+    if not 0 <= lr < np.inf:       # NaN fails too
+        raise DomainError(f"learning rate must be finite and >= 0, got {lr}")
+    if epochs < 0:
+        raise DomainError(f"epochs must be >= 0, got {epochs}")
     features = _check_batch(stack, features)
+    if targets.shape != (*features.shape[:2], stack.spec.out_dim):
+        raise DimensionError(f"targets shape {targets.shape} does not match "
+                             f"features {features.shape} and {stack.spec.out_dim} classes")
     grad = MlpModel(stack.spec, np.empty(stack.params.shape))   # reused every step
     n = features.shape[1]
     rows = np.arange(len(stack.params))[:, np.newaxis]

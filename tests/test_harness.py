@@ -16,7 +16,8 @@ import hdus.harness as harness
 from hdus import baselines as bl
 from hdus import cli
 from hdus.cli import main as cli_main
-from hdus.data import MAX_BLOB_ENTRIES
+from hdus.data import MAX_BLOB_ENTRIES, LabeledDataset
+from hdus.distill import ReferenceSet
 from hdus.ensemble import add_neighbor_seed, unlearn_neighbor
 from hdus.errors import ConfigError, DivergenceError, StateError
 from hdus.harness import (CONFIG_KEYS, FRAMEWORKS, ExperimentConfig,
@@ -25,7 +26,7 @@ from hdus.harness import (CONFIG_KEYS, FRAMEWORKS, ExperimentConfig,
                           summary_csv_text, timeline_csv_text, unlearn_demo,
                           verify_unlearning)
 from hdus.numeric import TIERS
-from hdus.simulation import SimConfig
+from hdus.simulation import EventLog, SimConfig, active_clients
 from test_data import make_idx
 
 
@@ -558,6 +559,81 @@ def test_verify_unlearning_reports_the_faulty_client(monkeypatch):
         unlearn_neighbor(c.repo, q) for c in clients if q in c.repo])
     assert verify_unlearning(tiny(rounds=3, unlearn_round=2,
                                   unlearn_client=2)) == ([2], 0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(setting=st.sampled_from(["homogeneous", "heterogeneous"]),
+       every=st.integers(1, 3), combine=st.sampled_from(["proba", "logits"]),
+       lam=st.sampled_from([0.0, 0.5]),
+       quit=st.one_of(st.none(), st.tuples(st.integers(0, 3), st.integers(0, 3))))
+def test_hdus_mains_are_isgd_mains(setting, every, combine, lam, quit):
+    """Incubation reads a main and never writes it or draws from its
+    client's `train_rng`: hdus and isgd from one seed hold bitwise-equal
+    mains after every round, with or without a quit. At lambda = 0 the
+    ensemble is the main alone, so their event logs match in every row but
+    the framework column."""
+    kw = {} if quit is None else dict(unlearn_round=quit[0], unlearn_client=quit[1])
+    cfgs = [tiny(framework=fw, rounds=4, setting=setting, incubate_every_rounds=every,
+                 combine=combine, ensemble_lambda=lam, **kw) for fw in ("hdus", "isgd")]
+    part = build_partition(cfgs[0], 0)
+    engines = [make_engine(cfg, part, 0) for cfg in cfgs]
+    logs = [EventLog(), EventLog()]
+    for r in range(4):
+        for engine, cfg, log in zip(engines, cfgs, logs):
+            harness._tick(engine, cfg, r)
+            engine.evaluate(log, r)
+        hdus_mains, isgd_mains = ([c.main.params.tobytes() for c in active_clients(e.clients)]
+                                  for e in engines)
+        assert hdus_mains == isgd_mains, r
+    if lam == 0.0:
+        hdus_rows, isgd_rows = ([(*rec[:2], *rec[3:]) for rec in log.records]
+                                for log in logs)
+        assert hdus_rows == isgd_rows
+
+
+def _reachable_arrays(root) -> list[np.ndarray]:
+    """Every ndarray reachable from `root` through instance attributes and
+    container items, except through the partition's datasets."""
+    found, seen, todo = [], set(), [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (LabeledDataset, ReferenceSet)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+        elif isinstance(obj, dict):
+            todo.extend([*obj.keys(), *obj.values()])
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            todo.extend(obj)
+        elif hasattr(obj, "__dict__"):
+            todo.extend(vars(obj).values())
+    return found
+
+
+@pytest.mark.parametrize("fw", FRAMEWORKS)
+def test_unlearn_leaves_no_memory_of_the_quitter(fw):
+    """Deleted is literal: after the unlearn and one further round, no array
+    reachable from the engine's clients, FedUnl server or sim config shares
+    memory with the quitter's last main, its own seed or the seed its
+    neighbours decoded. The read-only partition is excluded."""
+    cfg = tiny(framework=fw, rounds=3)
+    part = build_partition(cfg, 0)
+    for q in range(cfg.n_clients):
+        engine = make_engine(cfg, part, 0)
+        engine.round(0)
+        quitter = engine.clients[q]
+        gone = [quitter.main.params] + [
+            seed.params for seed in [quitter.own_seed] + [
+                dict(c.repo.entries).get(q) for c in engine.clients]
+            if seed is not None]
+        engine.unlearn(q)
+        engine.round(1)
+        reachable = _reachable_arrays([engine.clients, engine.server, engine.sim])
+        # The walk reaches every survivor's main, so the check below is not vacuous.
+        assert all(any(a is c.main.params for a in reachable)
+                   for c in active_clients(engine.clients))
+        assert not any(np.shares_memory(a, g) for a in reachable for g in gone), q
 
 
 # Each framework's round and unlearn functions, as the engine calls them:

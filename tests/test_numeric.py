@@ -111,6 +111,10 @@ class TestSoftmaxTemp:
         with pytest.raises(DomainError):
             softmax_temp(np.zeros(3), -1.0)
 
+    def test_nan_temperature_rejected(self):
+        with pytest.raises(DomainError):
+            softmax_temp(np.array([1.0, 2.0]), np.nan)
+
     def test_normalization_and_argmax_invariance(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
@@ -174,8 +178,23 @@ class TestKl:
         with pytest.raises(DimensionError):
             kl_divergence([0.5, 0.5], [0.2, 0.3, 0.5])
 
-    def test_zero_entries_in_q_are_clamped(self):
-        assert np.isfinite(kl_divergence([0.5, 0.5], [1.0, 0.0]))
+    def test_zero_entries_in_q_give_inf(self):
+        assert kl_divergence([0.5, 0.5], [1.0, 0.0]) == np.inf
+
+    def test_exact_values(self):
+        """No clamp: a tiny q counts in full, and 0 ln 0 = 0 raises no
+        warning."""
+        assert kl_divergence([1.0, 0.0], [1e-20, 1 - 1e-20]) == np.log(1e20)
+        assert kl_divergence([0.0, 1.0], [0.5, 0.5]) == np.log(2.0)
+        assert kl_divergence([[0.0, 1.0], [1.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]]) == 0.0
+
+    def test_entries_must_be_nonnegative(self):
+        """Rows that sum to 1 but hold a negative entry, or a NaN, are not
+        distributions."""
+        for p, q in (([1.5, -0.5], [0.5, 0.5]), ([0.5, 0.5], [1.5, -0.5]),
+                     ([np.nan, 1.0], [0.5, 0.5])):
+            with pytest.raises(DomainError):
+                kl_divergence(p, q)
 
     def test_rows_give_the_mean_of_row_values(self):
         rng = np.random.default_rng(6)
@@ -282,10 +301,29 @@ class TestBackward:
         rel = np.abs(grads - fd) / np.maximum(1e-8, np.abs(grads) + np.abs(fd))
         assert rel.max() <= 1e-4
 
+    def test_loss_bound_at_large_gaps(self):
+        """The loss is exact while the target's softened probability stays
+        normal, and +inf once it underflows to 0; the gradient is
+        softmax - onehot at every gap."""
+        m = zero_model((2, 2))
+        m.weights[0][...] = np.eye(2)
+        onehot = onehot_labels(np.array([1]), 2)
+        for gap, want in ((700.0, 700.0), (708.0, 708.0), (800.0, np.inf)):
+            loss, grads = mlp_backward(m, np.array([[0.0, -gap]]), onehot, 1.0)
+            assert loss == want
+            assert np.array_equal(MlpModel(m.spec, grads).biases[0], [1.0, -1.0])
+        loss, _ = mlp_backward(m, np.array([[0.0, -720.0]]), onehot, 1.0)
+        assert abs(loss - 720.0) < 1e-11
+
     def test_target_rows_must_sum_to_one(self):
         m = zero_model((2, 2))
         with pytest.raises(DomainError):
             mlp_backward(m, np.ones((1, 2)), np.array([[0.5, 0.6]]), 1.0)
+
+    def test_target_entries_must_be_nonnegative(self):
+        m = zero_model((2, 2))
+        with pytest.raises(DomainError):
+            mlp_backward(m, np.ones((1, 2)), np.array([[1.5, -0.5]]), 1.0)
 
 
 class TestSgdStep:
@@ -319,6 +357,12 @@ class TestSgdStep:
         g = np.concatenate([np.full(4, np.nan), np.zeros(2)])
         with pytest.raises(DivergenceError):
             sgd_step(m, g, 0.1)
+
+    def test_nan_learning_rate_rejected(self):
+        m = zero_model((2, 2))
+        with pytest.raises(DomainError):
+            sgd_step(m, np.ones(6), np.nan)
+        assert np.array_equal(m.params, np.zeros(6))
 
     def test_gradient_shape_must_match_params(self):
         m = zero_model((2, 2))
@@ -372,6 +416,24 @@ class TestAccuracy:
     def test_empty_batch_rejected(self):
         with pytest.raises(DomainError):
             accuracy(np.zeros((0, 3)), np.zeros(0, dtype=int))
+
+
+def test_onehot_labels_must_be_classes():
+    assert onehot_labels(np.array([2, 0]), 3).tolist() == [[0, 0, 1], [1, 0, 0]]
+    for bad in ([-1], [3], [0, 5]):
+        with pytest.raises(DomainError):
+            onehot_labels(np.array(bad), 3)
+
+
+def test_models_compare_by_identity():
+    """Two models are equal only if they are one object, so comparing,
+    searching a list and hashing work without comparing arrays."""
+    m = init_mlp(MlpSpec((3, 4, 2)), np.random.default_rng(0))
+    c = m.copy()
+    assert m == m and m != c
+    assert m in [c, m] and m not in [c]
+    assert [c, m].index(m) == 1
+    assert len({m, c, m}) == 2
 
 
 def test_spec_validation():
@@ -481,6 +543,17 @@ def test_sgd_train_equals_2d_oracle(tier, dims, batch_size, full_batches,
         == (epochs * (full_batches + 1) if lr > 0 else 0)
     assert model.params.tobytes() == oracle.params.tobytes()
     assert all(a is b for a, b in zip(model.weights + model.biases, arrays))
+
+
+def test_sgd_train_needs_one_label_per_row():
+    """Labels and feature rows are counted against each other once per call,
+    before any step, not found short in the middle of an epoch."""
+    model = init_mlp(MlpSpec((3, 4, 2)), np.random.default_rng(0))
+    before = model.params.copy()
+    with pytest.raises(DimensionError, match="targets shape"):
+        sgd_train(model, np.zeros((10, 3)), np.zeros(5, dtype=int), 2, 1, 0.1, 4,
+                  np.random.default_rng(1))
+    assert np.array_equal(model.params, before)
 
 
 def test_oracle_names_are_not_exported():

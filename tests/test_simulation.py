@@ -602,6 +602,23 @@ def test_local_training_stops_at_first_diverging_group():
     assert [_bits(c.main) for c in clients] == bits
 
 
+@pytest.mark.parametrize("lr, epochs", [(-0.1, 1), (np.nan, 1), (np.inf, 1),
+                                        (0.05, -1)])
+def test_bad_lr_or_epochs_is_rejected(lr, epochs):
+    """A negative or NaN learning rate, or negative epochs, would otherwise
+    train nothing and count no step, silently, and an infinite one would
+    diverge; training rejects each once per call, before any step."""
+    clients = _clients_with_splits(["small", "small"], [10, 10])
+    d = clients[0].local_data
+    bits = [_bits(c.main) for c in clients]
+    with pytest.raises(DomainError, match="^(learning rate|epochs) must be"):
+        sgd_train(clients[0].main, d.features, d.labels, C, epochs, lr, 4,
+                  np.random.default_rng(0))
+    with pytest.raises(DomainError, match="^(learning rate|epochs) must be"):
+        local_training_phase(clients, SimConfig(local_epochs=epochs, lr=lr))
+    assert [_bits(c.main) for c in clients] == bits
+
+
 @pytest.mark.parametrize("batch_size", [0, -5])
 def test_batch_size_below_one_is_rejected(batch_size):
     """A batch size below 1 never advances the minibatch loop, so training
