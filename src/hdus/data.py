@@ -19,6 +19,9 @@ IDX_LABEL_MAGIC = 0x00000801
 
 @dataclass
 class LabeledDataset:
+    """Labeled rows, read-only once built: the arrays are frozen in place,
+    not copied, so evaluation may keep a seed's output on `features`."""
+
     features: np.ndarray          # M x F, float64
     labels: np.ndarray            # M, int
     class_count: int
@@ -34,6 +37,8 @@ class LabeledDataset:
             raise ConfigError("labels length must match feature rows")
         if self.labels.min() < 0 or self.labels.max() >= self.class_count:
             raise ConfigError(f"labels outside [0, {self.class_count})")
+        self.features.flags.writeable = False
+        self.labels.flags.writeable = False
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -183,9 +188,8 @@ def gen_blobs(n_per_class: int, class_count: int, feature_dim: int,
         for j, cnt in enumerate(counts):
             k = c + j * class_count       # cluster index on the axis grid
             a = k % feature_dim
+            # check_blobs bounds k // F by F - 2, so b != a.
             b = (a + 1 + k // feature_dim) % feature_dim
-            if b == a:
-                b = (b + 1) % feature_dim
             mean = np.zeros(feature_dim)
             mean[a] += scale
             mean[b] += scale * (1.0 if j % 2 == 0 else -1.0)
@@ -238,8 +242,7 @@ def partition_noniid(data: LabeledDataset, n_clients: int, ref_size: int,
     the lowest id on ties, where needs start as equal split sizes (+-1). A
     repair pass then fills a client left short by swapping rows through
     donors. Splits are pairwise disjoint, equal-sized (+-1), and disjoint
-    from both the test set and the reference features. The test set's
-    features are read-only.
+    from both the test set and the reference features.
 
     Raises ConfigError keyed `n_clients`, `ref_size` or `test_fraction` when
     check_clients or check_split rejects the sizes, and keyed `n_clients`
@@ -309,12 +312,9 @@ def partition_noniid(data: LabeledDataset, n_clients: int, ref_size: int,
                           f"{sum(need)} samples")
 
     client_indices = [np.sort(np.asarray(rows, dtype=np.int64)) for rows in assigned]
-    test = data.take(test_idx)
-    # Read-only, so that evaluation may keep each seed's output on it.
-    test.features.flags.writeable = False
     return PartitionedDataset(
         client_splits=[data.take(ci) for ci in client_indices],
-        test=test,
+        test=data.take(test_idx),
         reference=ReferenceSet(data.features[ref_idx]),
         omitted_class=omitted,
         client_indices=client_indices,

@@ -42,7 +42,8 @@ class DistillConfig:
 
 @dataclass
 class ReferenceSet:
-    """Unlabeled feature rows shared for distillation."""
+    """Unlabeled feature rows shared for distillation, read-only once built
+    (frozen in place, not copied)."""
 
     features: np.ndarray
 
@@ -51,6 +52,7 @@ class ReferenceSet:
         if self.features.ndim != 2 or self.features.shape[0] < 1:
             raise ConfigError(f"reference features must be a non-empty 2-D "
                               f"array, got shape {self.features.shape}")
+        self.features.flags.writeable = False
 
     def __len__(self) -> int:
         return self.features.shape[0]

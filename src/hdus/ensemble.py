@@ -33,7 +33,7 @@ class EnsembleConfig:
 @dataclass
 class SeedRepository:
     """Ordered collection of neighbor seed models. Never holds an entry for
-    the owning client itself.
+    the owning client itself, nor a writable seed.
 
     `entries` is the (neighbor id, seed) list in arrival order and the one
     record: `in` scans it. `add_neighbor_seed` and `unlearn_neighbor` write
@@ -54,9 +54,12 @@ class SeedRepository:
 
 def add_neighbor_seed(repo: SeedRepository, neighbor_id: int,
                       seed: MlpModel) -> SeedRepository:
-    """Append a neighbor's seed. Replacement requires an explicit remove first."""
+    """Append a neighbor's seed. Replacement requires an explicit remove first.
+    A writable seed, unlike a decoded one, is a ValidationError."""
     if neighbor_id == repo.owner_id:
         raise ValidationError(f"client {repo.owner_id} cannot store its own seed")
+    if seed.params.flags.writeable:
+        raise ValidationError(f"seed from neighbor {neighbor_id} is writable")
     if neighbor_id in repo:
         raise ConflictError(f"neighbor {neighbor_id} already present")
     if repo.entries:

@@ -81,9 +81,11 @@ class ExperimentConfig:
             raise ConfigError(f"framework: must be one of {FRAMEWORKS}")
         if self.setting not in ("homogeneous", "heterogeneous"):
             raise ConfigError(f"setting: must be homogeneous or heterogeneous")
-        EnsembleConfig(lam=self.ensemble_lambda, combine=self.combine)
-        DistillConfig(temperature=self.temperature, epochs=self.incubate_epochs,
-                      lr=self.incubate_lr, batch_size=self.batch_size)
+        SimConfig(ensemble=EnsembleConfig(lam=self.ensemble_lambda, combine=self.combine),
+                  distill=DistillConfig(temperature=self.temperature,
+                                        epochs=self.incubate_epochs,
+                                        lr=self.incubate_lr, batch_size=self.batch_size),
+                  incubate_every_rounds=self.incubate_every_rounds)
         check_clients(self.n_clients, self.blob_classes if self.dataset == "blobs" else 10)
         if self.rounds < 1:
             raise ConfigError("rounds: must be >= 1")
@@ -121,8 +123,6 @@ class ExperimentConfig:
                         self.blob_features, self.blob_components)
             check_split(self.blob_classes * self.blob_samples_per_class,
                         self.n_clients, self.ref_size, self.test_fraction)
-        if self.incubate_every_rounds < 1:
-            raise ConfigError("incubate_every_rounds: must be >= 1")
         if self.master_seed < 0:
             raise ConfigError("master_seed: must be >= 0")
         # Only hdus distills seeds. Parameter count grows with the tier for

@@ -11,6 +11,7 @@ involved.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -190,6 +191,8 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
         raise DimensionError(f"length mismatch: {p.shape} vs {q.shape}")
+    if p.size == 0:
+        raise DomainError(f"no distributions to compare: shape {p.shape}")
     for x in (p, q):    # written so that a NaN fails both tests
         if not ((x >= 0).all() and (np.abs(x.sum(axis=-1) - 1.0) <= 1e-9).all()):
             raise DomainError("inputs must be rows of entries >= 0, each "
@@ -271,11 +274,19 @@ def sgd_step(model: MlpModel, grad: np.ndarray, lr: float) -> MlpModel:
     return model
 
 
-def onehot_labels(labels: np.ndarray, class_count: int) -> np.ndarray:
+def _check_labels(labels: np.ndarray, class_count: int) -> np.ndarray:
+    """`labels` as an array, checked to be 1-D and to lie in [0, C)."""
     labels = np.asarray(labels)
+    if labels.ndim != 1:
+        raise DimensionError(f"labels must be 1-D, got shape {labels.shape}")
     if labels.size and not (labels.min() >= 0 and labels.max() < class_count):
         raise DomainError(f"labels must lie in [0, {class_count}), got "
                           f"{labels.min()} to {labels.max()}")
+    return labels
+
+
+def onehot_labels(labels: np.ndarray, class_count: int) -> np.ndarray:
+    labels = _check_labels(labels, class_count)
     out = np.zeros((labels.shape[0], class_count))
     out[np.arange(labels.shape[0]), labels] = 1.0
     return out
@@ -311,6 +322,9 @@ def _train_stack(stack: MlpModel, features: np.ndarray, targets: np.ndarray,
     has run the parameters are checked at the end too, since a finite
     gradient can overflow them in the last step.
     """
+    for name, value in (("batch_size", batch_size), ("epochs", epochs)):
+        if not isinstance(value, numbers.Integral):    # as `range` requires
+            raise DomainError(f"{name} must be an integer, got {value!r}")
     if batch_size < 1:
         raise DomainError(f"batch_size must be >= 1, got {batch_size}")
     if not 0 <= lr < np.inf:       # NaN fails too
@@ -359,9 +373,12 @@ def sgd_train(model: MlpModel, features: np.ndarray, labels: np.ndarray,
 
 def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of rows whose argmax matches the label; ties go to the lowest
-    class index (np.argmax convention)."""
+    class index (np.argmax convention). `logits` is B x C and `labels` B
+    classes in [0, C)."""
     logits = np.asarray(logits)
-    labels = np.asarray(labels)
+    if logits.ndim != 2:
+        raise DimensionError(f"logits must be 2-D, got shape {logits.shape}")
+    labels = _check_labels(labels, logits.shape[1])
     if logits.shape[0] == 0:
         raise DomainError("empty batch")
     if logits.shape[0] != labels.shape[0]:

@@ -15,7 +15,8 @@ from .distill import DistillConfig, ReferenceSet, incubate_seeds
 from .ensemble import (EnsembleConfig, SeedRepository, _mix, _model_output,
                        add_neighbor_seed, deserialize_seed, serialize_seed,
                        unlearn_neighbor)
-from .errors import ConfigError, DivergenceError, NotFoundError, StateError
+from .errors import (ConfigError, DivergenceError, NotFoundError, StateError,
+                     ValidationError)
 from .numeric import (MlpModel, MlpSpec, _train_stack, accuracy, init_mlp,
                       onehot_labels)
 
@@ -97,6 +98,10 @@ class SimConfig:
     ensemble: EnsembleConfig = field(default_factory=EnsembleConfig)
     seed_spec: MlpSpec | None = None       # required for seed exchange
     incubate_every_rounds: int = 1
+
+    def __post_init__(self):
+        if self.incubate_every_rounds < 1:
+            raise ConfigError("incubate_every_rounds: must be >= 1")
 
 
 def client_rng_streams(master_seed: int, client_id: int):
@@ -264,39 +269,32 @@ def evaluate_all(clients: list[ClientState], test: LabeledDataset,
     """Per-active-client ensemble accuracy on the shared test set + the mean.
 
     Bitwise what `ensemble_predict` gives each client, for less work:
-    - A read-only seed (every decoded one; receivers share the seed decoded
-      from one blob) is forwarded once in its lifetime: its output on a
-      read-only `test.features` is stored on the seed, keyed by that array
-      and the combine mode; another test set or mode forwards it anew. Any
-      other seed is forwarded once per call.
+    - A seed is forwarded once in its lifetime: repositories hold only
+      read-only seeds (receivers share the seed decoded from one blob), and
+      its output on the read-only `test.features` is stored on the seed,
+      keyed by that array and the combine mode; another test set or mode
+      forwards it anew. Writable test features (a copied test set) are a
+      ValidationError.
     - Each repository sums its seed outputs in its own order, starting from
       the partial sum of the prefix it shares (by seed identity) with the
       previous active client's repository, so a prefix common to a run of
       repositories is summed once.
     """
-    if len(test) == 0:
-        raise ConfigError("empty test set")
+    features = test.features
+    if features.flags.writeable:
+        raise ValidationError("test features are writable (a copied test set?)")
     active = active_clients(clients)
     if not active:
         raise StateError("no active clients")
     combine, lam = cfg.ensemble.combine, cfg.ensemble.lam
-    features = test.features
-    cacheable = not features.flags.writeable
-    forwarded: dict[int, np.ndarray] = {}   # id(seed) -> output, this call only
 
     def seed_output(nid: int, seed: MlpModel) -> np.ndarray:
         cached = seed._test_output
-        if cached is not None and cached[0] is features and cached[1] == combine:
-            return cached[2]
-        out = forwarded.get(id(seed))
-        if out is None:
+        if cached is None or cached[0] is not features or cached[1] != combine:
             out = _model_output(seed, features, combine, f"seed of neighbor {nid}")
-            if cacheable and not seed.params.flags.writeable:
-                out.flags.writeable = False
-                seed._test_output = (features, combine, out)
-            else:
-                forwarded[id(seed)] = out
-        return out
+            out.flags.writeable = False
+            cached = seed._test_output = (features, combine, out)
+        return cached[2]
 
     # One list per active client, and an empty one after the last.
     repos = [c.repo.entries if lam != 0.0 else [] for c in active] + [[]]

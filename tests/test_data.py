@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hdus.data import (MAX_BLOB_ENTRIES, LabeledDataset, check_blobs,
                        gen_blobs, load_idx_files, parse_idx, partition_noniid)
+from hdus.distill import ReferenceSet
 from hdus.errors import ConfigError, ParseError
 
 
@@ -398,3 +399,31 @@ def test_labeled_dataset_validation():
         LabeledDataset(np.zeros((3, 2)), np.array([0, 1, 5]), class_count=3)
     with pytest.raises(ConfigError):
         LabeledDataset(np.zeros((3, 2)), np.array([0, 1]), class_count=3)
+
+
+def test_labeled_dataset_needs_a_row():
+    with pytest.raises(ConfigError, match=r"^features must be non-empty 2-D, got \(0, 2\)$"):
+        LabeledDataset(np.zeros((0, 2)), np.zeros(0, dtype=int), class_count=3)
+
+
+def test_datasets_are_read_only_once_built():
+    """LabeledDataset and ReferenceSet freeze the arrays they are given, in
+    place (no copy), and so does every split a partition deals."""
+    features, labels, rows = np.zeros((4, 2)), np.array([0, 1, 2, 0]), np.ones((2, 2))
+    ds = LabeledDataset(features, labels, 3)
+    ref = ReferenceSet(rows)
+    assert ds.features is features and ds.labels is labels and ref.features is rows
+    assert not (features.flags.writeable or labels.flags.writeable
+                or rows.flags.writeable)
+    with pytest.raises(ValueError):
+        ds.features[0, 0] = 1.0
+    part = partition_noniid(gen_blobs(20, 3, 4, 0.5, np.random.default_rng(0)),
+                            2, 10, 0.2, np.random.default_rng(1))
+    for d in [*part.client_splits, part.test]:
+        assert not (d.features.flags.writeable or d.labels.flags.writeable)
+    assert not part.reference.features.flags.writeable
+
+
+def test_gen_blobs_needs_two_classes():
+    with pytest.raises(ConfigError, match="^blob_classes: must be >= 2$"):
+        gen_blobs(10, 1, 4, 0.5, np.random.default_rng(0))

@@ -285,3 +285,11 @@ def test_incubate_seeds_rejects_mismatched_lists(blob_task):
                                               f"rngs and {len(inits)} inits$"):
             incubate_seeds(mains, spec, ref, cfg, rngs, inits)
     assert rng.bit_generator.state == state
+
+
+def test_incubate_seeds_rejects_a_reference_of_another_width(blob_task):
+    main, _ = blob_task
+    ref = ReferenceSet(np.zeros((8, 5)))
+    with pytest.raises(ConfigError, match="^reference feature dim 5 != 6$"):
+        incubate_seeds([main], MlpSpec((6, 8, 4)), ref, DistillConfig(),
+                       [np.random.default_rng(0)], [None])

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,9 @@ from hdus.numeric import MlpSpec, init_mlp, mlp_forward, softmax_temp
 
 
 def make_model(seed, dims=(5, 8, 3)):
-    return init_mlp(MlpSpec(dims), np.random.default_rng(seed))
+    """A model as a receiver holds it: decoded from the wire, read-only."""
+    return deserialize_seed(serialize_seed(init_mlp(MlpSpec(dims),
+                                                    np.random.default_rng(seed))))
 
 
 @pytest.fixture
@@ -127,6 +131,15 @@ def test_repository_rejects_duplicates_and_self(setup):
         add_neighbor_seed(repo, 0, make_model(0))
 
 
+def test_repository_rejects_a_writable_seed(setup):
+    """A repository holds only what came over the wire: a writable seed is a
+    ValidationError, and the repository is unchanged."""
+    _, repo, _ = setup
+    with pytest.raises(ValidationError, match="^seed from neighbor 9 is writable"):
+        add_neighbor_seed(repo, 9, make_model(9).copy())
+    assert repo.neighbor_ids() == [1, 2, 3]
+
+
 def test_repository_rejects_shape_mismatch(setup):
     _, repo, _ = setup
     with pytest.raises(ValidationError):
@@ -235,6 +248,27 @@ def test_zeroed_dim_rejected_as_parse_error():
     body = bytes(blob[:-4])
     with pytest.raises(ParseError, match="layer dims"):
         deserialize_seed(body + zlib.crc32(body).to_bytes(4, "little"))
+
+
+def test_short_blobs_with_a_valid_crc_rejected():
+    """Blobs whose CRC holds but whose header promises more than they carry:
+    layer dims past the end, or one parameter too few."""
+    import zlib
+
+    def signed(body):
+        return body + zlib.crc32(body).to_bytes(4, "little")
+    # three layer dims promised, one present
+    blob = signed(b"HDUS" + struct.pack("<HHI", 1, 3, 5))
+    with pytest.raises(ParseError, match="^truncated layer dims") as e:
+        deserialize_seed(blob)
+    assert e.value.offset == len(blob)
+    full = serialize_seed(make_model(5))
+    blob = signed(full[:-12])       # drop the CRC and the last parameter
+    n_params = MlpSpec((5, 8, 3)).param_count()
+    with pytest.raises(ParseError, match=f"^expected {len(full)} bytes for "
+                                         f"{n_params} parameters, got {len(blob)}") as e:
+        deserialize_seed(blob)
+    assert e.value.offset == len(blob)
 
 
 # --- wire format fuzzing: one documented error ------------------------------

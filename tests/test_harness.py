@@ -129,6 +129,26 @@ def test_config_stores_one_type_per_field():
             ExperimentConfig(n_clients=bad)
 
 
+def test_an_int_past_floats_range_is_infinite_in_a_float_field():
+    """An int too large for a float reads as inf in a float field, which the
+    finiteness check then rejects, as it rejects 1e999."""
+    for value, shown in ((10**400, "inf"), (-10**400, "-inf")):
+        with pytest.raises(ConfigError, match=f"^lr: must be finite, got {shown}$"):
+            ExperimentConfig(lr=value)
+
+
+@pytest.mark.parametrize("kw,message", [
+    (dict(schema_version=2), "schema_version: unsupported value 2"),
+    (dict(repeats=0), "repeats: must be >= 1"),
+    (dict(local_epochs=-1), "local_epochs: must be >= 0"),
+    (dict(seed_tier="huge"), "seed_tier: unknown tier 'huge'"),
+    (dict(combine="mean"), "combine: must be proba or logits, got 'mean'")],
+    ids=lambda v: next(iter(v)) if isinstance(v, dict) else "")
+def test_config_bounds_name_their_key(kw, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        tiny(**kw)
+
+
 def test_config_fields_cannot_change():
     valid = tiny()
     for f in fields(ExperimentConfig):
@@ -725,6 +745,21 @@ def test_emit_metrics_files_and_idempotence(tmp_path):
     assert summary["final_accuracy_mean"] == repr(float(np.mean(last))) == repr(rep.mean())
     assert summary["final_accuracy_std"] == repr(float(np.std(last)))
     assert summary["config_hash"] == rep.config.config_hash()
+
+
+def test_a_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    """`_atomic_write` removes its temp file when the final rename fails,
+    and the target keeps its old text."""
+    target = tmp_path / "out.csv"
+    target.write_text("old", encoding="utf-8")
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+    monkeypatch.setattr(harness.os, "replace", refuse)
+    with pytest.raises(OSError, match="^rename refused$"):
+        harness._atomic_write(str(target), "new")
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+    assert target.read_text(encoding="utf-8") == "old"
 
 
 def test_timeline_csv_t_column():

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 import hdus.numeric
 from hdus.errors import (DimensionError, DivergenceError, DomainError,
                          ValidationError)
-from hdus.numeric import (MlpModel, MlpSpec, _backprop, _layers, accuracy,
+from hdus.numeric import (MlpModel, MlpSpec, _backprop, _layers, _train_stack,
+                          accuracy,
                           init_mlp, kl_divergence, mlp_backward, mlp_forward,
                           onehot_labels, sgd_step, sgd_train, softmax_temp,
                           tier_spec, training_step_count)
@@ -210,6 +211,12 @@ class TestKl:
     def test_each_row_must_sum_to_one(self):
         with pytest.raises(DomainError):
             kl_divergence([[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.25, 0.5]])
+
+    def test_no_rows_is_a_domain_error(self):
+        """Zero rows hold no distribution: a DomainError, not numpy's
+        empty-mean warning and a NaN."""
+        with pytest.raises(DomainError, match="^no distributions to compare"):
+            kl_divergence(np.zeros((0, 2)), np.zeros((0, 2)))
 
 
 def ce_loss(logits, onehot):
@@ -417,12 +424,38 @@ class TestAccuracy:
         with pytest.raises(DomainError):
             accuracy(np.zeros((0, 3)), np.zeros(0, dtype=int))
 
+    def test_logits_must_be_2d(self):
+        with pytest.raises(DimensionError, match="^logits must be 2-D"):
+            accuracy(np.zeros(3), np.zeros(3, dtype=int))
+
+    def test_labels_must_be_classes(self):
+        """A label no logit column stands for is an error, not a miss."""
+        with pytest.raises(DomainError, match=r"^labels must lie in \[0, 3\)"):
+            accuracy(np.zeros((2, 3)), np.array([5, 7]))
+
+    def test_one_label_per_row(self):
+        with pytest.raises(DimensionError, match="^2 logit rows vs 3 labels$"):
+            accuracy(np.zeros((2, 3)), np.array([0, 1, 2]))
+
 
 def test_onehot_labels_must_be_classes():
     assert onehot_labels(np.array([2, 0]), 3).tolist() == [[0, 0, 1], [1, 0, 0]]
     for bad in ([-1], [3], [0, 5]):
         with pytest.raises(DomainError):
             onehot_labels(np.array(bad), 3)
+
+
+def test_onehot_labels_must_be_1d():
+    """A 2-D label array is not a row of labels: one-hot encoding it would
+    put two ones in one row."""
+    with pytest.raises(DimensionError, match="^labels must be 1-D"):
+        onehot_labels(np.array([[0, 1]]), 3)
+
+
+def test_tier_spec_names_a_known_tier():
+    assert tier_spec("small", 6, 5) == MlpSpec((6, 16, 5))
+    with pytest.raises(ValidationError, match="^unknown model tier 'huge'$"):
+        tier_spec("huge", 6, 5)
 
 
 def test_models_compare_by_identity():
@@ -561,3 +594,44 @@ def test_oracle_names_are_not_exported():
     the package does not export them."""
     for name in ("mlp_backward", "sgd_step", "training_step_count"):
         assert not hasattr(hdus, name) and hasattr(hdus.numeric, name)
+
+
+@pytest.mark.parametrize("name,value", [("epochs", 1.5), ("batch_size", 2.5),
+                                        ("epochs", 2.0)])
+def test_epochs_and_batch_size_must_be_integers(name, value):
+    """A float epoch count or batch size is a DomainError before any step,
+    not `range`'s TypeError; numpy ints train as Python ints do."""
+    x = np.random.default_rng(1).normal(size=(10, 3))
+    labels = np.arange(10) % 2
+    model = init_mlp(MlpSpec((3, 4, 2)), np.random.default_rng(0))
+    before = model.params.copy()
+    args = {"epochs": 2, "batch_size": 4, name: value}
+    with pytest.raises(DomainError, match=f"^{name} must be an integer, got {value}$"):
+        sgd_train(model, x, labels, 2, args["epochs"], 0.1, args["batch_size"],
+                  np.random.default_rng(2))
+    assert np.array_equal(model.params, before)
+    a, b = model.copy(), model.copy()
+    sgd_train(a, x, labels, 2, 2, 0.1, 4, np.random.default_rng(2))
+    sgd_train(b, x, labels, 2, np.int64(2), 0.1, np.int32(4), np.random.default_rng(2))
+    assert a.params.tobytes() == b.params.tobytes()
+
+
+def test_a_non_finite_gradient_stops_training():
+    """A finite student output can still give an overflowing gradient: at
+    T = 3, hidden activations of 1.6e308 over tiny output weights give
+    logits of 0.48, and the hidden activations times the batch's summed
+    logit gradient overflow. The step is refused, naming the slice, and no
+    slice trains."""
+    spec = MlpSpec((2, 3, 2))
+    stack = MlpModel(spec, np.stack([init_mlp(spec, np.random.default_rng(0)).params,
+                                     np.zeros(spec.param_count())]))
+    stack.weights[0][1] = 8e307
+    stack.weights[1][1] = 1e-309
+    before = stack.params.copy()
+    targets = np.tile([0.0, 1.0], (2, 32, 1))
+    with pytest.raises(DivergenceError,
+                       match="^non-finite gradient entry at epoch 0$") as e:
+        _train_stack(stack, np.ones((2, 32, 2)), targets, 3.0, 1, 0.1, 32,
+                     [np.random.default_rng(k) for k in range(2)])
+    assert e.value.index == 1
+    assert stack.params.tobytes() == before.tobytes()

@@ -16,7 +16,7 @@ from hdus.ensemble import (EnsembleConfig, SeedRepository, add_neighbor_seed,
                            deserialize_seed, ensemble_predict, serialize_seed,
                            unlearn_neighbor)
 from hdus.errors import (ConfigError, DivergenceError, DomainError, NotFoundError,
-                         StateError)
+                         StateError, ValidationError)
 from hdus.harness import (ExperimentConfig, build_partition, make_engine,
                           survivor_state)
 from hdus.numeric import (MlpModel, MlpSpec, accuracy, init_mlp, sgd_train,
@@ -236,6 +236,47 @@ def test_evaluate_all_rejects_all_quit_roster(partition):
         evaluate_all(clients, partition.test, cfg)
 
 
+def test_evaluate_all_rejects_writable_test_features(partition):
+    """Seeds keep their outputs keyed by the test features, so evaluation
+    takes only read-only ones: a deep-copied test set is writable (numpy
+    copies arrays writable) and is rejected before any forward."""
+    cfg = small_cfg()
+    clients, topo = fresh_network(partition, cfg)
+    run_round(clients, topo, cfg, 0)
+    copied = copy.deepcopy(partition.test)
+    assert copied.features.flags.writeable
+    with pytest.raises(ValidationError, match="^test features are writable"):
+        evaluate_all(clients, copied, cfg)
+    assert all(seed._test_output is None for c in clients for _, seed in c.repo.entries)
+
+
+def test_sim_config_checks_the_cadence():
+    """The incubation cadence has one bound, checked when a SimConfig is
+    built: 0 would divide by zero in `run_round`, and -1 would incubate
+    every round."""
+    for every in (0, -1):
+        with pytest.raises(ConfigError, match="^incubate_every_rounds: must be >= 1$"):
+            SimConfig(incubate_every_rounds=every)
+    assert SimConfig(incubate_every_rounds=3).incubate_every_rounds == 3
+
+
+def test_run_round_checks_its_inputs(partition):
+    """A round needs a seed spec and one reference set shared by the clients
+    it incubates; the network needs one spec per client."""
+    with pytest.raises(ConfigError, match="^3 specs for 4 clients$"):
+        fresh_network(partition, small_cfg(), specs=[MlpSpec((F, 16, C))] * 3)
+    cfg = small_cfg()
+    clients, topo = fresh_network(partition, cfg)
+    no_spec = small_cfg()
+    no_spec.seed_spec = None
+    with pytest.raises(ConfigError, match="^cfg.seed_spec is required"):
+        run_round(clients, topo, no_spec, 0)
+    clients[2].ref = ReferenceSet(partition.reference.features.copy())
+    with pytest.raises(ConfigError, match="^clients must share one reference set$"):
+        run_round(clients, topo, cfg, 0)
+    assert all(c.own_seed is None and not len(c.repo) for c in clients)
+
+
 def test_evaluate_logs_deterministic_csv(partition):
     cfg = small_cfg()
     clients, topo = fresh_network(partition, cfg, master_seed=3)
@@ -269,6 +310,11 @@ def test_incubation_cadence(partition):
 
 def _bits(model):
     return model.params.tobytes()
+
+
+def _decoded(model):
+    """`model` as a receiver stores it: sent over the wire, read-only."""
+    return deserialize_seed(serialize_seed(model))
 
 
 def _poison(model):
@@ -328,11 +374,12 @@ def test_evaluate_all_equals_ensemble_predict(partition, monkeypatch, combine, l
     run_round(clients, topo, cfg, 0)
     # client 0 holds client 1's seed twice: once shared, once a copy
     unlearn_neighbor(clients[0].repo, 3)
-    add_neighbor_seed(clients[0].repo, 3, dict(clients[0].repo.entries)[1].copy())
+    add_neighbor_seed(clients[0].repo, 3,
+                      _decoded(dict(clients[0].repo.entries)[1].copy()))
     # client 2 mixes seed shapes
     unlearn_neighbor(clients[2].repo, 0)
-    add_neighbor_seed(clients[2].repo, 0, init_mlp(MlpSpec((F, 20, 7, C)),
-                                                   np.random.default_rng(3)))
+    add_neighbor_seed(clients[2].repo, 0, _decoded(init_mlp(MlpSpec((F, 20, 7, C)),
+                                                            np.random.default_rng(3))))
     seen = []
 
     def spy(out, labels):
@@ -431,7 +478,7 @@ def test_evaluate_all_across_calls_equals_ensemble_predict(monkeypatch, topology
     check()
     last = [c for c in active_clients(clients) if len(c.repo)][-1]
     nid, seed = last.repo.entries[0]
-    _substitute(last.repo, nid, MlpModel(seed.spec, seed.params * 0.5))
+    _substitute(last.repo, nid, _decoded(MlpModel(seed.spec, seed.params * 0.5)))
     check()
 
 
@@ -454,16 +501,19 @@ def test_overflowing_main_is_divergence(partition):
 
 
 def test_evaluate_all_forwards_a_read_only_seed_once(partition, monkeypatch):
-    """A decoded (read-only) seed is forwarded once over calls on one
-    read-only test set. A writable seed is forwarded on every call, and
-    another test set, a writable one or another combine mode forwards anew."""
+    """A repository takes only read-only seeds. A decoded seed is forwarded
+    once over calls on one test set; another test set or another combine
+    mode forwards it anew."""
     cfg = small_cfg()
     clients, topo = fresh_network(partition, cfg)
     run_round(clients, topo, cfg, 0)
-    # client 0 holds a writable copy of client 3's seed
-    copy_of_3 = dict(clients[0].repo.entries)[3].copy()
+    # a writable copy of client 3's seed is rejected, and nothing changes
+    held = list(clients[0].repo.entries)
     unlearn_neighbor(clients[0].repo, 3)
-    add_neighbor_seed(clients[0].repo, 3, copy_of_3)
+    with pytest.raises(ValidationError, match="^seed from neighbor 3 is writable"):
+        add_neighbor_seed(clients[0].repo, 3, dict(held)[3].copy())
+    add_neighbor_seed(clients[0].repo, 3, dict(held)[3])
+    assert clients[0].repo.entries == held
     forwards = []
     model_output = simulation._model_output
 
@@ -472,51 +522,38 @@ def test_evaluate_all_forwards_a_read_only_seed_once(partition, monkeypatch):
             forwards.append(id(model))
         return model_output(model, batch, combine, who)
     monkeypatch.setattr(simulation, "_model_output", spy)
-    decoded = {id(seed) for c in clients for _, seed in c.repo.entries
-               if seed is not copy_of_3}
+    decoded = {id(seed) for c in clients for _, seed in c.repo.entries}
     assert len(decoded) == 4
 
     test = partition.test
     assert not test.features.flags.writeable
     evaluate_all(clients, test, cfg)
     evaluate_all(clients, test, cfg)
-    assert sorted(forwards) == sorted([*decoded, id(copy_of_3), id(copy_of_3)])
+    assert sorted(forwards) == sorted(decoded)
     for c in clients:
         for _, seed in c.repo.entries:
-            if seed is not copy_of_3:
-                assert seed._test_output[0] is test.features
-                assert not seed._test_output[2].flags.writeable
-    assert copy_of_3._test_output is None
+            assert seed._test_output[0] is test.features
+            assert not seed._test_output[2].flags.writeable
 
     # A deep copy of the network holds read-only seeds, shared as before,
     # that forward once before they keep their own outputs.
     forwards.clear()
     twin = copy.deepcopy(clients)
-    twin_copy = twin[0].repo.entries[-1][1]
-    assert twin_copy.params.flags.writeable
-    twin_decoded = {id(seed) for c in twin for _, seed in c.repo.entries
-                    if seed is not twin_copy}
-    assert len(twin_decoded) == 4
+    twin_decoded = {id(seed) for c in twin for _, seed in c.repo.entries}
+    assert len(twin_decoded) == 4 and not twin_decoded & decoded
     evaluate_all(twin, test, cfg)
     evaluate_all(twin, test, cfg)
-    assert sorted(forwards) == sorted([*twin_decoded, id(twin_copy), id(twin_copy)])
+    assert sorted(forwards) == sorted(twin_decoded)
 
     forwards.clear()
     other = LabeledDataset(test.features.copy(), test.labels, test.class_count)
-    other.features.flags.writeable = False
     evaluate_all(clients, other, cfg)
-    assert sorted(forwards) == sorted([*decoded, id(copy_of_3)])
-
-    forwards.clear()
-    writable = LabeledDataset(test.features.copy(), test.labels, test.class_count)
-    evaluate_all(clients, writable, cfg)
-    evaluate_all(clients, writable, cfg)
-    assert sorted(forwards) == sorted([*decoded, id(copy_of_3)] * 2)
+    assert sorted(forwards) == sorted(decoded)
 
     forwards.clear()
     cfg.ensemble = EnsembleConfig(lam=cfg.ensemble.lam, combine="logits")
     evaluate_all(clients, other, cfg)     # the test set the seeds last kept
-    assert sorted(forwards) == sorted([*decoded, id(copy_of_3)])
+    assert sorted(forwards) == sorted(decoded)
 
 
 # --- local training: one stack per (main spec, split size) ------------------
