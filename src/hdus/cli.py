@@ -78,18 +78,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _build_config(args)
-        if args.verb == "sweep":
-            values = [parse_config_value(args.param, v, "--values")[1]
-                      for v in args.values.split(",")]
-    except (ConfigError, OSError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-
-    out = cfg.output_path or "hdus-out"
-    try:
         if args.verb == "validate-config":
             print(f"ok (config_hash={cfg.config_hash()})")
             return 0
+        if args.verb == "sweep":
+            values = [parse_config_value(args.param, v, "--values")[1]
+                      for v in args.values.split(",")]
+        out = cfg.output_path or "hdus-out"
         with _output_dir(out):
             if args.verb == "run":
                 report = run_experiment(cfg)

@@ -11,37 +11,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distill import ReferenceSet
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, DimensionError, ParseError
+from .numeric import _check_labels
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
 
 @dataclass
-class LabeledDataset:
-    """Labeled rows, read-only once built: the arrays are frozen in place,
-    not copied, so evaluation may keep a seed's output on `features`."""
+class LabeledDataset(ReferenceSet):
+    """Labeled rows (`features` M x F float64, checked as a ReferenceSet's),
+    read-only once built: the arrays are frozen in place, not copied, so
+    evaluation may keep a seed's output on `features`."""
 
-    features: np.ndarray          # M x F, float64
-    labels: np.ndarray            # M, int
+    labels: np.ndarray            # M, int64
     class_count: int
     image_shape: tuple[int, int] | None = None   # IDX rows x columns per image
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.features.ndim != 2 or self.features.shape[0] < 1:
-            raise ConfigError(f"features must be non-empty 2-D, got "
-                              f"{self.features.shape}")
-        if self.labels.shape != (self.features.shape[0],):
-            raise ConfigError("labels length must match feature rows")
-        if self.labels.min() < 0 or self.labels.max() >= self.class_count:
-            raise ConfigError(f"labels outside [0, {self.class_count})")
-        self.features.flags.writeable = False
+        super().__post_init__()
+        labels = _check_labels(self.labels, self.class_count)
+        if len(labels) != len(self):
+            raise DimensionError(f"{len(self)} feature rows vs {len(labels)} labels")
+        self.labels = labels.astype(np.int64, copy=False)
         self.labels.flags.writeable = False
-
-    def __len__(self) -> int:
-        return self.features.shape[0]
 
     def take(self, indices: np.ndarray) -> "LabeledDataset":
         return LabeledDataset(self.features[indices], self.labels[indices],
@@ -157,17 +150,19 @@ def check_blobs(classes: int, per_class: int, features: int, components: int) ->
         raise ConfigError("blob_features: must be >= 2")
     if components < 1:
         raise ConfigError("blob_components: must be >= 1")
+    # Two 4,300-digit factors make a product too long for int -> str.
+    def shown(n: int) -> int | str:
+        return n if n <= MAX_BLOB_ENTRIES else f"over {MAX_BLOB_ENTRIES}"
+
     rows = classes * per_class
     if rows * features > MAX_BLOB_ENTRIES:
-        # Two 4,300-digit factors make a row count too long for int -> str.
-        shown = rows if rows <= MAX_BLOB_ENTRIES else f"over {MAX_BLOB_ENTRIES}"
-        raise ConfigError(f"blob_samples_per_class: a pool of {shown} rows x "
+        raise ConfigError(f"blob_samples_per_class: a pool of {shown(rows)} rows x "
                           f"{features} features exceeds the limit of "
                           f"{MAX_BLOB_ENTRIES} float64 entries (1 GiB)")
     if components * classes > features * (features - 1):
         raise ConfigError(f"blob_features: a grid of {features} features holds "
                           f"{features * (features - 1)} clusters, but "
-                          f"blob_components x blob_classes = {components * classes}")
+                          f"blob_components x blob_classes = {shown(components * classes)}")
 
 
 def gen_blobs(n_per_class: int, class_count: int, feature_dim: int,

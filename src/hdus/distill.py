@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DimensionError
 from .numeric import (MlpModel, MlpSpec, _divergence, _train_stack,
                       init_mlp, kl_divergence, mlp_forward, softmax_temp)
 
@@ -43,15 +43,16 @@ class DistillConfig:
 @dataclass
 class ReferenceSet:
     """Unlabeled feature rows shared for distillation, read-only once built
-    (frozen in place, not copied)."""
+    (frozen in place, not copied). `data.LabeledDataset` adds labels to it,
+    so every dataset's rows are checked here."""
 
     features: np.ndarray
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
         if self.features.ndim != 2 or self.features.shape[0] < 1:
-            raise ConfigError(f"reference features must be a non-empty 2-D "
-                              f"array, got shape {self.features.shape}")
+            raise DimensionError(f"features must be non-empty 2-D, got shape "
+                                 f"{self.features.shape}")
         self.features.flags.writeable = False
 
     def __len__(self) -> int:

@@ -73,6 +73,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{f.name}: must be finite, got {value}")
         if self.schema_version != SCHEMA_VERSION:
             raise ConfigError(f"schema_version: unsupported value {self.schema_version}")
+        if self.output_path == "":
+            raise ConfigError("output_path: must not be empty")
         if self.output_path is not None and "\0" in self.output_path:
             raise ConfigError("output_path: must not hold a NUL character")
         if self.dataset not in ("blobs", "mnist", "fmnist"):
@@ -248,7 +250,8 @@ def parse_config_value(key: str, text: str, where: str | None = None) -> tuple[s
 
 def load_config(path) -> ExperimentConfig:
     """Parse a `key = value` config file; each value is read by
-    `parse_config_value`. Unknown and duplicate keys are rejected."""
+    `parse_config_value`. Unknown and duplicate keys are rejected, and a
+    path that cannot be read as UTF-8 text is a ConfigError naming it."""
     values: dict[str, object] = {}
     try:
         # Drop a leading byte-order mark after decoding, so offsets count it.
@@ -256,6 +259,8 @@ def load_config(path) -> ExperimentConfig:
             lines = f.read().removeprefix("\ufeff").split("\n")
     except UnicodeDecodeError as e:
         raise ConfigError(f"{path}: not UTF-8 text (byte offset {e.start})") from None
+    except OSError as e:     # missing, a directory, or not readable
+        raise ConfigError(f"{path}: {e.strerror}") from None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -306,7 +311,8 @@ class RunReport:
 
 def build_dataset(cfg: ExperimentConfig, seed: int) -> LabeledDataset:
     """Blobs, or the pooled IDX train and t10k files under `data_dir/dataset`
-    (plain or `.gz`); ConfigError if none exist or their image shapes differ."""
+    (plain or `.gz`); ConfigError if none exist, one cannot be read, or their
+    image shapes differ."""
     if cfg.dataset == "blobs":
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
         return gen_blobs(cfg.blob_samples_per_class, cfg.blob_classes,
@@ -323,7 +329,10 @@ def build_dataset(cfg: ExperimentConfig, seed: int) -> LabeledDataset:
                   if all(map(os.path.exists, pair))][:1]
     if not files:
         raise ConfigError(f"data_dir: IDX files not found under {base}")
-    parts = [load_idx_files(img, lab) for img, lab in files]
+    try:
+        parts = [load_idx_files(img, lab) for img, lab in files]
+    except OSError as e:     # a directory, or not readable
+        raise ConfigError(f"data_dir: {e.filename}: {e.strerror}") from None
     if len(parts) == 1:
         return parts[0]
     shapes = ["x".join(map(str, p.image_shape)) for p in parts]

@@ -275,10 +275,15 @@ def sgd_step(model: MlpModel, grad: np.ndarray, lr: float) -> MlpModel:
 
 
 def _check_labels(labels: np.ndarray, class_count: int) -> np.ndarray:
-    """`labels` as an array, checked to be 1-D and to lie in [0, C)."""
+    """`labels` as an array, checked to be 1-D integers in [0, C) for an
+    integer C >= 1."""
+    if not isinstance(class_count, numbers.Integral) or class_count < 1:
+        raise DomainError(f"class count must be an integer >= 1, got {class_count!r}")
     labels = np.asarray(labels)
     if labels.ndim != 1:
         raise DimensionError(f"labels must be 1-D, got shape {labels.shape}")
+    if labels.dtype.kind not in "iu":    # a float, bool or object label is no class
+        raise DomainError(f"labels must be integers, got dtype {labels.dtype}")
     if labels.size and not (labels.min() >= 0 and labels.max() < class_count):
         raise DomainError(f"labels must lie in [0, {class_count}), got "
                           f"{labels.min()} to {labels.max()}")

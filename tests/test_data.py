@@ -1,4 +1,5 @@
 import gzip
+import re
 import struct
 from dataclasses import fields
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from hdus.data import (MAX_BLOB_ENTRIES, LabeledDataset, check_blobs,
                        gen_blobs, load_idx_files, parse_idx, partition_noniid)
 from hdus.distill import ReferenceSet
-from hdus.errors import ConfigError, ParseError
+from hdus.errors import ConfigError, DimensionError, DomainError, ParseError
 
 
 def make_idx(images: np.ndarray, labels: np.ndarray) -> tuple[bytes, bytes]:
@@ -192,6 +193,15 @@ def test_blob_pool_bound():
                        f"20 rows x {MAX_BLOB_ENTRIES} features exceeds the limit "
                        f"of {MAX_BLOB_ENTRIES} float64 entries"):
         gen_blobs(10, 2, MAX_BLOB_ENTRIES, 0.5, np.random.default_rng(0))
+
+
+def test_blob_grid_bound_names_a_cluster_count_too_long_to_write():
+    """4,300 digits of blob_components still read, but times blob_classes
+    the cluster count is too long for int -> str: the error bounds it."""
+    with pytest.raises(ConfigError, match=f"^blob_features: a grid of 20 features holds "
+                       f"380 clusters, but blob_components x blob_classes = over "
+                       f"{MAX_BLOB_ENTRIES}$"):
+        check_blobs(10, 475, 20, int("9" * 4300))
 
 
 # --- non-IID partition ------------------------------------------------------
@@ -395,15 +405,54 @@ def test_partition_split_sizes_rejected_under_their_key(ref, fraction, key):
 
 
 def test_labeled_dataset_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError, match=r"^labels must lie in \[0, 3\)"):
         LabeledDataset(np.zeros((3, 2)), np.array([0, 1, 5]), class_count=3)
-    with pytest.raises(ConfigError):
+    with pytest.raises(DimensionError, match="^3 feature rows vs 2 labels$"):
         LabeledDataset(np.zeros((3, 2)), np.array([0, 1]), class_count=3)
 
 
 def test_labeled_dataset_needs_a_row():
-    with pytest.raises(ConfigError, match=r"^features must be non-empty 2-D, got \(0, 2\)$"):
+    with pytest.raises(DimensionError,
+                       match=r"^features must be non-empty 2-D, got shape \(0, 2\)$"):
         LabeledDataset(np.zeros((0, 2)), np.zeros(0, dtype=int), class_count=3)
+
+
+@pytest.mark.parametrize("rows", [np.zeros(3), np.zeros((1, 2, 2))], ids=["1-D", "3-D"])
+def test_datasets_share_one_rows_check(rows):
+    """Labeled and reference rows are checked by one rule, with one error."""
+    for build in (lambda f: LabeledDataset(f, np.zeros(len(f), dtype=int), 3), ReferenceSet):
+        with pytest.raises(DimensionError,
+                           match=re.escape(f"features must be non-empty 2-D, "
+                                           f"got shape {rows.shape}")):
+            build(rows)
+
+
+@pytest.mark.parametrize("labels", [np.array([0.5, 1.7]), np.array([0.0, 1.0]),
+                                    np.array([False, True]),
+                                    np.array([0, 1], dtype=object)],
+                         ids=["float", "integral float", "bool", "object"])
+def test_labeled_dataset_labels_must_be_integers(labels):
+    """A label array that is not of an integer dtype is no row of classes:
+    casting 0.5 and 1.7 to int64 read them as classes 0 and 1."""
+    with pytest.raises(DomainError, match="^labels must be integers, got dtype "):
+        LabeledDataset(np.zeros((2, 3)), labels, 3)
+
+
+@pytest.mark.parametrize("class_count", [3.5, 3.0, 0, None])
+def test_labeled_dataset_class_count_must_be_a_positive_integer(class_count):
+    with pytest.raises(DomainError, match="^class count must be an integer >= 1, got "):
+        LabeledDataset(np.zeros((2, 3)), np.array([0, 1]), class_count)
+
+
+def test_labeled_dataset_takes_any_integer_labels_and_class_count():
+    """Python and numpy integers pass; IDX labels arrive as uint8. Labels
+    are stored as int64, and an int64 array is frozen in place."""
+    for labels in ([0, 2], np.array([0, 2], dtype=np.uint8), np.array([0, 2], dtype=np.int32)):
+        for class_count in (3, np.int64(3), np.uint8(3)):
+            ds = LabeledDataset(np.zeros((2, 3)), labels, class_count)
+            assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [0, 2]
+    labels = np.array([0, 2])
+    assert LabeledDataset(np.zeros((2, 3)), labels, 3).labels is labels
 
 
 def test_datasets_are_read_only_once_built():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hdus.data import gen_blobs
 from hdus.distill import (DistillConfig, ReferenceSet, distill_fidelity,
                           incubate_seed, incubate_seeds)
-from hdus.errors import ConfigError, DivergenceError
+from hdus.errors import ConfigError, DimensionError, DivergenceError
 from hdus.numeric import (MlpSpec, init_mlp, mlp_forward, sgd_train,
                           softmax_temp, training_step_count)
 from oracles import sgd_2d
@@ -102,7 +102,7 @@ def test_fidelity_identity(blob_task):
 
 def test_fidelity_empty_reference_rejected(blob_task):
     main, _ = blob_task
-    with pytest.raises(ConfigError):
+    with pytest.raises(DimensionError, match=r"^features must be non-empty 2-D"):
         distill_fidelity(main, main, ReferenceSet(np.empty((0, 6))), 1.0)
 
 

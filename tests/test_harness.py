@@ -371,16 +371,20 @@ def _never_run(cfg):
 
 
 def test_a_nul_in_output_path_is_a_config_error(tmp_path, capsys, monkeypatch):
-    """`output_path` cannot name a file with a NUL in it: that fails when
-    the config is built, before any run."""
+    """`output_path` cannot name a file with a NUL in it, nor be empty (a
+    run read that as the default `hdus-out`): that fails when the config is
+    built, before any run."""
     monkeypatch.setattr(harness, "run_experiment", _never_run)
     monkeypatch.setattr(cli, "run_experiment", _never_run)
     conf = tmp_path / "nul.conf"
-    conf.write_text('rounds = 2\noutput_path = "out\\u0000x"\n', encoding="utf-8")
-    for verb in ("validate-config", "run"):
-        assert run_cli(verb, "--config", str(conf)) == 2
-        assert capsys.readouterr().err == \
-            "config error: output_path: must not hold a NUL character\n"
+    for value, reason in (('"out\\u0000x"', "must not hold a NUL character"),
+                          ('""', "must not be empty")):
+        conf.write_text(f"rounds = 2\noutput_path = {value}\n", encoding="utf-8")
+        for verb in ("validate-config", "run"):
+            assert run_cli(verb, "--config", str(conf)) == 2
+            assert capsys.readouterr().err == f"config error: output_path: {reason}\n"
+    assert run_cli("validate-config", "--output-path", "") == 2
+    assert capsys.readouterr().err == "config error: output_path: must not be empty\n"
 
 
 @pytest.mark.parametrize("verb", [("run",), ("unlearn-demo",),
@@ -994,8 +998,21 @@ def test_cli_sweep_rejects_bad_values(tmp_path, capsys):
     assert captured.out == "" and not out.exists()
 
 
+def test_load_config_unreadable_path_is_config_error(tmp_path):
+    """A path that cannot be read is a ConfigError naming it, not a bare
+    OSError."""
+    missing = tmp_path / "missing.conf"
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(missing))}: No such file"):
+        load_config(missing)
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(tmp_path))}: Is a directory$"):
+        load_config(tmp_path)
+
+
 def test_cli_missing_config_file_is_config_error(capsys):
-    assert run_cli("run", "--config", "/nonexistent/path.conf") == 2
+    for verb in ("run", "validate-config"):
+        assert run_cli(verb, "--config", "/nonexistent/path.conf") == 2
+        assert capsys.readouterr().err == \
+            "config error: /nonexistent/path.conf: No such file or directory\n"
 
 
 def test_cli_non_utf8_config_file_is_config_error(tmp_path, capsys):
@@ -1010,6 +1027,22 @@ def test_cli_missing_idx_files_is_config_error(tmp_path, capsys):
                    "--rounds", "1")
     assert code == 2
     assert "config error: data_dir: IDX files not found" in capsys.readouterr().err
+
+
+def test_cli_unreadable_idx_file_is_config_error(tmp_path, capsys):
+    """An IDX file that exists but cannot be read (here, a directory) is a
+    config error naming it, as a missing one is."""
+    base = tmp_path / "mnist"
+    (base / "train-images-idx3-ubyte").mkdir(parents=True)
+    (base / "train-labels-idx1-ubyte").write_bytes(b"")
+    cfg = ExperimentConfig(dataset="mnist", data_dir=str(tmp_path))
+    message = f"data_dir: {base / 'train-images-idx3-ubyte'}: Is a directory"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        build_dataset(cfg, 0)
+    assert run_cli("run", "--dataset", "mnist", "--data-dir", str(tmp_path),
+                   "--rounds", "1", "--output-path", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_unfillable_split_is_config_error(tmp_path, capsys):

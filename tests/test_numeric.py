@@ -437,12 +437,27 @@ class TestAccuracy:
         with pytest.raises(DimensionError, match="^2 logit rows vs 3 labels$"):
             accuracy(np.zeros((2, 3)), np.array([0, 1, 2]))
 
+    def test_labels_must_be_integers(self):
+        """Float labels are an error, not compared with the argmax as floats
+        (0.5 never matched and 1.0 matched: the accuracy read 0.5)."""
+        with pytest.raises(DomainError, match="^labels must be integers, got dtype float64$"):
+            accuracy(np.eye(2), np.array([0.5, 1.0]))
+
 
 def test_onehot_labels_must_be_classes():
     assert onehot_labels(np.array([2, 0]), 3).tolist() == [[0, 0, 1], [1, 0, 0]]
     for bad in ([-1], [3], [0, 5]):
         with pytest.raises(DomainError):
             onehot_labels(np.array(bad), 3)
+
+
+def test_onehot_labels_must_be_integers():
+    """Integral floats are not classes either: indexing with them raised
+    numpy's IndexError. Any integer dtype passes."""
+    with pytest.raises(DomainError, match="^labels must be integers, got dtype float64$"):
+        onehot_labels(np.array([0.0, 1.0]), 3)
+    for dtype in (np.uint8, np.int32, np.int64):
+        assert onehot_labels(np.array([1], dtype=dtype), np.int64(2)).tolist() == [[0, 1]]
 
 
 def test_onehot_labels_must_be_1d():
