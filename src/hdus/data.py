@@ -141,7 +141,8 @@ def load_idx_files(image_path, label_path, class_count: int = 10) -> LabeledData
 MAX_BLOB_ENTRIES = 2**27
 
 
-def check_blobs(classes: int, per_class: int, features: int, components: int) -> None:
+def check_blobs(classes: int, per_class: int, features: int, components: int,
+                spread: float) -> None:
     """gen_blobs' bounds: each cluster has its own cell of the axis grid, and
     the pool fits in MAX_BLOB_ENTRIES."""
     if classes < 2:
@@ -150,6 +151,12 @@ def check_blobs(classes: int, per_class: int, features: int, components: int) ->
         raise ConfigError("blob_features: must be >= 2")
     if components < 1:
         raise ConfigError("blob_components: must be >= 1")
+    if per_class < 1:
+        raise ConfigError("blob_samples_per_class: must be >= 1")
+    # Standardizing squares the deviations: under 1e100 their sum stays
+    # finite for any pool that fits in memory.
+    if not 0 <= spread <= 1e100:
+        raise ConfigError(f"blob_spread: must be in [0, 1e100], got {spread}")
     # Two 4,300-digit factors make a product too long for int -> str.
     def shown(n: int) -> int | str:
         return n if n <= MAX_BLOB_ENTRIES else f"over {MAX_BLOB_ENTRIES}"
@@ -173,7 +180,7 @@ def gen_blobs(n_per_class: int, class_count: int, feature_dim: int,
     (components_per_class > 1 gives a harder, non-linearly-separable task).
     Exactly n_per_class samples per class.
     """
-    check_blobs(class_count, n_per_class, feature_dim, components_per_class)
+    check_blobs(class_count, n_per_class, feature_dim, components_per_class, spread)
 
     scale = 3.0
     feats, labs = [], []
@@ -204,12 +211,18 @@ def gen_blobs(n_per_class: int, class_count: int, feature_dim: int,
 # Partitioning
 # ---------------------------------------------------------------------------
 
-def check_clients(n_clients: int, class_count: int) -> None:
-    """Each client omits one distinct class and needs another client as donor."""
+def check_clients(n_clients: int, class_count: int, ref_size: int,
+                  test_fraction: float) -> None:
+    """Each client omits one distinct class and needs another client as donor;
+    the split's bounds that hold for any pool size are checked here too."""
     if n_clients < 2:
         raise ConfigError(f"n_clients: {n_clients} < 2: a lone client has no donor")
     if n_clients > class_count:
         raise ConfigError(f"n_clients: {n_clients} exceeds the {class_count} classes")
+    if ref_size < 1:
+        raise ConfigError("ref_size: must be >= 1")
+    if not 0 < test_fraction < 1:
+        raise ConfigError("test_fraction: must be in (0, 1)")
 
 
 def check_split(rows: int, n_clients: int, ref_size: int, test_fraction: float) -> int:
@@ -244,7 +257,7 @@ def partition_noniid(data: LabeledDataset, n_clients: int, ref_size: int,
     when this seed's draws leave some split short even after the repair.
     """
     C = data.class_count
-    check_clients(n_clients, C)
+    check_clients(n_clients, C, ref_size, test_fraction)
     test_n = check_split(len(data), n_clients, ref_size, test_fraction)
 
     ref_idx = np.sort(rng.choice(len(data), size=ref_size, replace=False))

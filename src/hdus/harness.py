@@ -21,7 +21,7 @@ from .data import (LabeledDataset, PartitionedDataset, check_blobs, check_client
 from .distill import DistillConfig
 from .ensemble import EnsembleConfig, ensemble_predict
 from .errors import ConfigError, HdusError
-from .numeric import TIERS, accuracy, tier_spec, training_step_count
+from .numeric import TIERS, MlpSpec, accuracy, tier_spec, training_step_count
 from .simulation import (ClientState, EventLog, SimConfig, Topology, active_clients,
                          csv_text, evaluate_all, handle_unlearn_request,
                          init_network, retire_client, run_round)
@@ -83,20 +83,13 @@ class ExperimentConfig:
             raise ConfigError(f"framework: must be one of {FRAMEWORKS}")
         if self.setting not in ("homogeneous", "heterogeneous"):
             raise ConfigError(f"setting: must be homogeneous or heterogeneous")
-        SimConfig(ensemble=EnsembleConfig(lam=self.ensemble_lambda, combine=self.combine),
-                  distill=DistillConfig(temperature=self.temperature,
-                                        epochs=self.incubate_epochs,
-                                        lr=self.incubate_lr, batch_size=self.batch_size),
-                  incubate_every_rounds=self.incubate_every_rounds)
-        check_clients(self.n_clients, self.blob_classes if self.dataset == "blobs" else 10)
+        _sim_config(self)
+        check_clients(self.n_clients, self.blob_classes if self.dataset == "blobs" else 10,
+                      self.ref_size, self.test_fraction)
         if self.rounds < 1:
             raise ConfigError("rounds: must be >= 1")
         if self.repeats < 1:
             raise ConfigError("repeats: must be >= 1")
-        if self.local_epochs < 0:
-            raise ConfigError("local_epochs: must be >= 0")
-        if self.lr < 0:
-            raise ConfigError("lr: must be >= 0")
         if (self.unlearn_round is None) != (self.unlearn_client is None):
             raise ConfigError("unlearn_round: must be set together with unlearn_client")
         if self.unlearn_round is not None:
@@ -108,21 +101,11 @@ class ExperimentConfig:
             raise ConfigError("data_dir: required for IDX datasets")
         if self.seed_tier not in TIERS:
             raise ConfigError(f"seed_tier: unknown tier {self.seed_tier!r}")
-        if self.ref_size < 1:
-            raise ConfigError("ref_size: must be >= 1")
-        if not 0 < self.test_fraction < 1:
-            raise ConfigError("test_fraction: must be in (0, 1)")
-        if self.blob_samples_per_class < 1:
-            raise ConfigError("blob_samples_per_class: must be >= 1")
-        # Standardizing squares the deviations: under 1e100 their sum stays
-        # finite for any pool that fits in memory.
-        if not 0 <= self.blob_spread <= 1e100:
-            raise ConfigError(f"blob_spread: must be in [0, 1e100], got {self.blob_spread}")
-        # IDX pool sizes are known only once the files load, and
-        # partition_noniid checks them then.
+        # An IDX config reads no blob_* field, and its pool size is known
+        # only once the files load: partition_noniid checks the split then.
         if self.dataset == "blobs":
             check_blobs(self.blob_classes, self.blob_samples_per_class,
-                        self.blob_features, self.blob_components)
+                        self.blob_features, self.blob_components, self.blob_spread)
             check_split(self.blob_classes * self.blob_samples_per_class,
                         self.n_clients, self.ref_size, self.test_fraction)
         if self.master_seed < 0:
@@ -261,6 +244,8 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"{path}: not UTF-8 text (byte offset {e.start})") from None
     except OSError as e:     # missing, a directory, or not readable
         raise ConfigError(f"{path}: {e.strerror}") from None
+    except ValueError as e:  # a path holding a NUL, which no file system names
+        raise ConfigError(f"{path}: {e}") from None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -351,14 +336,16 @@ def build_partition(cfg: ExperimentConfig, seed: int) -> PartitionedDataset:
                             cfg.test_fraction, rng)
 
 
-def _sim_config(cfg: ExperimentConfig, feature_dim: int, class_count: int) -> SimConfig:
+def _sim_config(cfg: ExperimentConfig, seed_spec: MlpSpec | None = None) -> SimConfig:
+    """The one map from experiment keys to the module configs, which check
+    their own fields: the ensemble's first, so two bad fields name one key."""
     return SimConfig(
+        ensemble=EnsembleConfig(lam=cfg.ensemble_lambda, combine=cfg.combine),
         local_epochs=cfg.local_epochs, lr=cfg.lr, batch_size=cfg.batch_size,
         distill=DistillConfig(temperature=cfg.temperature,
                               epochs=cfg.incubate_epochs, lr=cfg.incubate_lr,
                               batch_size=cfg.batch_size),
-        ensemble=EnsembleConfig(lam=cfg.ensemble_lambda, combine=cfg.combine),
-        seed_spec=tier_spec(cfg.seed_tier, feature_dim, class_count),
+        seed_spec=seed_spec,
         incubate_every_rounds=cfg.incubate_every_rounds)
 
 
@@ -396,7 +383,7 @@ class _Engine:
         self.seed = seed
         F = part.test.features.shape[1]
         C = part.test.class_count
-        self.sim = _sim_config(cfg, F, C)
+        self.sim = _sim_config(cfg, tier_spec(cfg.seed_tier, F, C))
         self.topology = Topology.complete(range(cfg.n_clients))
         tiers = cfg.client_tiers()
         specs = [tier_spec(t, F, C) for t in tiers]

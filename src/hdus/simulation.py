@@ -100,6 +100,12 @@ class SimConfig:
     incubate_every_rounds: int = 1
 
     def __post_init__(self):
+        if self.local_epochs < 0:
+            raise ConfigError("local_epochs: must be >= 0")
+        if not 0 <= self.lr < float("inf"):
+            raise ConfigError(f"lr: must be finite and >= 0, got {self.lr}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size: must be >= 1, got {self.batch_size}")
         if self.incubate_every_rounds < 1:
             raise ConfigError("incubate_every_rounds: must be >= 1")
 

@@ -185,10 +185,10 @@ def test_blob_pool_bound():
     """A pool of at most MAX_BLOB_ENTRIES float64 entries passes; one row
     more is keyed blob_samples_per_class, and gen_blobs raises it before it
     draws anything."""
-    check_blobs(2, MAX_BLOB_ENTRIES // 8, 4, 1)
+    check_blobs(2, MAX_BLOB_ENTRIES // 8, 4, 1, 0.5)
     for per_class in (MAX_BLOB_ENTRIES // 8 + 1, 10**12):
         with pytest.raises(ConfigError, match="^blob_samples_per_class: "):
-            check_blobs(2, per_class, 4, 1)
+            check_blobs(2, per_class, 4, 1, 0.5)
     with pytest.raises(ConfigError, match=f"^blob_samples_per_class: a pool of "
                        f"20 rows x {MAX_BLOB_ENTRIES} features exceeds the limit "
                        f"of {MAX_BLOB_ENTRIES} float64 entries"):
@@ -201,7 +201,7 @@ def test_blob_grid_bound_names_a_cluster_count_too_long_to_write():
     with pytest.raises(ConfigError, match=f"^blob_features: a grid of 20 features holds "
                        f"380 clusters, but blob_components x blob_classes = over "
                        f"{MAX_BLOB_ENTRIES}$"):
-        check_blobs(10, 475, 20, int("9" * 4300))
+        check_blobs(10, 475, 20, int("9" * 4300), 0.6)
 
 
 # --- non-IID partition ------------------------------------------------------

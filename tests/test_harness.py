@@ -16,7 +16,7 @@ import hdus.harness as harness
 from hdus import baselines as bl
 from hdus import cli
 from hdus.cli import main as cli_main
-from hdus.data import MAX_BLOB_ENTRIES, LabeledDataset
+from hdus.data import MAX_BLOB_ENTRIES, LabeledDataset, gen_blobs, partition_noniid
 from hdus.distill import ReferenceSet
 from hdus.ensemble import add_neighbor_seed, unlearn_neighbor
 from hdus.errors import ConfigError, DivergenceError, StateError
@@ -102,11 +102,57 @@ def test_config_is_checked_when_built(kw):
         replace(tiny(), **kw)
 
 
+_RNG = np.random.default_rng
+
+
+def _pool():
+    return gen_blobs(20, 3, 4, 0.5, _RNG(0))
+
+
+# Key, bad value, and the call of the module that reads the value.
+_MOVED_BOUNDS = [
+    ("lr", -1.0, lambda v: SimConfig(lr=v)),
+    ("lr", float("nan"), lambda v: SimConfig(lr=v)),
+    ("lr", float("inf"), lambda v: SimConfig(lr=v)),
+    ("local_epochs", -1, lambda v: SimConfig(local_epochs=v)),
+    ("batch_size", 0, lambda v: SimConfig(batch_size=v)),
+    ("blob_samples_per_class", 0, lambda v: gen_blobs(v, 5, 6, 0.5, _RNG(0))),
+    ("blob_samples_per_class", -1, lambda v: gen_blobs(v, 5, 6, 0.5, _RNG(0))),
+    ("blob_spread", -1.0, lambda v: gen_blobs(10, 5, 6, v, _RNG(0))),
+    ("blob_spread", float("nan"), lambda v: gen_blobs(10, 5, 6, v, _RNG(0))),
+    ("blob_spread", 1e101, lambda v: gen_blobs(10, 5, 6, v, _RNG(0))),
+    ("ref_size", -1, lambda v: partition_noniid(_pool(), 2, v, 0.2, _RNG(0))),
+    ("ref_size", 0, lambda v: partition_noniid(_pool(), 2, v, 0.2, _RNG(0))),
+    ("test_fraction", float("nan"), lambda v: partition_noniid(_pool(), 2, 10, v, _RNG(0))),
+]
+
+
+@pytest.mark.parametrize("key, value, call", _MOVED_BOUNDS,
+                         ids=[f"{k}={v!r}" for k, v, _ in _MOVED_BOUNDS])
+def test_each_bound_has_one_home(key, value, call):
+    """A bound lives in the module config or data check that reads the
+    value, so a library caller of that module gets the ConfigError, keyed
+    the same, that building an experiment config gives."""
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        ExperimentConfig(**{key: value})
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        call(value)
+
+
+def test_an_idx_config_skips_the_blob_fields():
+    """An IDX config reads no blob_* field, so it does not check one; the
+    split bounds that need no pool size still fail it when built."""
+    idx = dict(dataset="mnist", data_dir="idx")
+    ExperimentConfig(**idx, blob_samples_per_class=0)
+    with pytest.raises(ConfigError, match="^ref_size: must be >= 1$"):
+        ExperimentConfig(**idx, ref_size=0)
+
+
 def test_module_config_defaults_are_the_experiments():
     """A library caller who composes the module configs' defaults trains,
     incubates and ensembles as a default run does."""
     sim = SimConfig()
-    built = harness._sim_config(ExperimentConfig(), 20, 10)
+    built = harness._sim_config(ExperimentConfig())
     for name in ("distill", "ensemble", "local_epochs", "lr", "batch_size",
                  "incubate_every_rounds"):
         assert getattr(sim, name) == getattr(built, name), name
@@ -1006,6 +1052,13 @@ def test_load_config_unreadable_path_is_config_error(tmp_path):
         load_config(missing)
     with pytest.raises(ConfigError, match=f"^{re.escape(str(tmp_path))}: Is a directory$"):
         load_config(tmp_path)
+
+
+def test_load_config_path_with_a_nul_is_config_error():
+    """`open` rejects a path holding a NUL with a bare ValueError; load_config
+    names the path in a ConfigError, as for any other unreadable path."""
+    with pytest.raises(ConfigError, match="^a\0b: embedded null byte$"):
+        load_config("a\0b")
 
 
 def test_cli_missing_config_file_is_config_error(capsys):

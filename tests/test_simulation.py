@@ -644,33 +644,33 @@ def test_local_training_stops_at_first_diverging_group():
 def test_bad_lr_or_epochs_is_rejected(lr, epochs):
     """A negative or NaN learning rate, or negative epochs, would otherwise
     train nothing and count no step, silently, and an infinite one would
-    diverge; training rejects each once per call, before any step."""
+    diverge; training rejects each once per call, before any step, and
+    SimConfig rejects each when built, keyed as the experiment config is."""
     clients = _clients_with_splits(["small", "small"], [10, 10])
     d = clients[0].local_data
     bits = [_bits(c.main) for c in clients]
     with pytest.raises(DomainError, match="^(learning rate|epochs) must be"):
         sgd_train(clients[0].main, d.features, d.labels, C, epochs, lr, 4,
                   np.random.default_rng(0))
-    with pytest.raises(DomainError, match="^(learning rate|epochs) must be"):
-        local_training_phase(clients, SimConfig(local_epochs=epochs, lr=lr))
+    with pytest.raises(ConfigError, match="^(lr|local_epochs): must be"):
+        SimConfig(local_epochs=epochs, lr=lr)
     assert [_bits(c.main) for c in clients] == bits
 
 
 @pytest.mark.parametrize("batch_size", [0, -5])
 def test_batch_size_below_one_is_rejected(batch_size):
     """A batch size below 1 never advances the minibatch loop, so training
-    rejects it once per call, before any step, rather than hanging."""
+    rejects it once per call, before any step, rather than hanging, and
+    SimConfig rejects it when built."""
     clients = _clients_with_splits(["small", "small"], [10, 10])
     model = clients[0].main
     d = clients[0].local_data
     bits = [_bits(c.main) for c in clients]
-    message = f"^batch_size must be >= 1, got {batch_size}$"
-    with pytest.raises(DomainError, match=message):
+    with pytest.raises(DomainError, match=f"^batch_size must be >= 1, got {batch_size}$"):
         sgd_train(model, d.features, d.labels, C, 3, 0.1, batch_size,
                   np.random.default_rng(0))
-    with pytest.raises(DomainError, match=message):
-        local_training_phase(clients, SimConfig(local_epochs=1, lr=0.05,
-                                                batch_size=batch_size))
+    with pytest.raises(ConfigError, match=f"^batch_size: must be >= 1, got {batch_size}$"):
+        SimConfig(local_epochs=1, lr=0.05, batch_size=batch_size)
     assert [_bits(c.main) for c in clients] == bits
 
 
