@@ -13,25 +13,22 @@ from .distill import ReferenceSet, incubate_seed
 from .ensemble import _model_output
 from .errors import ConfigError, StateError
 from .numeric import MlpModel, MlpSpec, init_mlp
-from .simulation import (ClientState, SimConfig, Topology, active_clients,
-                         active_neighbors, client_rng_streams,
-                         local_training_phase, retire_client)
+from .simulation import (ClientState, SimConfig, Topology, active_neighbors,
+                         client_rng_streams, local_training_phase, retire_client)
 
 
 # ---------------------------------------------------------------------------
 # ISGD
 # ---------------------------------------------------------------------------
 
-def isgd_round(clients: list[ClientState], cfg: SimConfig) -> list[ClientState]:
+def isgd_round(clients: list[ClientState], cfg: SimConfig) -> None:
     """Local SGD only, no communication of any kind."""
     local_training_phase(clients, cfg)
-    return clients
 
 
-def isgd_unlearn(clients: list[ClientState], quitting_id: int) -> list[ClientState]:
+def isgd_unlearn(clients: list[ClientState], quitting_id: int) -> None:
     """Deleting the client is the whole unlearning procedure."""
     retire_client(clients, quitting_id)
-    return clients
 
 
 # ---------------------------------------------------------------------------
@@ -39,40 +36,32 @@ def isgd_unlearn(clients: list[ClientState], quitting_id: int) -> list[ClientSta
 # ---------------------------------------------------------------------------
 
 def _check_homogeneous(clients: list[ClientState]) -> None:
-    specs = {c.main.spec for c in active_clients(clients)}
+    specs = {c.main.spec for c in clients}
     if len(specs) > 1:
         raise ConfigError("DSGD/FedUnl require homogeneous model specs, got "
                           f"{len(specs)} distinct specs")
 
 
 def dsgd_round(clients: list[ClientState], topology: Topology,
-               cfg: SimConfig) -> list[ClientState]:
+               cfg: SimConfig) -> None:
     """Local SGD epochs followed by synchronous gossip averaging: each client's
-    parameters become the uniform average over itself and its active neighbors."""
+    parameters become the uniform average over itself and its neighbors."""
     _check_homogeneous(clients)
     local_training_phase(clients, cfg)
-    active = active_clients(clients)
-    averaged = {}
-    for c in active:
-        group = [c.main.params] + [nbr.main.params for nbr in
-                                   active_neighbors(clients, topology, c.id)]
-        averaged[c.id] = np.mean(group, axis=0)
-    for c in active:
-        c.main.params[...] = averaged[c.id]
-    return clients
+    groups = [[c, *active_neighbors(clients, topology, c.id)] for c in clients]
+    averaged = [np.mean([m.main.params for m in g], axis=0) for g in groups]
+    for c, params in zip(clients, averaged):
+        c.main.params[...] = params
 
 
 def dsgd_unlearn(clients: list[ClientState], quitting_id: int,
-                 master_seed: int) -> list[int]:
+                 master_seed: int) -> None:
     """Remove the quitter and reset every remaining client to its initial
     parameters, re-drawn from its `master_seed` training stream; the caller
-    then reruns dsgd rounds to retrain. Returns the remaining active ids."""
+    then reruns dsgd rounds to retrain."""
     retire_client(clients, quitting_id)
-    remaining = []
-    for c in active_clients(clients):
+    for c in clients:
         c.main = init_mlp(c.main.spec, client_rng_streams(master_seed, c.id)[0])
-        remaining.append(c.id)
-    return remaining
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +86,8 @@ def fedunl_init(spec: MlpSpec, master_seed: int) -> CentralServerState:
 
 
 def _broadcast(server: CentralServerState, clients: list[ClientState]) -> None:
-    """Give every active client its own copy of the global model."""
-    for c in active_clients(clients):
+    """Give every client its own copy of the global model."""
+    for c in clients:
         c.main = server.global_model.copy()
 
 
@@ -117,8 +106,7 @@ def fedunl_round(server: CentralServerState, clients: list[ClientState],
     _check_homogeneous(clients)
     _broadcast(server, clients)
     local_training_phase(clients, cfg)
-    deltas = {c.id: c.main.params - server.global_model.params
-              for c in active_clients(clients)}
+    deltas = {c.id: c.main.params - server.global_model.params for c in clients}
     server.update_ledger.append(deltas)
     _apply_ledger_step(server.global_model, deltas)
     _broadcast(server, clients)
@@ -164,24 +152,23 @@ def fedunl_recover_round(server: CentralServerState, clients: list[ClientState],
 # ---------------------------------------------------------------------------
 # SISA-A (client-wise shard ensemble)
 # ---------------------------------------------------------------------------
-# Client i's shard is its own main model, so the ensemble is the active
-# clients' mains in id order, and retiring a client drops its shard.
+# Client i's shard is its own main model, so the ensemble is the roster's
+# mains in id order, and retiring a client drops its shard.
 
 def sisa_round(clients: list[ClientState], cfg: SimConfig) -> None:
-    """Train each active client's shard; shards are never aggregated."""
+    """Train each client's shard; shards are never aggregated."""
     local_training_phase(clients, cfg)
 
 
 def sisa_predict(clients: list[ClientState], batch: np.ndarray) -> np.ndarray:
-    """Uniform mean of the active clients' softmax probabilities."""
-    shards = active_clients(clients)
-    if not shards:
+    """Uniform mean of the clients' softmax probabilities."""
+    if not clients:
         raise StateError("no active clients")
     probs = None
-    for c in shards:
+    for c in clients:
         p = _model_output(c.main, batch, "proba", f"client {c.id}: shard")
         probs = p if probs is None else probs + p
-    return probs / len(shards)
+    return probs / len(clients)
 
 
 def sisa_unlearn_client(clients: list[ClientState], quitting_id: int) -> None:

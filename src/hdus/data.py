@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distill import ReferenceSet
-from .errors import ConfigError, DimensionError, ParseError
+from .errors import ConfigError, DimensionError, ParseError, check_count, check_rate
 from .numeric import _check_labels
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -145,6 +145,11 @@ def check_blobs(classes: int, per_class: int, features: int, components: int,
                 spread: float) -> None:
     """gen_blobs' bounds: each cluster has its own cell of the axis grid, and
     the pool fits in MAX_BLOB_ENTRIES."""
+    for key, value in (("blob_classes", classes), ("blob_features", features),
+                       ("blob_components", components),
+                       ("blob_samples_per_class", per_class)):
+        check_count(key, value)
+    check_rate("blob_spread", spread)
     if classes < 2:
         raise ConfigError("blob_classes: must be >= 2")
     if features < 2:
@@ -215,6 +220,9 @@ def check_clients(n_clients: int, class_count: int, ref_size: int,
                   test_fraction: float) -> None:
     """Each client omits one distinct class and needs another client as donor;
     the split's bounds that hold for any pool size are checked here too."""
+    check_count("n_clients", n_clients)
+    check_count("ref_size", ref_size)
+    check_rate("test_fraction", test_fraction)
     if n_clients < 2:
         raise ConfigError(f"n_clients: {n_clients} < 2: a lone client has no donor")
     if n_clients > class_count:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, check_count, check_rate
 from .numeric import (MlpModel, MlpSpec, _divergence, _train_stack,
                       init_mlp, kl_divergence, mlp_forward, softmax_temp)
 
@@ -27,6 +27,10 @@ class DistillConfig:
     def __post_init__(self):
         # Errors name the experiment config's keys: `epochs` and `lr` are its
         # `incubate_epochs` and `incubate_lr`.
+        check_count("incubate_epochs", self.epochs)
+        check_count("batch_size", self.batch_size)
+        check_rate("temperature", self.temperature)
+        check_rate("incubate_lr", self.lr)
         for key, value in (("temperature", self.temperature), ("incubate_lr", self.lr)):
             if not math.isfinite(value):
                 raise ConfigError(f"{key}: must be finite, got {value}")

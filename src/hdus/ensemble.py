@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ConfigError, ConflictError, DimensionError, DivergenceError,
-                     NotFoundError, ParseError, ValidationError)
+                     NotFoundError, ParseError, ValidationError, check_rate)
 from .numeric import MlpModel, MlpSpec, mlp_forward, softmax_temp
 
 SEED_MAGIC = b"HDUS"
@@ -24,6 +24,7 @@ class EnsembleConfig:
     combine: str = "proba"      # "proba" (default) or "logits"
 
     def __post_init__(self):
+        check_rate("lambda", self.lam)
         if not 0.0 <= self.lam < 1.0:
             raise ConfigError(f"lambda: must be in [0, 1), got {self.lam}")
         if self.combine not in ("proba", "logits"):

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all hdus modules."""
+"""Exception hierarchy shared by all hdus modules, and the one type rule of
+numeric config fields."""
+
+import numbers
 
 
 class HdusError(Exception):
@@ -50,3 +53,27 @@ class ConflictError(HdusError):
 
 class StateError(HdusError):
     """Operation requires state (active clients, a pre-unlearn global) that is missing."""
+
+
+# The number rule of every config route: `harness._typed` stores an int or
+# float field by it, and a module config checks a field by it before its
+# bounds, so a wrongly typed value is a ConfigError naming its experiment
+# key, not a bare TypeError or a float count.
+def is_count(value) -> bool:
+    """Any integral number but a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_rate(value) -> bool:
+    """Any real number but a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_count(key: str, value) -> None:
+    if not is_count(value):
+        raise ConfigError(f"{key}: expected int, got {value!r}")
+
+
+def check_rate(key: str, value) -> None:
+    if not is_rate(value):
+        raise ConfigError(f"{key}: expected float, got {value!r}")

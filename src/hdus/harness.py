@@ -6,7 +6,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 import os
 import sys
 import tempfile
@@ -20,11 +19,11 @@ from .data import (LabeledDataset, PartitionedDataset, check_blobs, check_client
                    check_split, gen_blobs, load_idx_files, partition_noniid)
 from .distill import DistillConfig
 from .ensemble import EnsembleConfig, ensemble_predict
-from .errors import ConfigError, HdusError
+from .errors import ConfigError, HdusError, is_count, is_rate
 from .numeric import TIERS, MlpSpec, accuracy, tier_spec, training_step_count
-from .simulation import (ClientState, EventLog, SimConfig, Topology, active_clients,
-                         csv_text, evaluate_all, handle_unlearn_request,
-                         init_network, retire_client, run_round)
+from .simulation import (ClientState, EventLog, SimConfig, Topology, csv_text,
+                         evaluate_all, handle_unlearn_request, init_network,
+                         retire_client, run_round)
 
 _SMALL_TIER_FRAMEWORKS = ("dsgd", "fedunl", "sisa_a")
 SCHEMA_VERSION = 1
@@ -183,16 +182,15 @@ def _typed(name: str, value: object) -> object:
                               f"{sys.get_int_max_str_digits()} int digits") from None
     if type(value) is kind or (value is None and nullable):
         return value
-    if not isinstance(value, (bool, np.bool_)):
-        if kind is str and isinstance(value, str):
-            return str(value)
-        if kind is int and isinstance(value, numbers.Integral):
-            return int(value)
-        if kind is float and isinstance(value, numbers.Real):
-            try:
-                return float(value)
-            except OverflowError:   # an int past float's range, as infinite as 1e999
-                return math.inf if value > 0 else -math.inf
+    if kind is str and isinstance(value, str):
+        return str(value)
+    if kind is int and is_count(value):
+        return int(value)
+    if kind is float and is_rate(value):
+        try:
+            return float(value)
+        except OverflowError:   # an int past float's range, as infinite as 1e999
+            return math.inf if value > 0 else -math.inf
     raise ConfigError(f"{name}: expected {_type_name(name)}, got {value!r}")
 
 
@@ -404,7 +402,7 @@ class _Engine:
             # One ensemble of every shard; logged per client for schema uniformity.
             out = bl.sisa_predict(self.clients, self.part.test.features)
             acc = accuracy(out, self.part.test.labels)
-            for c in active_clients(self.clients):
+            for c in self.clients:
                 log.log(r, c.id, self.name, "accuracy", acc)
             log.log(r, "mean", self.name, "mean_accuracy", acc)
             return
@@ -465,8 +463,8 @@ def survivor_state(c: ClientState, sim: SimConfig, test: LabeledDataset) -> tupl
 def verify_unlearning(cfg: ExperimentConfig) -> tuple[list[int], int]:
     """Exactness check of `cfg`'s one quit at `master_seed`, against a control
     from the same partition whose quitter retired before round 0 and whose
-    unlearn tick does nothing. Returns, in id order, the clients active in one
-    engine only and the survivors whose `survivor_state` or event-log rows
+    unlearn tick does nothing. Returns, in id order, the clients on only one
+    roster and the survivors whose `survivor_state` or event-log rows
     from the unlearn round on differ, and the SGD steps the unlearn took."""
     if cfg.unlearn_round is None:
         raise ConfigError("unlearn_round: verify_unlearning needs a quit")
@@ -480,11 +478,11 @@ def verify_unlearning(cfg: ExperimentConfig) -> tuple[list[int], int]:
     control_log, _ = _play(control, cfg, unlearn=False)
 
     def state(engine: _Engine, log: EventLog, cid: int) -> tuple:
-        return (survivor_state(engine.clients[cid], engine.sim, part.test),
+        c = next(c for c in engine.clients if c.id == cid)
+        return (survivor_state(c, engine.sim, part.test),
                 [rec for rec in log.records if rec[0] >= u and rec[1] == str(cid)])
 
-    run_ids, control_ids = ({c.id for c in active_clients(e.clients)}
-                            for e in (run, control))
+    run_ids, control_ids = ({c.id for c in e.clients} for e in (run, control))
     differ = {cid for cid in run_ids & control_ids
               if state(run, run_log, cid) != state(control, control_log, cid)}
     return sorted((run_ids ^ control_ids) | differ), steps

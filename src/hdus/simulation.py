@@ -7,6 +7,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -16,12 +17,11 @@ from .ensemble import (EnsembleConfig, SeedRepository, _mix, _model_output,
                        add_neighbor_seed, deserialize_seed, serialize_seed,
                        unlearn_neighbor)
 from .errors import (ConfigError, DivergenceError, NotFoundError, StateError,
-                     ValidationError)
+                     ValidationError, check_count, check_rate)
 from .numeric import (MlpModel, MlpSpec, _train_stack, accuracy, init_mlp,
                       onehot_labels)
 
 ACTIVE = "active"
-QUIT = "quit"
 
 
 @dataclass
@@ -77,16 +77,18 @@ class EventLog:
 
 @dataclass
 class ClientState:
+    """A client on a roster: a quit deletes it, so every one is active."""
+
     id: int
-    main: MlpModel | None
+    main: MlpModel
     own_seed: MlpModel | None
     repo: SeedRepository
-    local_data: LabeledDataset | None
+    local_data: LabeledDataset
     ref: ReferenceSet
     train_rng: np.random.Generator
     distill_rng: np.random.Generator
-    status: str = ACTIVE
     tier: str = "large"
+    status: ClassVar[str] = ACTIVE     # read by perfbench's churn-10 filter
 
 
 @dataclass
@@ -100,6 +102,9 @@ class SimConfig:
     incubate_every_rounds: int = 1
 
     def __post_init__(self):
+        for key in ("local_epochs", "batch_size", "incubate_every_rounds"):
+            check_count(key, getattr(self, key))
+        check_rate("lr", self.lr)
         if self.local_epochs < 0:
             raise ConfigError("local_epochs: must be >= 0")
         if not 0 <= self.lr < float("inf"):
@@ -124,7 +129,7 @@ def client_rng_streams(master_seed: int, client_id: int):
 def init_network(partition: PartitionedDataset, specs: list[MlpSpec],
                  topology: Topology, cfg: SimConfig, master_seed: int,
                  tiers: list[str] | None = None) -> list[ClientState]:
-    """Clients with independent rng sub-streams and empty repositories."""
+    """The roster, in id order: independent rng streams, empty repositories."""
     n = partition.n_clients
     if len(specs) != n:
         raise ConfigError(f"{len(specs)} specs for {n} clients")
@@ -145,20 +150,15 @@ def init_network(partition: PartitionedDataset, specs: list[MlpSpec],
     return clients
 
 
-def active_clients(clients: list[ClientState]) -> list[ClientState]:
-    """The active clients in id order: the order every framework acts in."""
-    return sorted((c for c in clients if c.status == ACTIVE), key=lambda c: c.id)
-
-
 def active_neighbors(clients: list[ClientState], topology: Topology,
                      client_id: int) -> list[ClientState]:
-    """The active clients adjacent to `client_id`, in id order."""
+    """The clients on the roster adjacent to `client_id`, in roster order."""
     nbrs = topology.neighbors(client_id)
-    return [c for c in active_clients(clients) if c.id in nbrs]
+    return [c for c in clients if c.id in nbrs]
 
 
 def local_training_phase(clients: list[ClientState], cfg: SimConfig) -> None:
-    """Every framework's local training: one round of main-model SGD per active
+    """Every framework's local training: one round of main-model SGD per
     client, as one `numeric._train_stack` call per (main spec, split size)
     group, groups in first-appearance order and clients in id order within
     one. Each client draws from its own `train_rng`, so its main ends bitwise
@@ -169,7 +169,7 @@ def local_training_phase(clients: list[ClientState], cfg: SimConfig) -> None:
     later groups do not train.
     """
     groups: dict[tuple[MlpSpec, int], list[ClientState]] = {}
-    for c in active_clients(clients):
+    for c in clients:
         groups.setdefault((c.main.spec, len(c.local_data)), []).append(c)
     for (spec, _), group in groups.items():
         stack = np.stack([c.main.params for c in group])
@@ -187,28 +187,26 @@ def local_training_phase(clients: list[ClientState], cfg: SimConfig) -> None:
 
 
 def run_round(clients: list[ClientState], topology: Topology, cfg: SimConfig,
-              round_index: int = 0) -> list[ClientState]:
+              round_index: int = 0) -> None:
     """Synchronous round: (a) local main-model training, (b) seed incubation
     per cadence, (c) each due client's new seed replaces its entry in every
-    active neighbor's repository; an unchanged seed is not re-sent.
+    neighbor's repository; an unchanged seed is not re-sent.
 
     The due clients' seeds are incubated as one stack (`incubate_seeds`),
     each bitwise what it would be alone. The first failing divergence check
     raises DivergenceError naming its lowest client at fault, and no
     client's seed is stored or sent. A sent seed is serialized and decoded
-    once, and every active receiver stores that same read-only seed object,
-    remove-then-add. Every active client holds a seed after its first round,
-    so the due clients are all active clients or none, and repositories stay
-    in sender-id order.
+    once, and every receiver stores that same read-only seed object,
+    remove-then-add. Every client holds a seed after its first round, so all
+    clients are due or none, and repositories stay in sender-id order.
     """
-    active = active_clients(clients)
-    if not active:
+    if not clients:
         raise StateError("no active clients")
     if cfg.seed_spec is None:
         raise ConfigError("cfg.seed_spec is required for seed exchange rounds")
-    due = [c for c in active
+    due = [c for c in clients
            if round_index % cfg.incubate_every_rounds == 0 or c.own_seed is None]
-    ref = active[0].ref
+    ref = clients[0].ref
     if any(c.ref is not ref for c in due):
         raise ConfigError("clients must share one reference set")
 
@@ -231,30 +229,25 @@ def run_round(clients: list[ClientState], topology: Topology, cfg: SimConfig,
             if c.id in nbr.repo:
                 unlearn_neighbor(nbr.repo, c.id)
             add_neighbor_seed(nbr.repo, c.id, sent)
-    return clients
 
 
 def retire_client(clients: list[ClientState], quitting_id: int) -> None:
-    """Mark an active client as quit and drop its data, models and repository.
-    Raises NotFoundError, before changing anything, if it is unknown or gone."""
-    quitter = next((c for c in clients if c.id == quitting_id), None)
-    if quitter is None or quitter.status != ACTIVE:
+    """Delete a client, with its data, models and repository, from the roster
+    in place, keeping the others' order. Raises NotFoundError, before
+    changing anything, if it is unknown or gone."""
+    i = next((i for i, c in enumerate(clients) if c.id == quitting_id), None)
+    if i is None:
         raise NotFoundError(f"client {quitting_id} is unknown or already quit")
-    quitter.status = QUIT
-    quitter.main = None
-    quitter.own_seed = None
-    quitter.local_data = None
-    quitter.repo = SeedRepository(owner_id=quitting_id)
+    del clients[i]
 
 
-def handle_unlearn_request(clients: list[ClientState], quitting_id: int) -> list[ClientState]:
+def handle_unlearn_request(clients: list[ClientState], quitting_id: int) -> None:
     """Retire the quitter and remove its seed from every other client's
     repository. No retraining, no parameter mutation."""
     retire_client(clients, quitting_id)
     for c in clients:
-        if c.id != quitting_id and quitting_id in c.repo:
+        if quitting_id in c.repo:
             unlearn_neighbor(c.repo, quitting_id)
-    return clients
 
 
 def _shared_prefix(a: list[tuple[int, MlpModel]],
@@ -272,7 +265,7 @@ def evaluate_all(clients: list[ClientState], test: LabeledDataset,
                  cfg: SimConfig, framework: str = "hdus",
                  log: EventLog | None = None,
                  round_index: int = 0) -> tuple[dict[int, float], float]:
-    """Per-active-client ensemble accuracy on the shared test set + the mean.
+    """Per-client ensemble accuracy on the shared test set + the mean.
 
     Bitwise what `ensemble_predict` gives each client, for less work:
     - A seed is forwarded once in its lifetime: repositories hold only
@@ -283,14 +276,13 @@ def evaluate_all(clients: list[ClientState], test: LabeledDataset,
       ValidationError.
     - Each repository sums its seed outputs in its own order, starting from
       the partial sum of the prefix it shares (by seed identity) with the
-      previous active client's repository, so a prefix common to a run of
+      previous client's repository, so a prefix common to a run of
       repositories is summed once.
     """
     features = test.features
     if features.flags.writeable:
         raise ValidationError("test features are writable (a copied test set?)")
-    active = active_clients(clients)
-    if not active:
+    if not clients:
         raise StateError("no active clients")
     combine, lam = cfg.ensemble.combine, cfg.ensemble.lam
 
@@ -302,11 +294,11 @@ def evaluate_all(clients: list[ClientState], test: LabeledDataset,
             cached = seed._test_output = (features, combine, out)
         return cached[2]
 
-    # One list per active client, and an empty one after the last.
-    repos = [c.repo.entries if lam != 0.0 else [] for c in active] + [[]]
+    # One list per client, and an empty one after the last.
+    repos = [c.repo.entries if lam != 0.0 else [] for c in clients] + [[]]
     carry = None    # (length, partial sum) of the prefix the next repo shares
     per_client: dict[int, float] = {}
-    for i, c in enumerate(active):
+    for i, c in enumerate(clients):
         out = _model_output(c.main, features, combine, f"client {c.id}: main model")
         entries = repos[i]
         if entries:

@@ -65,10 +65,9 @@ def test_isgd_unlearn_is_pure_deletion(partition):
     steps = training_step_count()
     isgd_unlearn(clients, 1)
     assert training_step_count() == steps
-    assert clients[1].status == "quit" and clients[1].main is None
+    assert [c.id for c in clients] == [0, 2, 3]
     for c in clients:
-        if c.id != 1:
-            assert np.array_equal(flat(c), others[c.id])
+        assert np.array_equal(flat(c), others[c.id])
     with pytest.raises(NotFoundError):
         isgd_unlearn(clients, 1)
 
@@ -144,14 +143,11 @@ def test_dsgd_unlearn_resets_and_retrains(partition):
     clients, topo = make_clients(partition, cfg)
     for r in range(2):
         dsgd_round(clients, topo, cfg)
-    remaining = dsgd_unlearn(clients, 3, master_seed=0)
-    assert remaining == [0, 1, 2]
+    dsgd_unlearn(clients, 3, master_seed=0)
+    assert [c.id for c in clients] == [0, 1, 2]
     fresh, _ = make_clients(partition, cfg)     # the mains before any round
     for c in clients:
-        if c.id == 3:
-            assert c.main is None
-        else:
-            assert np.array_equal(flat(c), flat(fresh[c.id]))
+        assert np.array_equal(flat(c), flat(fresh[c.id]))
     # retraining changes parameters again
     topo = topo.without(3)
     steps = training_step_count()
@@ -202,7 +198,7 @@ def test_fedunl_unlearn_subtracts_ledger_share(partition):
     assert np.allclose(server.global_model.params, before - contrib,
                        atol=1e-12)
     assert np.array_equal(server.pre_unlearn_global.params, before)
-    assert clients[2].status == "quit"
+    assert 2 not in [c.id for c in clients]
 
 
 def test_fedunl_recover_round_improves_reference_fit(partition):
@@ -221,8 +217,7 @@ def test_fedunl_recover_round_improves_reference_fit(partition):
     assert after < before
     assert server.pre_unlearn_global is None    # one recovery per quit
     for c in clients:
-        if c.status == "active":
-            assert np.array_equal(flat(c), server.global_model.params)
+        assert np.array_equal(flat(c), server.global_model.params)
 
 
 def test_fedunl_recover_requires_unlearn_first(partition):
@@ -244,7 +239,7 @@ def test_fedunl_unlearn_before_any_round_keeps_global(partition):
     fedunl_unlearn(server, clients, 0)
     assert np.array_equal(server.global_model.params, before)
     assert np.array_equal(server.pre_unlearn_global.params, before)
-    assert clients[0].status == "quit" and clients[0].main is None
+    assert [c.id for c in clients] == [1, 2, 3]
 
 
 # --- SISA-A -----------------------------------------------------------------
@@ -265,7 +260,7 @@ def test_sisa_unlearn_unknown_shard_rejected(partition):
     sisa_round(clients, cfg)
     with pytest.raises(NotFoundError):
         sisa_unlearn_client(clients, 99)
-    for c in clients:
-        sisa_unlearn_client(clients, c.id)
+    for q in [c.id for c in clients]:
+        sisa_unlearn_client(clients, q)
     with pytest.raises(StateError):
         sisa_predict(clients, partition.test.features[:4])

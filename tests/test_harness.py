@@ -17,8 +17,8 @@ from hdus import baselines as bl
 from hdus import cli
 from hdus.cli import main as cli_main
 from hdus.data import MAX_BLOB_ENTRIES, LabeledDataset, gen_blobs, partition_noniid
-from hdus.distill import ReferenceSet
-from hdus.ensemble import add_neighbor_seed, unlearn_neighbor
+from hdus.distill import DistillConfig, ReferenceSet
+from hdus.ensemble import EnsembleConfig, add_neighbor_seed, unlearn_neighbor
 from hdus.errors import ConfigError, DivergenceError, StateError
 from hdus.harness import (CONFIG_KEYS, FRAMEWORKS, ExperimentConfig,
                           build_dataset, build_partition, emit_metrics,
@@ -26,7 +26,7 @@ from hdus.harness import (CONFIG_KEYS, FRAMEWORKS, ExperimentConfig,
                           summary_csv_text, timeline_csv_text, unlearn_demo,
                           verify_unlearning)
 from hdus.numeric import TIERS
-from hdus.simulation import EventLog, SimConfig, active_clients
+from hdus.simulation import EventLog, SimConfig
 from test_data import make_idx
 
 
@@ -136,6 +136,38 @@ def test_each_bound_has_one_home(key, value, call):
     with pytest.raises(ConfigError, match=f"^{key}: "):
         ExperimentConfig(**{key: value})
     with pytest.raises(ConfigError, match=f"^{key}: "):
+        call(value)
+
+
+_RATE_KEYS = {"lr", "incubate_lr", "temperature", "lambda", "blob_spread", "test_fraction"}
+# Key, wrongly typed value, and the call of the module that reads the value.
+_MISTYPED = [
+    ("incubate_every_rounds", 1.5, lambda v: SimConfig(incubate_every_rounds=v)),
+    ("local_epochs", 1.5, lambda v: SimConfig(local_epochs=v)),
+    ("batch_size", 2.5, lambda v: SimConfig(batch_size=v)),
+    ("lr", "0.1", lambda v: SimConfig(lr=v)),
+    ("incubate_epochs", 2.5, lambda v: DistillConfig(epochs=v)),
+    ("incubate_lr", "0.1", lambda v: DistillConfig(lr=v)),
+    ("temperature", True, lambda v: DistillConfig(temperature=v)),
+    ("lambda", "0.5", lambda v: EnsembleConfig(lam=v)),
+    ("blob_samples_per_class", 10.5, lambda v: gen_blobs(v, 3, 4, 0.5, _RNG(0))),
+    ("blob_spread", "0.5", lambda v: gen_blobs(10, 3, 4, v, _RNG(0))),
+    ("ref_size", 10.5, lambda v: partition_noniid(_pool(), 2, v, 0.2, _RNG(0))),
+    ("n_clients", True, lambda v: partition_noniid(_pool(), v, 10, 0.2, _RNG(0))),
+    ("test_fraction", "0.2", lambda v: partition_noniid(_pool(), 2, 10, v, _RNG(0))),
+]
+
+
+@pytest.mark.parametrize("key, value, call", _MISTYPED,
+                         ids=[f"{k}={v!r}" for k, v, _ in _MISTYPED])
+def test_module_configs_check_types(key, value, call):
+    """A module config or data check takes a count as any integral number
+    but a bool and a rate as any real number but a bool, `_typed`'s rule,
+    so a wrongly typed value is a ConfigError naming its key, not a bare
+    TypeError or a float count that fails at the first training step."""
+    kind = "float" if key in _RATE_KEYS else "int"
+    message = f"{key}: expected {kind}, got {value!r}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         call(value)
 
 
@@ -652,7 +684,7 @@ def test_hdus_mains_are_isgd_mains(setting, every, combine, lam, quit):
         for engine, cfg, log in zip(engines, cfgs, logs):
             harness._tick(engine, cfg, r)
             engine.evaluate(log, r)
-        hdus_mains, isgd_mains = ([c.main.params.tobytes() for c in active_clients(e.clients)]
+        hdus_mains, isgd_mains = ([c.main.params.tobytes() for c in e.clients]
                                   for e in engines)
         assert hdus_mains == isgd_mains, r
     if lam == 0.0:
@@ -661,8 +693,8 @@ def test_hdus_mains_are_isgd_mains(setting, every, combine, lam, quit):
         assert hdus_rows == isgd_rows
 
 
-def _reachable_arrays(root) -> list[np.ndarray]:
-    """Every ndarray reachable from `root` through instance attributes and
+def _reachable(root) -> list:
+    """Every object reachable from `root` through instance attributes and
     container items, except through the partition's datasets."""
     found, seen, todo = [], set(), [root]
     while todo:
@@ -670,9 +702,8 @@ def _reachable_arrays(root) -> list[np.ndarray]:
         if id(obj) in seen or isinstance(obj, (LabeledDataset, ReferenceSet)):
             continue
         seen.add(id(obj))
-        if isinstance(obj, np.ndarray):
-            found.append(obj)
-        elif isinstance(obj, dict):
+        found.append(obj)
+        if isinstance(obj, dict):
             todo.extend([*obj.keys(), *obj.values()])
         elif isinstance(obj, (list, tuple, set, frozenset)):
             todo.extend(obj)
@@ -683,8 +714,9 @@ def _reachable_arrays(root) -> list[np.ndarray]:
 
 @pytest.mark.parametrize("fw", FRAMEWORKS)
 def test_unlearn_leaves_no_memory_of_the_quitter(fw):
-    """Deleted is literal: after the unlearn and one further round, no array
-    reachable from the engine's clients, FedUnl server or sim config shares
+    """Deleted is literal: after the unlearn and one further round, the
+    quitter's `ClientState` is not reachable from the engine's clients,
+    FedUnl server or sim config, and no array reachable from them shares
     memory with the quitter's last main, its own seed or the seed its
     neighbours decoded. The read-only partition is excluded."""
     cfg = tiny(framework=fw, rounds=3)
@@ -699,10 +731,11 @@ def test_unlearn_leaves_no_memory_of_the_quitter(fw):
             if seed is not None]
         engine.unlearn(q)
         engine.round(1)
-        reachable = _reachable_arrays([engine.clients, engine.server, engine.sim])
+        reached = _reachable([engine.clients, engine.server, engine.sim])
+        assert not any(obj is quitter for obj in reached), q
+        reachable = [obj for obj in reached if isinstance(obj, np.ndarray)]
         # The walk reaches every survivor's main, so the check below is not vacuous.
-        assert all(any(a is c.main.params for a in reachable)
-                   for c in active_clients(engine.clients))
+        assert all(any(a is c.main.params for a in reachable) for c in engine.clients)
         assert not any(np.shares_memory(a, g) for a in reachable for g in gone), q
 
 

@@ -22,8 +22,8 @@ from hdus.harness import (ExperimentConfig, build_partition, make_engine,
 from hdus.numeric import (MlpModel, MlpSpec, accuracy, init_mlp, sgd_train,
                           tier_spec, training_step_count)
 from hdus.simulation import (ClientState, EventLog, SimConfig, Topology,
-                             active_clients, active_neighbors, client_rng_streams,
-                             evaluate_all, handle_unlearn_request, init_network,
+                             active_neighbors, client_rng_streams, evaluate_all,
+                             handle_unlearn_request, init_network,
                              local_training_phase, retire_client, run_round)
 
 F, C = 6, 5
@@ -131,47 +131,52 @@ def test_unlearn_purges_quitter_everywhere(partition):
     steps = training_step_count()
     handle_unlearn_request(clients, 2)
     assert training_step_count() == steps          # zero retraining
-    quitter = clients[2]
-    assert quitter.status == "quit"
-    assert quitter.main is None and quitter.own_seed is None
-    assert quitter.local_data is None
+    assert [c.id for c in clients] == [0, 1, 3]    # the quitter left the roster
     for c in clients:
-        if c.id == 2:
-            continue
         assert 2 not in c.repo
         assert np.array_equal(c.main.params, before[c.id])   # untouched
 
 
 def test_unlearn_unknown_or_repeated_rejected(partition):
+    """A request for an id that is unknown or already gone raises
+    NotFoundError and leaves the roster as it was."""
     cfg = small_cfg()
     clients, topo = fresh_network(partition, cfg)
     run_round(clients, topo, cfg, 0)
-    with pytest.raises(NotFoundError):
-        handle_unlearn_request(clients, 99)
+
+    def rejected(q):
+        roster = list(clients)
+        with pytest.raises(NotFoundError):
+            handle_unlearn_request(clients, q)
+        assert len(clients) == len(roster)
+        assert all(a is b for a, b in zip(clients, roster))
+
+    rejected(99)
     handle_unlearn_request(clients, 1)
-    with pytest.raises(NotFoundError):
-        handle_unlearn_request(clients, 1)
+    rejected(1)
 
 
 def test_all_quit_raises(partition):
     cfg = small_cfg()
     clients, topo = fresh_network(partition, cfg)
-    for c in clients:
-        c.status = "quit"
+    for q in range(partition.n_clients):
+        retire_client(clients, q)
     with pytest.raises(StateError):
         run_round(clients, topo, cfg, 0)
 
 
-def test_active_clients_in_id_order(partition):
-    """Every framework acts on the active clients in id order, whatever the
-    order of the client list."""
+def test_roster_in_id_order(partition):
+    """`init_network` builds the roster in id order and a quit keeps the
+    order, so every framework acts on the clients in id order."""
     clients, _ = fresh_network(partition, small_cfg())
-    shuffled = [clients[i] for i in (2, 0, 3, 1)]
-    shuffled[0].status = "quit"
-    assert [c.id for c in active_clients(shuffled)] == [0, 1, 3]
+    assert [c.id for c in clients] == [0, 1, 2, 3]
+    retire_client(clients, 2)
+    assert [c.id for c in clients] == [0, 1, 3]
     ring = Topology({i: frozenset({(i - 1) % 4, (i + 1) % 4}) for i in range(4)})
-    assert [c.id for c in active_neighbors(shuffled, ring, 1)] == [0]
-    assert [c.id for c in active_neighbors(shuffled, ring, 0)] == [1, 3]
+    assert [c.id for c in active_neighbors(clients, ring, 1)] == [0]
+    assert [c.id for c in active_neighbors(clients, ring, 0)] == [1, 3]
+    retire_client(clients, 0)
+    assert [c.id for c in clients] == [1, 3]
 
 
 def test_heterogeneous_mains_homogeneous_wire(partition, monkeypatch):
@@ -230,8 +235,8 @@ def test_evaluate_all_rejects_all_quit_roster(partition):
     cfg = small_cfg()
     clients, topo = fresh_network(partition, cfg)
     run_round(clients, topo, cfg, 0)
-    for c in clients:
-        handle_unlearn_request(clients, c.id)
+    for q in range(partition.n_clients):
+        handle_unlearn_request(clients, q)
     with pytest.raises(StateError, match="no active clients"):
         evaluate_all(clients, partition.test, cfg)
 
@@ -416,9 +421,9 @@ _TOPOLOGIES = {
 
 
 def _resend(clients, topo, sender_id, scale):
-    """A new seed for one client, sent to its active neighbors as `run_round`
+    """A new seed for one client, sent to its neighbors as `run_round`
     sends one: decoded once, remove-then-add, so it moves to the end."""
-    sender = clients[sender_id]
+    sender = next(c for c in clients if c.id == sender_id)
     sender.own_seed = MlpModel(sender.own_seed.spec, sender.own_seed.params * scale)
     sent = deserialize_seed(serialize_seed(sender.own_seed))
     for nbr in active_neighbors(clients, topo, sender_id):
@@ -460,11 +465,10 @@ def test_evaluate_all_across_calls_equals_ensemble_predict(monkeypatch, topology
     def check():
         seen.clear()
         per_client, _ = evaluate_all(clients, part.test, cfg)
-        active = active_clients(clients)
-        assert list(per_client) == [c.id for c in active]
+        assert list(per_client) == [c.id for c in clients]
         assert seen == [ensemble_predict(c.main, c.repo, cfg.ensemble,
                                          part.test.features).tobytes()
-                        for c in active]
+                        for c in clients]
 
     check()
     check()
@@ -476,7 +480,7 @@ def test_evaluate_all_across_calls_equals_ensemble_predict(monkeypatch, topology
     check()
     _resend(clients, topo, 4, 2.0)
     check()
-    last = [c for c in active_clients(clients) if len(c.repo)][-1]
+    last = [c for c in clients if len(c.repo)][-1]
     nid, seed = last.repo.entries[0]
     _substitute(last.repo, nid, _decoded(MlpModel(seed.spec, seed.params * 0.5)))
     check()
@@ -610,13 +614,10 @@ def test_local_training_equals_per_client_sgd_train(first, rest, batch_size,
     local_training_phase(clients, cfg)
     steps = training_step_count() - before
     before = training_step_count()
-    for c in active_clients(oracle):
+    for c in oracle:
         _sgd_train_alone(c, cfg)
     assert steps == training_step_count() - before
     for c, want in zip(clients, oracle):
-        if c.id == quitter:
-            assert c.main is None
-            continue
         assert _bits(c.main) == _bits(want.main)
         assert c.train_rng.bit_generator.state == want.train_rng.bit_generator.state
 
@@ -689,8 +690,9 @@ def _partition(n_clients):
 class ExactUnlearning(RuleBasedStateMachine):
     """Rounds and quits in any order, under hdus, isgd or sisa_a, on a
     complete, path or star graph (a quit on a path can split it). An unlearn
-    takes no SGD step. After every step the run and a control engine have the
-    same active clients, each survivor's `survivor_state` is equal in both,
+    takes no SGD step. After every step the run's and a control engine's
+    rosters both hold the ids that never quit, in id order, each survivor's
+    `survivor_state` is equal in both,
     and so are the logged evaluation rows. The control is a fresh
     `make_engine` on the same graph whose quitters so far retired before
     round 0, through the same rounds."""
@@ -726,10 +728,10 @@ class ExactUnlearning(RuleBasedStateMachine):
         self.control.round(self.rounds)
         self.rounds += 1
 
-    @precondition(lambda self: len(active_clients(self.run.clients)) >= 2)
+    @precondition(lambda self: len(self.run.clients) >= 2)
     @rule(data=st.data())
     def quit(self, data):
-        ids = [c.id for c in active_clients(self.run.clients)]
+        ids = [c.id for c in self.run.clients]
         quitter = data.draw(st.sampled_from(ids), label="quitter")
         steps = training_step_count()
         self.run.unlearn(quitter)
@@ -740,12 +742,13 @@ class ExactUnlearning(RuleBasedStateMachine):
     @invariant()
     def survivors_match_control(self):
         engines = (self.run, self.control)
-        ids = [[c.id for c in active_clients(e.clients)] for e in engines]
-        assert ids[0] == ids[1]
+        ids = [[c.id for c in e.clients] for e in engines]
+        never_quit = [i for i in range(self.cfg.n_clients) if i not in self.quitters]
+        assert ids[0] == ids[1] == never_quit
         test = self.run.part.test
-        for cid in ids[0]:
-            assert (survivor_state(self.run.clients[cid], self.run.sim, test)
-                    == survivor_state(self.control.clients[cid], self.control.sim, test)), cid
+        for c, twin in zip(self.run.clients, self.control.clients):
+            assert (survivor_state(c, self.run.sim, test)
+                    == survivor_state(twin, self.control.sim, test)), c.id
         logs = [EventLog() for _ in engines]
         for engine, log in zip(engines, logs):
             engine.evaluate(log, self.rounds)
