@@ -8,7 +8,7 @@ features and the main model's outputs on them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -61,6 +61,11 @@ class ReferenceSet:
 
     def __len__(self) -> int:
         return self.features.shape[0]
+
+    def __reduce__(self):
+        # numpy copies and unpickles arrays writable: a copy or a pickle is
+        # rebuilt through the constructor, which freezes them again.
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 def incubate_seed(main: MlpModel, seed_spec: MlpSpec, ref: ReferenceSet,

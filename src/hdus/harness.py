@@ -19,7 +19,7 @@ from .data import (LabeledDataset, PartitionedDataset, check_blobs, check_client
                    check_split, gen_blobs, load_idx_files, partition_noniid)
 from .distill import DistillConfig
 from .ensemble import EnsembleConfig, ensemble_predict
-from .errors import ConfigError, HdusError, is_count, is_rate
+from .errors import ConfigError, is_count, is_rate
 from .numeric import TIERS, MlpSpec, accuracy, tier_spec, training_step_count
 from .simulation import (ClientState, EventLog, SimConfig, Topology, csv_text,
                          evaluate_all, handle_unlearn_request, init_network,
@@ -488,24 +488,19 @@ def verify_unlearning(cfg: ExperimentConfig) -> tuple[list[int], int]:
     return sorted((run_ids ^ control_ids) | differ), steps
 
 
-def sweep(cfg: ExperimentConfig, param: str, values) -> dict[object, RunReport | HdusError]:
-    """One run_experiment per grid value; a bad cell records its error and the
-    sweep continues. A value equal to an earlier one fails before any run."""
-    if param not in ("lambda", "temperature"):
-        raise ConfigError(f"sweep param must be 'lambda' or 'temperature', got {param!r}")
-    values = list(values)
-    for i, v in enumerate(values):
-        if v in values[:i]:
-            raise ConfigError(f"{param}: grid value {v!r} repeats an earlier one")
-    field_name = CONFIG_KEYS[param]
-    grid: dict[object, RunReport | HdusError] = {}
+def sweep(cfg: ExperimentConfig, key: str, values) -> dict[object, RunReport]:
+    """One run_experiment per value of any config key. Every cell's config is
+    built before the first run, so an unknown key, a bad value or a value
+    equal to an earlier one is a ConfigError before any compute; a failing
+    run fails the sweep, as it fails `run`."""
+    if key not in CONFIG_KEYS:
+        raise ConfigError(f"unknown key {key!r}")
+    cells = {}
     for v in values:
-        try:
-            cell_cfg = replace(cfg, **{field_name: v})
-            grid[v] = run_experiment(cell_cfg)
-        except HdusError as e:
-            grid[v] = e
-    return grid
+        if v in cells:
+            raise ConfigError(f"{key}: grid value {v!r} repeats an earlier one")
+        cells[v] = replace(cfg, **{CONFIG_KEYS[key]: v})
+    return {v: run_experiment(c) for v, c in cells.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -572,6 +567,4 @@ def unlearn_demo(cfg: ExperimentConfig) -> list[RunReport]:
     if cfg.unlearn_round is None:
         cfg = replace(cfg, unlearn_round=cfg.rounds // 2,
                       unlearn_client=cfg.n_clients - 1)
-    # Building every framework's config checks each before the first run.
-    cfgs = [replace(cfg, framework=fw) for fw in FRAMEWORKS]
-    return [run_experiment(c) for c in cfgs]
+    return list(sweep(cfg, "framework", FRAMEWORKS).values())

@@ -75,9 +75,10 @@ class EventLog:
                         ([*rec[:4], repr(rec[4])] for rec in self.records))
 
 
-@dataclass
+@dataclass(slots=True)
 class ClientState:
-    """A client on a roster: a quit deletes it, so every one is active."""
+    """A client on a roster: a quit deletes it, so every one is active. Slotted,
+    so an instance cannot set the class-wide `status`."""
 
     id: int
     main: MlpModel

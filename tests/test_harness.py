@@ -2,6 +2,7 @@ import csv
 import gzip
 import io
 import json
+import pickle
 import re
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
@@ -694,8 +695,9 @@ def test_hdus_mains_are_isgd_mains(setting, every, combine, lam, quit):
 
 
 def _reachable(root) -> list:
-    """Every object reachable from `root` through instance attributes and
-    container items, except through the partition's datasets."""
+    """Every object reachable from `root` through instance attributes (in
+    `__dict__` or `__slots__`) and container items, except through the
+    partition's datasets."""
     found, seen, todo = [], set(), [root]
     while todo:
         obj = todo.pop()
@@ -707,8 +709,10 @@ def _reachable(root) -> list:
             todo.extend([*obj.keys(), *obj.values()])
         elif isinstance(obj, (list, tuple, set, frozenset)):
             todo.extend(obj)
-        elif hasattr(obj, "__dict__"):
-            todo.extend(vars(obj).values())
+        else:
+            todo.extend(getattr(obj, "__dict__", {}).values())
+            todo.extend(getattr(obj, name) for name in getattr(type(obj), "__slots__", ())
+                        if hasattr(obj, name))
     return found
 
 
@@ -737,6 +741,20 @@ def test_unlearn_leaves_no_memory_of_the_quitter(fw):
         # The walk reaches every survivor's main, so the check below is not vacuous.
         assert all(any(a is c.main.params for a in reachable) for c in engine.clients)
         assert not any(np.shares_memory(a, g) for a in reachable for g in gone), q
+
+
+def test_a_pickled_engine_finishes_as_the_uninterrupted_run():
+    """An hdus engine pickled after round 1 comes back with read-only
+    datasets, so it evaluates, and finishes with the event-log bytes of the
+    run that was never pickled."""
+    cfg = tiny(rounds=4, unlearn_round=2, unlearn_client=3)
+    engine, log = make_engine(cfg, build_partition(cfg, 0), 0), EventLog()
+    for r in range(cfg.rounds):
+        if r == 2:
+            engine = pickle.loads(pickle.dumps(engine))
+        harness._tick(engine, cfg, r)
+        engine.evaluate(log, r)
+    assert log.to_csv_text() == run_experiment(cfg).repeats[0].event_log.to_csv_text()
 
 
 # Each framework's round and unlearn functions, as the engine calls them:
@@ -774,14 +792,21 @@ def test_engine_looks_up_framework_functions_when_called(fw, monkeypatch):
     assert {k: n for k, n in counts.items() if n} == _FRAMEWORK_CALLS[fw]
 
 
-def test_sweep_grid_and_error_cells():
-    grid = sweep(tiny(framework="hdus"), "lambda", [0.0, 0.5, 1.5])
-    assert set(grid) == {0.0, 0.5, 1.5}
-    assert not isinstance(grid[0.0], Exception)
-    assert not isinstance(grid[0.5], Exception)
-    assert isinstance(grid[1.5], ConfigError)   # bad cell recorded, sweep survives
-    with pytest.raises(ConfigError):
-        sweep(tiny(), "learning_rate", [0.1])
+def test_sweep_checks_every_cell_before_any_run(monkeypatch):
+    """`sweep` takes any config key and builds every cell's config before the
+    first run: a grid holding a bad value, or a key that names no field, is
+    a config error naming it, and the spy sees no run."""
+    runs = []
+    monkeypatch.setattr(harness, "run_experiment", runs.append)
+    for key, values, error in (("lambda", [0.0, 0.5, 1.5], "^lambda: must be in "),
+                               ("framework", ["hdus", "sgd"], "^framework: must be one of "),
+                               ("rounds", [2, 0], "^rounds: must be >= 1$"),
+                               ("learning_rate", [0.1], "^unknown key 'learning_rate'$")):
+        with pytest.raises(ConfigError, match=error):
+            sweep(tiny(), key, values)
+    assert runs == []
+    assert list(sweep(tiny(), "n_clients", [3, 4])) == [3, 4]
+    assert [c.n_clients for c in runs] == [3, 4]
 
 
 def test_sweep_rejects_a_repeated_value_before_any_run(monkeypatch):
@@ -866,6 +891,30 @@ def test_unlearn_demo_covers_all_frameworks():
         # default schedule: quit at rounds // 2, last client
         assert r.config.unlearn_round == 2
         assert r.config.unlearn_client == 3
+
+
+def test_default_unlearn_demo_matches_the_golden_table():
+    """The default `unlearn-demo` (quit (15, 4)) gives, round by round, the
+    mean accuracies in `golden_unlearn_demo.csv`, exactly. Every test above
+    compares runs with runs; this pins the values, so a change that moves
+    every output (a client's random stream, say) fails here. Re-record the
+    table only with a change that means to move the outputs, and say so."""
+    table = Path(__file__).with_name("golden_unlearn_demo.csv").read_text(encoding="utf-8")
+    rows = list(csv.DictReader(io.StringIO(table)))
+    expected = {fw: [float(row[fw]) for row in rows] for fw in FRAMEWORKS}
+    reports = unlearn_demo(ExperimentConfig())
+    assert {r.config.framework: r.repeats[0].mean_accuracies() for r in reports} == expected
+
+
+def test_unlearn_demo_is_the_sweep_over_framework():
+    """`unlearn_demo` is its default quit plus the sweep over every framework."""
+    cfg = tiny(rounds=4)
+    demo = unlearn_demo(cfg)
+    grid = sweep(replace(cfg, unlearn_round=2, unlearn_client=3), "framework", FRAMEWORKS)
+    assert list(grid) == list(FRAMEWORKS)
+    assert [r.config for r in grid.values()] == [r.config for r in demo]
+    assert [rr.event_log.to_csv_text() for r in grid.values() for rr in r.repeats] == \
+        [rr.event_log.to_csv_text() for r in demo for rr in r.repeats]
 
 
 def test_unlearn_demo_sizes_mains_by_setting():
@@ -1190,18 +1239,25 @@ def test_cli_overflowing_evaluation_is_runtime_error(tmp_path, capsys, framework
     assert not (tmp_path / "o").exists()
 
 
-def test_cli_sweep_fails_only_when_no_cell_succeeds(tmp_path, capsys):
+def test_cli_sweep_fails_as_run_does(tmp_path, capsys, monkeypatch):
+    """A sweep has the exit rules of `run`: a bad cell is a config error
+    before any run, a failing run is a runtime error, and neither writes a
+    file or leaves the output directory behind."""
     out = tmp_path / "s"
-    assert run_cli("sweep", "--param", "lambda", "--values", "1.5,2",
-                   "--output-path", str(out)) == 2
-    assert "config error: lambda: must be in [0, 1), got 1.5" \
-        in capsys.readouterr().err
-    assert not (out / "summary.csv").exists()
-    assert run_cli("sweep", "--param", "lambda", "--values", "0.2,1.5",
-                   "--rounds", "1", "--n-clients", "3", "--ref-size", "40",
-                   "--output-path", str(out)) == 0
-    assert "lambda=1.5: error: " in capsys.readouterr().out
-    assert (out / "summary.csv").exists()
+    with monkeypatch.context() as m:
+        m.setattr(harness, "run_experiment", _never_run)
+        for param, values, err in (
+                ("lambda", "0.2,1.5", "config error: lambda: must be in [0, 1), got 1.5\n"),
+                ("foo", "1,2", "config error: --values: unknown key 'foo'\n")):
+            assert run_cli("sweep", "--param", param, "--values", values,
+                           "--output-path", str(out)) == 2
+            assert capsys.readouterr() == ("", err)
+            assert not out.exists()
+    assert run_cli("sweep", "--param", "lr", "--values", "0.05,1e9", "--framework", "dsgd",
+                   "--rounds", "3", "--unlearn-round", "1", "--unlearn-client", "1",
+                   "--output-path", str(out)) == 3
+    assert capsys.readouterr().err == "runtime error: client 0: main model: non-finite output\n"
+    assert not out.exists()
 
 
 def test_cli_fedunl_quit_at_round_zero_trains_again(tmp_path, capsys):

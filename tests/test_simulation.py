@@ -1,5 +1,6 @@
 import copy
 import functools
+import pickle
 
 import numpy as np
 import pytest
@@ -243,16 +244,39 @@ def test_evaluate_all_rejects_all_quit_roster(partition):
 
 def test_evaluate_all_rejects_writable_test_features(partition):
     """Seeds keep their outputs keyed by the test features, so evaluation
-    takes only read-only ones: a deep-copied test set is writable (numpy
-    copies arrays writable) and is rejected before any forward."""
+    takes only read-only ones: a test set whose features array its owner
+    made writable again is rejected before any forward."""
     cfg = small_cfg()
     clients, topo = fresh_network(partition, cfg)
     run_round(clients, topo, cfg, 0)
-    copied = copy.deepcopy(partition.test)
-    assert copied.features.flags.writeable
+    test = partition.test
+    features = test.features.copy()
+    thawed = LabeledDataset(features, test.labels, test.class_count)
+    features.flags.writeable = True   # the array owns its memory, so this is allowed
+    assert thawed.features is features
     with pytest.raises(ValidationError, match="^test features are writable"):
-        evaluate_all(clients, copied, cfg)
+        evaluate_all(clients, thawed, cfg)
     assert all(seed._test_output is None for c in clients for _, seed in c.repo.entries)
+
+
+def test_a_roster_survives_copy_and_pickle_read_only(partition):
+    """`status` is class-wide, so a client cannot set it. A deep copy or a
+    pickle of a roster gives clients equal to the originals, whose local
+    splits are read-only again and share one read-only reference set."""
+    cfg = small_cfg()
+    clients, topo = fresh_network(partition, cfg)
+    run_round(clients, topo, cfg, 0)
+    with pytest.raises(AttributeError, match="'status' is read-only"):
+        clients[0].status = "quit"
+    state = [survivor_state(c, cfg, partition.test) for c in clients]
+    for twin in (copy.deepcopy(clients), pickle.loads(pickle.dumps(clients))):
+        assert [survivor_state(c, cfg, partition.test) for c in twin] == state
+        assert all(c.ref is twin[0].ref for c in twin)
+        for c, orig in zip(twin, clients):
+            for a, b in ((c.local_data.features, orig.local_data.features),
+                         (c.local_data.labels, orig.local_data.labels),
+                         (c.ref.features, orig.ref.features)):
+                assert a is not b and np.array_equal(a, b) and not a.flags.writeable
 
 
 def test_sim_config_checks_the_cadence():
